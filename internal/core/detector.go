@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/domain"
 	"repro/internal/homoglyph"
@@ -92,9 +93,13 @@ type scratch struct {
 // index, and the homoglyph database, ready to scan IDNs. A Detector is
 // immutable after construction and safe for concurrent use.
 type Detector struct {
-	db      *homoglyph.DB
-	byLen   map[int]*bucket
-	refs    []string
+	db    *homoglyph.DB
+	byLen map[int]*bucket
+	refs  []string
+	// arena holds every reference's runes back to back; reference id i
+	// occupies arena[offs[i]:offs[i+1]].
+	arena   []rune
+	offs    []int32
 	skel    *skelIndex
 	scratch sync.Pool
 }
@@ -148,8 +153,32 @@ func NewDetector(db *homoglyph.DB, references []string) *Detector {
 	for _, b := range d.byLen {
 		b.buildIndex(homoglyphs)
 	}
+	d.buildArena()
 	d.skel = buildSkelIndex(db, d.refs)
 	return d
+}
+
+// buildArena decodes every reference into one rune arena, sized up
+// front so the whole reference list costs two allocations.
+func (d *Detector) buildArena() {
+	n := 0
+	for _, ref := range d.refs {
+		n += utf8.RuneCountInString(ref)
+	}
+	d.arena = make([]rune, 0, n)
+	d.offs = make([]int32, 1, len(d.refs)+1)
+	for _, ref := range d.refs {
+		for _, r := range ref {
+			d.arena = append(d.arena, r)
+		}
+		d.offs = append(d.offs, int32(len(d.arena)))
+	}
+}
+
+// refRunes returns reference id's runes, a read-only view of the arena.
+func (d *Detector) refRunes(id int32) []rune {
+	lo, hi := d.offs[id], d.offs[id+1]
+	return d.arena[lo:hi:hi]
 }
 
 // buildIndex compiles the per-position posting lists. Reference ids are

@@ -211,6 +211,80 @@ func detectSkeletonIn[S punycode.ByteSeq](d *Detector, sc *scratch, runes []rune
 	return out
 }
 
+// detectDerivedIn answers every backend from one skeleton probe. The
+// probe yields the candidate references in ascending id order. Pass 1
+// runs Algorithm 1's pairwise check on the candidates whose rune length
+// equals the label's: each verified candidate is a postings match with
+// its Diffs, tagged both when the skeleton backend is also selected.
+// Pass 2, for the skeleton backend, appends the remaining non-identical
+// candidates. The miss path — skeletonize, one map probe, empty list —
+// allocates nothing: the map index uses the string(sc.skel) conversion
+// the compiler performs without copying.
+func detectDerivedIn[S punycode.ByteSeq](d *Detector, sc *scratch, idnLabel S, be Backend) []Match {
+	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
+	sc.runes = runes
+	if err != nil || len(runes) == 0 {
+		return nil
+	}
+	sc.skel = d.skel.appendLabel(sc.skel[:0], runes)
+	ids := d.skel.refs[string(sc.skel)]
+	if len(ids) == 0 {
+		return nil
+	}
+	var out []Match
+	if be&BackendPostings != 0 {
+		for _, id := range ids {
+			ref := d.refRunes(id)
+			if len(ref) != len(runes) {
+				continue
+			}
+			if diffs, ok := d.matchAgainst(ref, runes); ok {
+				out = appendMatch(out, idnLabel, runes, d.refs[id], be&BackendBoth, diffs)
+			}
+		}
+	}
+	if be&BackendSkeleton != 0 {
+		verified, k := len(out), 0
+		for _, id := range ids {
+			ref := d.refs[id]
+			// Verified matches sit in id order ahead of this pass, and
+			// references are unique, so one cursor skips them.
+			if k < verified && out[k].Reference == ref {
+				k++
+				continue
+			}
+			// An identical label is the reference itself, not a
+			// homograph — the skeleton-side twin of matchAgainst's
+			// zero-diff rejection.
+			if runesEqualString(runes, ref) {
+				continue
+			}
+			out = appendMatch(out, idnLabel, runes, ref, BackendSkeleton, nil)
+		}
+	}
+	return out
+}
+
+// appendMatch appends one bare-label match (detectDomain overwrites the
+// FQDN context). The IDN and Unicode strings are materialized once per
+// label, by its first match, and shared by the rest.
+func appendMatch[S punycode.ByteSeq](out []Match, idnLabel S, runes []rune, ref string, be Backend, diffs []CharDiff) []Match {
+	var idn, uni string
+	if len(out) > 0 {
+		idn, uni = out[0].IDN, out[0].Unicode
+	} else {
+		idn, uni = string(idnLabel), string(runes)
+	}
+	return append(out, Match{
+		IDN:       idn,
+		Unicode:   uni,
+		Reference: ref,
+		FQDN:      idn,
+		Backend:   be,
+		Diffs:     diffs,
+	})
+}
+
 // sortedRuneKeys returns a skeleton map's keys in their canonical
 // (ascending) order, shared by Snapshot and the loader so identical
 // detectors flatten identically.

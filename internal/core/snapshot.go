@@ -197,6 +197,7 @@ func NewDetectorFromSnapshot(db *homoglyph.DB, s *Snapshot) (*Detector, error) {
 		}
 		d.byLen[n] = b
 	}
+	d.buildArena()
 	skel, err := skelFromSnapshot(s, len(d.refs))
 	if err != nil {
 		return nil, err
