@@ -2,21 +2,28 @@ package core
 
 import "fmt"
 
-// Backend selects which detection index answers a query. The two
-// backends see different attack classes: the per-(length,position)
-// posting lists (BackendPostings) prove exactly which characters were
-// substituted but can only represent same-length, rune-for-rune
-// substitutions; the TR39 skeleton index (BackendSkeleton) compares
-// whole-label prototypes in one hash probe, catching many-to-one and
-// length-changing confusions ("rn"→"m", "vv"→"w") the pairwise model
-// provably cannot. BackendBoth unions the two, tagging each match with
-// the backend(s) that found it.
+// Backend selects which answer a query returns. Both backends come from
+// one TR39 skeleton probe and see different attack classes:
+// BackendPostings is Algorithm 1 — the candidates of the label's own
+// rune length that pass the pairwise, character-by-character check — so
+// it proves exactly which characters were substituted but can only
+// represent same-length, rune-for-rune substitutions; BackendSkeleton
+// returns every candidate sharing the label's whole-label prototype,
+// catching many-to-one and length-changing confusions ("rn"→"m",
+// "vv"→"w") the pairwise model provably cannot. BackendBoth unions the
+// two, tagging each match with the backend(s) that found it.
+//
+// The name "postings" predates the single index: it once named a
+// per-(length, position) posting-list index, and stays as the CLI and
+// wire spelling.
 type Backend uint8
 
 const (
-	// BackendPostings is the per-(length,position) posting-list index.
+	// BackendPostings returns Algorithm 1's pairwise-verified,
+	// same-length matches, with their character diffs.
 	BackendPostings Backend = 1 << iota
-	// BackendSkeleton is the whole-label TR39 skeleton hash index.
+	// BackendSkeleton returns every reference sharing the label's TR39
+	// skeleton.
 	BackendSkeleton
 	// BackendBoth runs both backends and unions their matches.
 	BackendBoth = BackendPostings | BackendSkeleton

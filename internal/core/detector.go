@@ -4,14 +4,16 @@
 // differential characters so downstream countermeasures (blocklists, the
 // Figure 12 warning UI) can explain exactly which character was substituted.
 //
-// The engine is indexed: instead of scanning every same-length reference
-// per label, NewDetector builds a per-(length, position) posting-list index
-// mapping each rune to the references whose character at that position
-// equals it or is one of its homoglyphs. An incoming label intersects its
-// positions' posting lists to get a small candidate set, which is then
-// verified character-by-character. Labels containing any rune unknown at
-// some position reject in O(label length). The seed linear scan survives
-// as DetectLabelLinear, the parity baseline for tests and ablations.
+// The engine has one index. NewDetector maps every reference's TR39
+// skeleton — its label with each rune folded to the representative of
+// its homoglyph class — to the references sharing it. Any character the
+// pairwise database calls confusable folds to the same representative,
+// so one hash probe of an incoming label's skeleton yields every
+// reference it could imitate. Candidates of the label's rune length are
+// then verified character by character (Algorithm 1's inner loop), which
+// recovers the substituted characters; the rest are the many-to-one
+// confusions only the skeleton sees. DetectLabelLinear keeps the seed
+// linear scan as the oracle for tests and the §4.2 baseline.
 package core
 
 import (
@@ -49,7 +51,7 @@ type Match struct {
 	FQDN      string // full domain the label was matched in (equals IDN for bare-label input)
 	TLD       string // public suffix of FQDN ("com", "co.uk", "xn--p1ai"); "" for bare labels
 	Backend   Backend
-	Diffs     []CharDiff // per-character substitutions (posting backend only)
+	Diffs     []CharDiff // per-character substitutions (postings backend only)
 }
 
 // Imitated returns the domain the match imitates: the reference label
@@ -63,39 +65,20 @@ func (m Match) Imitated() string {
 	return m.Reference + "." + m.TLD
 }
 
-// refEntry is one indexed reference with its rune decomposition cached,
-// so the hot path never re-runs []rune(ref).
-type refEntry struct {
-	label string
-	runes []rune
-}
-
-// bucket groups the references of one rune length together with their
-// candidate index: index[p][r] lists (ascending) the ids of references
-// whose rune at position p is r or a homoglyph of r.
-type bucket struct {
-	refs  []refEntry
-	index []map[rune][]int32
-}
-
 // scratch holds the per-call working memory DetectLabel and
 // DetectDomain reuse across labels, keeping the steady-state path
 // allocation-free except for the matches themselves.
 type scratch struct {
 	runes []rune
-	lists [][]int32
-	cand  []int32
-	next  []int32
 	skel  []byte
 }
 
-// Detector holds the reference list bucketed by length, the candidate
-// index, and the homoglyph database, ready to scan IDNs. A Detector is
-// immutable after construction and safe for concurrent use.
+// Detector holds the reference list, its skeleton index, and the
+// homoglyph database, ready to scan IDNs. A Detector is immutable after
+// construction and safe for concurrent use.
 type Detector struct {
-	db    *homoglyph.DB
-	byLen map[int]*bucket
-	refs  []string
+	db   *homoglyph.DB
+	refs []string
 	// arena holds every reference's runes back to back; reference id i
 	// occupies arena[offs[i]:offs[i+1]].
 	arena   []rune
@@ -106,9 +89,9 @@ type Detector struct {
 
 // NewDetector builds a detector over reference labels (TLD part removed,
 // ASCII form). Duplicate references are collapsed. Construction compiles
-// the candidate index; reuse the detector across scans.
+// the skeleton index; reuse the detector across scans.
 func NewDetector(db *homoglyph.DB, references []string) *Detector {
-	d := &Detector{db: db, byLen: make(map[int]*bucket)}
+	d := &Detector{db: db}
 	d.scratch.New = func() any { return &scratch{} }
 	seen := make(map[string]bool, len(references))
 	for _, ref := range references {
@@ -130,31 +113,9 @@ func NewDetector(db *homoglyph.DB, references []string) *Detector {
 		}
 		seen[ref] = true
 		d.refs = append(d.refs, ref)
-		runes := []rune(ref)
-		b := d.byLen[len(runes)]
-		if b == nil {
-			b = &bucket{}
-			d.byLen[len(runes)] = b
-		}
-		b.refs = append(b.refs, refEntry{label: ref, runes: runes})
-	}
-	// Reference labels draw from a few dozen distinct runes, so memoize
-	// the partner lookups across buckets instead of re-filtering the
-	// homoglyph span per (reference, position) occurrence.
-	memo := make(map[rune][]rune)
-	homoglyphs := func(c rune) []rune {
-		hs, ok := memo[c]
-		if !ok {
-			hs = db.Homoglyphs(c)
-			memo[c] = hs
-		}
-		return hs
-	}
-	for _, b := range d.byLen {
-		b.buildIndex(homoglyphs)
 	}
 	d.buildArena()
-	d.skel = buildSkelIndex(db, d.refs)
+	d.skel = buildSkelIndex(d)
 	return d
 }
 
@@ -179,27 +140,6 @@ func (d *Detector) buildArena() {
 func (d *Detector) refRunes(id int32) []rune {
 	lo, hi := d.offs[id], d.offs[id+1]
 	return d.arena[lo:hi:hi]
-}
-
-// buildIndex compiles the per-position posting lists. Reference ids are
-// appended in ascending order, so every posting list is sorted.
-func (b *bucket) buildIndex(homoglyphs func(rune) []rune) {
-	if len(b.refs) == 0 {
-		return
-	}
-	n := len(b.refs[0].runes)
-	b.index = make([]map[rune][]int32, n)
-	for p := range b.index {
-		b.index[p] = make(map[rune][]int32)
-	}
-	for id, ref := range b.refs {
-		for p, c := range ref.runes {
-			b.index[p][c] = append(b.index[p][c], int32(id))
-			for _, h := range homoglyphs(c) {
-				b.index[p][h] = append(b.index[p][h], int32(id))
-			}
-		}
-	}
 }
 
 // NumReferences returns the deduplicated reference count without
@@ -237,7 +177,7 @@ func (d *Detector) matchAgainst(ref []rune, idn []rune) ([]CharDiff, bool) {
 }
 
 // DetectLabel checks one IDN label (ASCII xn-- form, TLD removed) against
-// the same-length references via the candidate index and returns all
+// the same-length references via the skeleton index and returns all
 // matches, in reference insertion order. Safe for concurrent use.
 func (d *Detector) DetectLabel(idnLabel string) []Match {
 	return detectLabel(d, idnLabel, BackendPostings)
@@ -293,7 +233,7 @@ func (d *Detector) DetectDomain(fqdn string) []Match {
 // DetectDomainBackend is DetectDomain with an explicit backend choice.
 // With the skeleton backend enabled every non-empty label left of the
 // public suffix is a candidate — a pure-ASCII label ("rnicrosoft") can
-// be a many-to-one homograph, which the posting backend's non-ASCII
+// be a many-to-one homograph, which the postings backend's non-ASCII
 // candidate gate rightly excludes for itself.
 func (d *Detector) DetectDomainBackend(fqdn string, be Backend) []Match {
 	return detectDomain(d, fqdn, be)
@@ -410,7 +350,7 @@ func detectDomain[S punycode.ByteSeq](d *Detector, fqdn S, be Backend) []Match {
 }
 
 // candidateLabel reports whether a label can be a homograph under the
-// posting backend: an ACE label decodes to non-ASCII by construction,
+// postings backend: an ACE label decodes to non-ASCII by construction,
 // and a raw label must carry a non-ASCII byte (ASCII-to-ASCII pairs are
 // never homoglyphs — the soundness property the engine's tests pin).
 func candidateLabel[S punycode.ByteSeq](label S) bool {
@@ -427,7 +367,7 @@ func candidateLabel[S punycode.ByteSeq](label S) bool {
 
 // candidateLabelFor is the backend-aware candidate gate. The skeleton
 // backend must see every non-empty label: a many-to-one homograph
-// ("rnicrosoft") is pure ASCII, exactly the shape the posting gate
+// ("rnicrosoft") is pure ASCII, exactly the shape the postings gate
 // rejects as impossible for itself.
 func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 	if be&BackendSkeleton != 0 {
@@ -437,167 +377,101 @@ func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 }
 
 // detectLabelIn is the shared per-label hot path, compiled for both
-// label spellings, running on borrowed scratch: decode once, then run
-// each selected backend over the decoded runes. In both-mode the
-// skeleton pass merges into the posting results, OR-ing the Backend mask
-// of references both indexes found.
+// label spellings, running on borrowed scratch. It decodes the label
+// once and answers every backend from one skeleton probe, which yields
+// the candidate references in ascending id order. Pass 1 runs
+// Algorithm 1's pairwise check on the candidates whose rune length
+// equals the label's: each verified candidate is a postings match with
+// its Diffs, tagged both when the skeleton backend is also selected.
+// Pass 2, for the skeleton backend, appends the remaining non-identical
+// candidates. The miss path — skeletonize, one map probe, empty list —
+// allocates nothing: the map index uses the string(sc.skel) conversion
+// the compiler performs without copying.
 func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, idnLabel S, be Backend) []Match {
 	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
 	sc.runes = runes
-	if err != nil {
+	if err != nil || len(runes) == 0 {
+		return nil
+	}
+	sc.skel = d.skel.appendLabel(sc.skel[:0], runes)
+	ids := d.skel.refs[string(sc.skel)]
+	if len(ids) == 0 {
 		return nil
 	}
 	var out []Match
 	if be&BackendPostings != 0 {
-		out = detectPostingsIn(d, sc, runes, idnLabel)
+		for _, id := range ids {
+			ref := d.refRunes(id)
+			if len(ref) != len(runes) {
+				continue
+			}
+			if diffs, ok := d.matchAgainst(ref, runes); ok {
+				out = appendMatch(out, idnLabel, runes, d.refs[id], be&BackendBoth, diffs)
+			}
+		}
 	}
 	if be&BackendSkeleton != 0 {
-		out = detectSkeletonIn(d, sc, runes, idnLabel, out)
+		verified, k := len(out), 0
+		for _, id := range ids {
+			ref := d.refs[id]
+			// Verified matches sit in id order ahead of this pass, and
+			// references are unique, so one cursor skips them.
+			if k < verified && out[k].Reference == ref {
+				k++
+				continue
+			}
+			// An identical label is the reference itself, not a
+			// homograph — the skeleton-side twin of matchAgainst's
+			// zero-diff rejection.
+			if runesEqualString(runes, ref) {
+				continue
+			}
+			out = appendMatch(out, idnLabel, runes, ref, BackendSkeleton, nil)
+		}
 	}
 	return out
 }
 
-// detectPostingsIn is the posting-list backend over an already-decoded
-// label: gather per-position lists, intersect rarest-first, verify
-// survivors character-by-character.
-func detectPostingsIn[S punycode.ByteSeq](d *Detector, sc *scratch, runes []rune, idnLabel S) []Match {
-	b := d.byLen[len(runes)]
-	if b == nil {
-		return nil
-	}
-
-	// Gather each position's posting list, rejecting immediately when a
-	// position has none; seed the intersection with the rarest list.
-	lists := sc.lists[:0]
-	minPos := 0
-	for p, r := range runes {
-		l := b.index[p][r]
-		if len(l) == 0 {
-			sc.lists = lists
-			return nil
-		}
-		lists = append(lists, l)
-		if len(l) < len(lists[minPos]) {
-			minPos = p
-		}
-	}
-	sc.lists = lists
-
-	// cur starts as a read-only view of the rarest posting list; each
-	// intersection writes into the scratch buffer the next round does
-	// not read from, so nothing is ever copied.
-	cur := lists[minPos]
-	bufA, bufB := sc.cand, sc.next
-	for p, l := range lists {
-		if p == minPos {
-			continue
-		}
-		bufA = intersect(cur, l, bufA[:0])
-		cur = bufA
-		bufA, bufB = bufB, bufA
-		if len(cur) == 0 {
-			break
-		}
-	}
-	sc.cand, sc.next = bufA, bufB // keep the grown buffers for reuse
-	if len(cur) == 0 {
-		return nil
-	}
-
-	// Survivors exist, so matches are likely: materialize the IDN and
-	// Unicode strings once, here — the miss path above never builds them.
+// appendMatch appends one bare-label match (detectDomain overwrites the
+// FQDN context). The IDN and Unicode strings are materialized once per
+// label, by its first match, and shared by the rest.
+func appendMatch[S punycode.ByteSeq](out []Match, idnLabel S, runes []rune, ref string, be Backend, diffs []CharDiff) []Match {
 	var idn, uni string
-	var out []Match
-	for _, id := range cur {
-		ref := &b.refs[id]
-		if diffs, ok := d.matchAgainst(ref.runes, runes); ok {
-			if out == nil {
-				idn, uni = string(idnLabel), string(runes)
-			}
-			out = append(out, Match{
-				IDN:       idn,
-				Unicode:   uni,
-				Reference: ref.label,
-				FQDN:      idn, // bare-label context; detectDomain overwrites
-				Backend:   BackendPostings,
-				Diffs:     diffs,
-			})
-		}
+	if len(out) > 0 {
+		idn, uni = out[0].IDN, out[0].Unicode
+	} else {
+		idn, uni = string(idnLabel), string(runes)
 	}
-	return out
-}
-
-// intersect writes the sorted intersection of a and b into dst. When one
-// list is far shorter it binary-searches the long one instead of merging,
-// so the cost is O(short·log(long)) — an ASCII position shared by most
-// references never forces a walk over its whole posting list.
-func intersect(a, b []int32, dst []int32) []int32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) > 16*len(a) {
-		lo := 0
-		for _, x := range a {
-			lo += search(b[lo:], x)
-			if lo < len(b) && b[lo] == x {
-				dst = append(dst, x)
-				lo++
-			}
-		}
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
-// search returns the first index in the sorted slice s holding a value
-// ≥ x, or len(s).
-func search(s []int32, x int32) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return append(out, Match{
+		IDN:       idn,
+		Unicode:   uni,
+		Reference: ref,
+		FQDN:      idn,
+		Backend:   be,
+		Diffs:     diffs,
+	})
 }
 
 // DetectLabelLinear is the seed engine: a linear scan over every
-// same-length reference. It is retained as the correctness baseline the
-// indexed path is property-tested against, and as the "before" side of
-// the throughput ablation.
+// same-length reference. It is the oracle the skeleton-derived path is
+// property-tested against, and the "before" side of the §4.2 timing.
 func (d *Detector) DetectLabelLinear(idnLabel string) []Match {
 	uni, err := punycode.ToUnicodeLabel(idnLabel)
 	if err != nil {
 		return nil
 	}
 	runes := []rune(uni)
-	b := d.byLen[len(runes)]
-	if b == nil {
-		return nil
-	}
 	var out []Match
-	for i := range b.refs {
-		if diffs, ok := d.matchAgainst(b.refs[i].runes, runes); ok {
+	for id, label := range d.refs {
+		ref := d.refRunes(int32(id))
+		if len(ref) != len(runes) {
+			continue
+		}
+		if diffs, ok := d.matchAgainst(ref, runes); ok {
 			out = append(out, Match{
 				IDN:       idnLabel,
 				Unicode:   uni,
-				Reference: b.refs[i].label,
+				Reference: label,
 				FQDN:      idnLabel,
 				Backend:   BackendPostings,
 				Diffs:     diffs,

@@ -10,8 +10,8 @@ import (
 )
 
 // indexRefs is a reference list with length collisions, shared prefixes
-// and homoglyph-dense characters, so candidate intersection actually has
-// work to do.
+// and homoglyph-dense characters, so skeleton probes return several
+// candidates and verification actually has work to do.
 var indexRefs = []string{
 	"google", "goggle", "gooole", "facebook", "faceboot",
 	"myetherwallet", "allstate", "binance", "amazon", "amazen",
@@ -39,9 +39,10 @@ func mutateLabel(t *testing.T, d *Detector, rng *stats.RNG, ref string, maxSubs 
 	return string(runes)
 }
 
-// TestIndexedMatchesLinearParity: the candidate-index engine must return
-// byte-for-byte identical matches to the seed linear scan, for labels
-// built by homoglyph substitution as well as for near-miss garbage.
+// TestIndexedMatchesLinearParity: the skeleton-indexed engine must
+// return byte-for-byte identical matches to the seed linear scan, for
+// labels built by homoglyph substitution as well as for near-miss
+// garbage.
 func TestIndexedMatchesLinearParity(t *testing.T) {
 	db := testDB(t)
 	det := NewDetector(db, indexRefs)

@@ -74,16 +74,23 @@ func zoneCorpus(t *testing.T) (*homoglyph.DB, []string, []string) {
 	return db, refs, labels
 }
 
-// TestDerivedMatchesIndexed: answering every backend from the skeleton
-// probe must reproduce the posting-list and skeleton indexes exactly —
-// order, Diffs and Backend included — for every source view and
-// backend, on fresh and snapshot-loaded detectors.
-func TestDerivedMatchesIndexed(t *testing.T) {
+// TestSkeletonDerivedMatchesLinear pins the single-index derivation
+// against the seed linear scan, for every source view, on fresh and
+// snapshot-loaded detectors: the postings backend must equal
+// DetectLabelLinear exactly (order, Diffs and Backend included), the
+// skeleton backend must contain every linear match, and both-mode must
+// list the linear matches tagged both, then the skeleton-only ones.
+func TestSkeletonDerivedMatchesLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the zone corpus")
 	}
 	db, refs, labels := zoneCorpus(t)
+	stride := 1
+	if raceEnabled {
+		stride = 16
+	}
 	views := []homoglyph.Source{homoglyph.SourceUC, homoglyph.SourceSimChar, homoglyph.SourceUC | homoglyph.SourceSimChar}
+	skelOnly := 0
 	for _, use := range views {
 		view := db.WithSources(use)
 		fresh := core.NewDetector(view, refs)
@@ -91,21 +98,49 @@ func TestDerivedMatchesIndexed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, be := range []core.Backend{core.BackendPostings, core.BackendSkeleton, core.BackendBoth} {
-			matches := 0
-			for _, l := range labels {
-				want := fresh.DetectLabelIndexed(l, be)
-				matches += len(want)
-				for _, d := range []*core.Detector{fresh, loaded} {
-					if got := d.DetectLabelDerived(l, be); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v/%v %q:\n got %+v\nwant %+v", use, be, l, got, want)
+		matches := 0
+		for i := 0; i < len(labels); i += stride {
+			l := labels[i]
+			lin := fresh.DetectLabelLinear(l)
+			matches += len(lin)
+			linRefs := make(map[string]bool, len(lin))
+			for _, m := range lin {
+				linRefs[m.Reference] = true
+			}
+			for _, d := range []*core.Detector{fresh, loaded} {
+				if got := d.DetectLabelBackend(l, core.BackendPostings); !reflect.DeepEqual(got, lin) {
+					t.Fatalf("%v postings %q:\n got %+v\nwant %+v", use, l, got, lin)
+				}
+				skel := d.DetectLabelBackend(l, core.BackendSkeleton)
+				var want []core.Match
+				for _, m := range lin {
+					m.Backend = core.BackendBoth
+					want = append(want, m)
+				}
+				found := 0
+				for _, m := range skel {
+					if linRefs[m.Reference] {
+						found++
+						continue
 					}
+					want = append(want, m)
+				}
+				if found != len(lin) {
+					t.Fatalf("%v %q: skeleton %+v misses a linear match of %+v", use, l, skel, lin)
+				}
+				if got := d.DetectLabelBackend(l, core.BackendBoth); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v both %q:\n got %+v\nwant %+v", use, l, got, want)
+				}
+				if d == fresh {
+					skelOnly += len(skel) - found
 				}
 			}
-			if matches == 0 {
-				t.Fatalf("%v/%v: corpus produced no matches", use, be)
-			}
-			t.Logf("%v/%v: %d labels, %d matches", use, be, len(labels), matches)
 		}
+		if matches == 0 {
+			t.Fatalf("%v: corpus produced no linear matches", use)
+		}
+	}
+	if skelOnly == 0 {
+		t.Fatal("corpus produced no skeleton-only matches")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/homoglyph"
-	"repro/internal/punycode"
 )
 
 // skelIndex is the TR39 skeleton backend: every rune maps to a canonical
@@ -14,25 +13,27 @@ import (
 // precomputed into a hash map — so a candidate label resolves to its
 // imitated references in one map probe, regardless of length.
 //
-// The per-rune mapping is derived from the SAME pairwise graph the
-// posting lists index, via union-find: every connected component of the
-// Confusable relation collapses to one representative (its smallest
-// rune). That construction makes the differential-parity property hold
-// by design — Confusable(a,b) ⇒ same component ⇒ same skeleton rune — so
-// any single-rune substitution the posting backend can see, the skeleton
-// backend sees too. On top of that, components whose representative
-// carries a multi-rune UC prototype ('m' → "rn") expand to the mapped
-// sequence, which is what catches the length-changing homographs
-// ("rnicrosoft") the pairwise model cannot represent.
+// The per-rune mapping is derived from the pairwise homoglyph graph via
+// union-find: every connected component of the Confusable relation
+// collapses to one representative (its smallest rune). That construction
+// is what lets one probe serve Algorithm 1 — Confusable(a,b) ⇒ same
+// component ⇒ same skeleton rune — so every reference a pairwise,
+// same-length comparison could match shares the label's skeleton, and
+// the postings backend only has to verify the candidates. On top of
+// that, components whose representative carries a multi-rune UC
+// prototype ('m' → "rn") expand to the mapped sequence, which is what
+// catches the length-changing homographs ("rnicrosoft") the pairwise
+// model cannot represent.
 type skelIndex struct {
 	rep  map[rune]rune      // non-identity component representatives
 	seq  map[rune][]rune    // multi-rune skeletons (already rep-mapped)
 	refs map[string][]int32 // skeleton(ref) → ascending ids into Detector.refs
 }
 
-// buildSkelIndex compiles the skeleton backend for the detector's
-// homoglyph view and global reference list.
-func buildSkelIndex(db *homoglyph.DB, refs []string) *skelIndex {
+// buildSkelIndex compiles the skeleton index for the detector's
+// homoglyph view and reference list.
+func buildSkelIndex(d *Detector) *skelIndex {
+	db := d.db
 	chars := db.Chars().Runes()
 
 	// Union-find over the pairwise graph, path-halving on find.
@@ -83,7 +84,7 @@ func buildSkelIndex(db *homoglyph.DB, refs []string) *skelIndex {
 	// component skeletonizes to that sequence (each sequence rune itself
 	// resolved recursively). Deciding by member instead would let a
 	// SimChar-only partner of 'w' keep skeleton 'w' while 'w' itself went
-	// to "vv", silently breaking posting⊆skeleton parity.
+	// to "vv", silently dropping pairwise matches from the candidates.
 	var uc ucExpander
 	if db.Use()&homoglyph.SourceUC != 0 {
 		if c := db.UC(); c != nil {
@@ -112,9 +113,10 @@ func buildSkelIndex(db *homoglyph.DB, refs []string) *skelIndex {
 		}
 	}
 
-	for i, ref := range refs {
-		key := string(x.appendLabel(nil, []rune(ref)))
-		x.refs[key] = append(x.refs[key], int32(i))
+	var key []byte
+	for id := range d.refs {
+		key = x.appendLabel(key[:0], d.refRunes(int32(id)))
+		x.refs[string(key)] = append(x.refs[string(key)], int32(id))
 	}
 	return x
 }
@@ -156,133 +158,6 @@ func runesEqualString(rs []rune, s string) bool {
 		i++
 	}
 	return i == len(rs)
-}
-
-// detectSkeletonIn runs the skeleton backend over an already-decoded
-// label and merges its findings into out (which may hold posting-backend
-// matches for the same label): a reference both backends found gets its
-// Backend mask OR-ed, keeping the posting match's character diffs. The
-// miss path — skeletonize, one map probe, empty list — allocates
-// nothing: the map index uses the string(sc.skel) conversion the
-// compiler performs without copying.
-func detectSkeletonIn[S punycode.ByteSeq](d *Detector, sc *scratch, runes []rune, idnLabel S, out []Match) []Match {
-	if d.skel == nil || len(runes) == 0 {
-		return out
-	}
-	sc.skel = d.skel.appendLabel(sc.skel[:0], runes)
-	ids := d.skel.refs[string(sc.skel)]
-	if len(ids) == 0 {
-		return out
-	}
-	var idn, uni string
-	have := false
-	if len(out) > 0 { // posting matches already materialized the strings
-		idn, uni, have = out[0].IDN, out[0].Unicode, true
-	}
-	for _, id := range ids {
-		ref := d.refs[id]
-		// An identical label is the reference itself, not a homograph —
-		// the skeleton-side twin of matchAgainst's zero-diff rejection.
-		if runesEqualString(runes, ref) {
-			continue
-		}
-		merged := false
-		for i := range out {
-			if out[i].Reference == ref {
-				out[i].Backend |= BackendSkeleton
-				merged = true
-				break
-			}
-		}
-		if merged {
-			continue
-		}
-		if !have {
-			idn, uni, have = string(idnLabel), string(runes), true
-		}
-		out = append(out, Match{
-			IDN:       idn,
-			Unicode:   uni,
-			Reference: ref,
-			FQDN:      idn, // bare-label context; detectDomain overwrites
-			Backend:   BackendSkeleton,
-		})
-	}
-	return out
-}
-
-// detectDerivedIn answers every backend from one skeleton probe. The
-// probe yields the candidate references in ascending id order. Pass 1
-// runs Algorithm 1's pairwise check on the candidates whose rune length
-// equals the label's: each verified candidate is a postings match with
-// its Diffs, tagged both when the skeleton backend is also selected.
-// Pass 2, for the skeleton backend, appends the remaining non-identical
-// candidates. The miss path — skeletonize, one map probe, empty list —
-// allocates nothing: the map index uses the string(sc.skel) conversion
-// the compiler performs without copying.
-func detectDerivedIn[S punycode.ByteSeq](d *Detector, sc *scratch, idnLabel S, be Backend) []Match {
-	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
-	sc.runes = runes
-	if err != nil || len(runes) == 0 {
-		return nil
-	}
-	sc.skel = d.skel.appendLabel(sc.skel[:0], runes)
-	ids := d.skel.refs[string(sc.skel)]
-	if len(ids) == 0 {
-		return nil
-	}
-	var out []Match
-	if be&BackendPostings != 0 {
-		for _, id := range ids {
-			ref := d.refRunes(id)
-			if len(ref) != len(runes) {
-				continue
-			}
-			if diffs, ok := d.matchAgainst(ref, runes); ok {
-				out = appendMatch(out, idnLabel, runes, d.refs[id], be&BackendBoth, diffs)
-			}
-		}
-	}
-	if be&BackendSkeleton != 0 {
-		verified, k := len(out), 0
-		for _, id := range ids {
-			ref := d.refs[id]
-			// Verified matches sit in id order ahead of this pass, and
-			// references are unique, so one cursor skips them.
-			if k < verified && out[k].Reference == ref {
-				k++
-				continue
-			}
-			// An identical label is the reference itself, not a
-			// homograph — the skeleton-side twin of matchAgainst's
-			// zero-diff rejection.
-			if runesEqualString(runes, ref) {
-				continue
-			}
-			out = appendMatch(out, idnLabel, runes, ref, BackendSkeleton, nil)
-		}
-	}
-	return out
-}
-
-// appendMatch appends one bare-label match (detectDomain overwrites the
-// FQDN context). The IDN and Unicode strings are materialized once per
-// label, by its first match, and shared by the rest.
-func appendMatch[S punycode.ByteSeq](out []Match, idnLabel S, runes []rune, ref string, be Backend, diffs []CharDiff) []Match {
-	var idn, uni string
-	if len(out) > 0 {
-		idn, uni = out[0].IDN, out[0].Unicode
-	} else {
-		idn, uni = string(idnLabel), string(runes)
-	}
-	return append(out, Match{
-		IDN:       idn,
-		Unicode:   uni,
-		Reference: ref,
-		FQDN:      idn,
-		Backend:   be,
-		Diffs:     diffs,
-	})
 }
 
 // sortedRuneKeys returns a skeleton map's keys in their canonical

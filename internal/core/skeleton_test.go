@@ -8,9 +8,9 @@ import (
 
 // manyToOneFixtures pins the false-negative class this backend closes:
 // homographs built from many-to-one confusables ("rn"→"m", "vv"→"w",
-// "cl"→"d") that the posting backend PROVABLY cannot represent — they
-// change the label's rune length, so no per-(length,position) index can
-// pair them with the reference.
+// "cl"→"d") that the postings backend PROVABLY cannot represent — they
+// change the label's rune length, so no same-length, rune-for-rune
+// comparison can pair them with the reference.
 var manyToOneFixtures = []struct {
 	label string // attacker-registered, pure ASCII
 	ref   string
@@ -56,7 +56,7 @@ func TestSkeletonCatchesManyToOne(t *testing.T) {
 }
 
 // The skeleton backend must keep working at the domain level, where the
-// posting candidate gate would have rejected the pure-ASCII label before
+// postings candidate gate would have rejected the pure-ASCII label before
 // detection even ran.
 func TestSkeletonDomainLevel(t *testing.T) {
 	d := manyToOneDetector(t)
@@ -80,7 +80,7 @@ func TestSkeletonDomainLevel(t *testing.T) {
 }
 
 // In both-mode a reference found by the two backends carries the union
-// mask and keeps the posting match's diffs; a skeleton-only find is
+// mask and keeps the postings match's diffs; a skeleton-only find is
 // tagged skeleton.
 func TestBothModeUnionTagging(t *testing.T) {
 	d := NewDetector(testDB(t), []string{"google", "microsoft"})
@@ -144,12 +144,14 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-// TestDifferentialParity is the fuzzed backend-parity bugfix test: every
-// single-rune substitution the posting backend finds, the skeleton
-// backend must find too. The skeleton index is built from the same
-// pairwise graph via union-find, so Confusable(a,b) ⇒ same component ⇒
-// equal skeletons — this test pins that construction against fold-order
-// and expansion-order regressions with a seeded random corpus.
+// TestDifferentialParity is the fuzzed check of the invariant the
+// single index rests on: every match the seed linear scan finds — a
+// same-length reference whose every differing rune is a pairwise
+// homoglyph — must be among the label's skeleton candidates. The
+// skeleton index is built from the same pairwise graph via union-find,
+// so Confusable(a,b) ⇒ same component ⇒ equal skeletons; this test pins
+// that construction against fold-order and expansion-order regressions
+// with a seeded random corpus.
 func TestDifferentialParity(t *testing.T) {
 	db := testDB(t)
 	refs := []string{
@@ -158,7 +160,7 @@ func TestDifferentialParity(t *testing.T) {
 	}
 	d := NewDetector(db, refs)
 	rng := rand.New(rand.NewSource(42))
-	labels := 0
+	labels, matched := 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		ref := refs[rng.Intn(len(refs))]
 		runes := []rune(ref)
@@ -179,24 +181,25 @@ func TestDifferentialParity(t *testing.T) {
 		}
 		labels++
 		label := string(runes)
-		post := d.DetectLabelBackend(label, BackendPostings)
-		skel := d.DetectLabelBackend(label, BackendSkeleton)
-		for _, pm := range post {
+		key := string(d.skel.appendLabel(nil, runes))
+		candidates := d.skel.refs[key]
+		for _, lm := range d.DetectLabelLinear(label) {
+			matched++
 			found := false
-			for _, sm := range skel {
-				if sm.Reference == pm.Reference {
+			for _, id := range candidates {
+				if d.refs[id] == lm.Reference {
 					found = true
 					break
 				}
 			}
 			if !found {
-				t.Fatalf("parity violated: postings found %q → %q, skeleton did not (skeleton: %v)",
-					label, pm.Reference, skel)
+				t.Fatalf("parity violated: linear scan found %q → %q, not a skeleton candidate (skeleton %q)",
+					label, lm.Reference, key)
 			}
 		}
 	}
-	if labels < 1000 {
-		t.Fatalf("fuzz corpus too small: %d substituted labels", labels)
+	if labels < 1000 || matched < 1000 {
+		t.Fatalf("fuzz corpus too small: %d substituted labels, %d linear matches", labels, matched)
 	}
 }
 
@@ -259,6 +262,35 @@ func TestSkeletonSnapshotValidation(t *testing.T) {
 			t.Error("single-rune skeleton sequence accepted")
 		}
 	}
+
+	// Detection walks each id list once without deduplicating, so a
+	// repeated or out-of-order id must be rejected, not loaded.
+	two := NewDetector(db, []string{"google", "g\u043e\u043egle"}) // Cyrillic о: one skeleton, two ids
+	s = two.Snapshot()
+	if len(s.SkelListIDs) != 2 || len(s.SkelKeys) != 1 {
+		t.Fatalf("want one two-id skeleton list, got keys %q ids %v", s.SkelKeys, s.SkelListIDs)
+	}
+	s.SkelListIDs[0], s.SkelListIDs[1] = 1, 0
+	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
+		t.Error("descending skeleton id list accepted")
+	}
+	s = two.Snapshot()
+	s.SkelListIDs[1] = 0
+	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
+		t.Error("repeated skeleton id accepted")
+	}
+
+	// References must be non-empty and unique for the same reason.
+	s = two.Snapshot()
+	s.Refs[1] = s.Refs[0]
+	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
+		t.Error("duplicate reference accepted")
+	}
+	s = two.Snapshot()
+	s.Refs[1] = ""
+	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
+		t.Error("empty reference accepted")
+	}
 }
 
 func runesEq(a, b []rune) bool {
@@ -297,10 +329,10 @@ func stringsEq(a, b []string) bool {
 	return true
 }
 
-// BenchmarkSkeletonLookup vs BenchmarkPostingIntersection: the ns/label
-// cost of a whole-label skeleton probe against the posting-list
-// intersection, both on the miss path (the zone-scale common case). CI
-// publishes these as BENCH_skeleton.json.
+// BenchmarkSkeletonLookup and BenchmarkPostingsLookup: the ns/label cost
+// of the skeleton and postings backends on the miss path (the zone-scale
+// common case) — both one whole-label skeleton probe. CI publishes these
+// as BENCH_skeleton.json and gates both at zero allocations.
 func BenchmarkSkeletonLookup(b *testing.B) {
 	d := NewDetector(testDB(b), benchRefs())
 	fqdn := []byte("xn--ggle-55da.example.com")
@@ -312,7 +344,7 @@ func BenchmarkSkeletonLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkPostingIntersection(b *testing.B) {
+func BenchmarkPostingsLookup(b *testing.B) {
 	d := NewDetector(testDB(b), benchRefs())
 	fqdn := []byte("xn--ggle-55da.example.com")
 	d.DetectDomainBytesBackend(fqdn, BackendPostings)

@@ -3,29 +3,24 @@ package core
 import (
 	"fmt"
 	"sort"
-	"unicode/utf8"
 
 	"repro/internal/homoglyph"
 )
 
 // Snapshot is the flattened, position-independent form of a built
-// Detector: the deduplicated reference list plus every per-(length,
-// position) posting list laid out in contiguous arrays. It exists so the
-// internal/snapshot codec can serialize a detector with bulk slice writes
-// and NewDetectorFromSnapshot can rebuild one without re-running the
-// homoglyph expansion of NewDetector — the posting lists are stored
-// already expanded.
+// Detector: the deduplicated reference list plus the skeleton index laid
+// out in contiguous arrays. It exists so the internal/snapshot codec can
+// serialize a detector with bulk slice writes and NewDetectorFromSnapshot
+// can rebuild one without re-running the union-find and expansion of
+// NewDetector — the skeleton maps are stored already compiled.
 type Snapshot struct {
 	// Refs is the detector's reference list, normalized and
 	// deduplicated, in insertion order.
 	Refs []string
-	// Buckets holds one entry per distinct reference rune length,
-	// ascending.
-	Buckets []BucketSnapshot
 
-	// The skeleton backend, flattened (format v2). The three maps are
-	// laid out keys-ascending so identical detectors serialize
-	// byte-identically and a load/re-snapshot round trip is exact.
+	// The skeleton index, flattened. The three maps are laid out
+	// keys-ascending so identical detectors serialize byte-identically
+	// and a load/re-snapshot round trip is exact.
 
 	// SkelRepRunes/SkelReps are the non-identity component-representative
 	// pairs, SkelRepRunes ascending.
@@ -37,165 +32,65 @@ type Snapshot struct {
 	SkelSeqLens  []int32
 	SkelSeqs     []rune
 	// SkelKeys (ascending, byte order) are the reference skeletons; key
-	// i's posting list is the next SkelListLens[i] entries of
-	// SkelListIDs — indexes into Refs, ascending within each list.
+	// i's id list is the next SkelListLens[i] entries of SkelListIDs —
+	// indexes into Refs, strictly ascending within each list.
 	SkelKeys     []string
 	SkelListLens []int32
 	SkelListIDs  []int32
 }
 
-// BucketSnapshot flattens one length bucket. For each position p in
-// [0,Length), PosCounts[p] gives the number of distinct runes indexed at
-// p; their runes, posting-list lengths, and concatenated posting ids
-// occupy the next PosCounts[p] entries of Runes/ListLens and the matching
-// span of ListIDs. Posting ids are bucket-local indexes into RefIDs.
-type BucketSnapshot struct {
-	Length    int32
-	RefIDs    []int32 // bucket slot -> index into Snapshot.Refs
-	PosCounts []int32
-	Runes     []rune
-	ListLens  []int32
-	ListIDs   []int32
-}
-
 // Snapshot flattens the detector into its serializable form. The layout
-// is canonical — buckets ascend by length, runes ascend within each
-// position — so identical detectors produce identical snapshots.
+// is canonical — every table ascends by key — so identical detectors
+// produce identical snapshots.
 func (d *Detector) Snapshot() *Snapshot {
 	s := &Snapshot{Refs: append([]string(nil), d.refs...)}
-	refID := make(map[string]int32, len(d.refs))
-	for i, r := range d.refs {
-		refID[r] = int32(i)
+	for _, r := range sortedRuneKeys(d.skel.rep) {
+		s.SkelRepRunes = append(s.SkelRepRunes, r)
+		s.SkelReps = append(s.SkelReps, d.skel.rep[r])
 	}
-	lengths := make([]int, 0, len(d.byLen))
-	for n := range d.byLen {
-		lengths = append(lengths, n)
+	for _, r := range sortedRuneKeys(d.skel.seq) {
+		seq := d.skel.seq[r]
+		s.SkelSeqRunes = append(s.SkelSeqRunes, r)
+		s.SkelSeqLens = append(s.SkelSeqLens, int32(len(seq)))
+		s.SkelSeqs = append(s.SkelSeqs, seq...)
 	}
-	sort.Ints(lengths)
-	for _, n := range lengths {
-		b := d.byLen[n]
-		bs := BucketSnapshot{Length: int32(n)}
-		for i := range b.refs {
-			bs.RefIDs = append(bs.RefIDs, refID[b.refs[i].label])
-		}
-		for p := 0; p < n; p++ {
-			m := b.index[p]
-			rs := make([]rune, 0, len(m))
-			for r := range m {
-				rs = append(rs, r)
-			}
-			sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-			bs.PosCounts = append(bs.PosCounts, int32(len(rs)))
-			for _, r := range rs {
-				l := m[r]
-				bs.Runes = append(bs.Runes, r)
-				bs.ListLens = append(bs.ListLens, int32(len(l)))
-				bs.ListIDs = append(bs.ListIDs, l...)
-			}
-		}
-		s.Buckets = append(s.Buckets, bs)
+	keys := make([]string, 0, len(d.skel.refs))
+	for k := range d.skel.refs {
+		keys = append(keys, k)
 	}
-	if d.skel != nil {
-		for _, r := range sortedRuneKeys(d.skel.rep) {
-			s.SkelRepRunes = append(s.SkelRepRunes, r)
-			s.SkelReps = append(s.SkelReps, d.skel.rep[r])
-		}
-		for _, r := range sortedRuneKeys(d.skel.seq) {
-			seq := d.skel.seq[r]
-			s.SkelSeqRunes = append(s.SkelSeqRunes, r)
-			s.SkelSeqLens = append(s.SkelSeqLens, int32(len(seq)))
-			s.SkelSeqs = append(s.SkelSeqs, seq...)
-		}
-		keys := make([]string, 0, len(d.skel.refs))
-		for k := range d.skel.refs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			ids := d.skel.refs[k]
-			s.SkelKeys = append(s.SkelKeys, k)
-			s.SkelListLens = append(s.SkelListLens, int32(len(ids)))
-			s.SkelListIDs = append(s.SkelListIDs, ids...)
-		}
+	sort.Strings(keys)
+	for _, k := range keys {
+		ids := d.skel.refs[k]
+		s.SkelKeys = append(s.SkelKeys, k)
+		s.SkelListLens = append(s.SkelListLens, int32(len(ids)))
+		s.SkelListIDs = append(s.SkelListIDs, ids...)
 	}
 	return s
 }
 
 // NewDetectorFromSnapshot rebuilds a detector over an already-loaded
-// homoglyph database. Posting lists alias the snapshot's ListIDs arrays
-// (full-capacity subslices), so beyond the per-position maps the load
-// performs no copying; the snapshot must not be mutated afterwards. The
-// db must be the one serialized alongside the detector — posting lists
-// bake in its homoglyph expansion.
+// homoglyph database. Skeleton id lists alias the snapshot's SkelListIDs
+// array (full-capacity subslices), so beyond the maps and the reference
+// rune arena the load performs no copying; the snapshot must not be
+// mutated afterwards. The db must be the one serialized alongside the
+// detector — the skeleton maps bake in its homoglyph classes.
+//
+// Detection walks a label's candidates once per pass without
+// deduplicating, so references must be non-empty and unique, and every
+// id list strictly ascending — a crafted snapshot violating either
+// would yield repeated or reordered matches.
 func NewDetectorFromSnapshot(db *homoglyph.DB, s *Snapshot) (*Detector, error) {
-	d := &Detector{db: db, byLen: make(map[int]*bucket, len(s.Buckets))}
+	d := &Detector{db: db, refs: append([]string(nil), s.Refs...)}
 	d.scratch.New = func() any { return &scratch{} }
-	d.refs = append([]string(nil), s.Refs...)
-	for bi := range s.Buckets {
-		bs := &s.Buckets[bi]
-		n := int(bs.Length)
-		if n <= 0 || len(bs.PosCounts) != n {
-			return nil, fmt.Errorf("core: snapshot bucket %d: %d position counts for length %d", bi, len(bs.PosCounts), n)
+	seen := make(map[string]bool, len(d.refs))
+	for i, ref := range d.refs {
+		if ref == "" {
+			return nil, fmt.Errorf("core: snapshot reference %d is empty", i)
 		}
-		if _, dup := d.byLen[n]; dup {
-			return nil, fmt.Errorf("core: snapshot has duplicate bucket for length %d", n)
+		if seen[ref] {
+			return nil, fmt.Errorf("core: snapshot reference %q is duplicated", ref)
 		}
-		b := &bucket{
-			refs:  make([]refEntry, len(bs.RefIDs)),
-			index: make([]map[rune][]int32, n),
-		}
-		// Validate every reference id and rune length up front: only
-		// then is n·refs a trusted arena size (a crafted snapshot must
-		// not reach a multi-terabyte make, or overflow the product).
-		for _, id := range bs.RefIDs {
-			if id < 0 || int(id) >= len(d.refs) {
-				return nil, fmt.Errorf("core: snapshot bucket %d: reference id %d out of range", bi, id)
-			}
-			if utf8.RuneCountInString(d.refs[id]) != n {
-				return nil, fmt.Errorf("core: snapshot bucket %d: reference %q is not %d runes", bi, d.refs[id], n)
-			}
-		}
-		// Every reference in the bucket is exactly n runes, so one arena
-		// sized n·refs holds all their decompositions: its capacity is
-		// fixed up front, appends never reallocate, and the per-ref rune
-		// slices of a 10k-reference detector collapse into one
-		// allocation.
-		arena := make([]rune, 0, len(bs.RefIDs)*n)
-		for i, id := range bs.RefIDs {
-			label := d.refs[id]
-			start := len(arena)
-			for _, r := range label {
-				arena = append(arena, r)
-			}
-			b.refs[i] = refEntry{label: label, runes: arena[start:len(arena):len(arena)]}
-		}
-		off, idOff := 0, 0
-		for p := 0; p < n; p++ {
-			cnt := int(bs.PosCounts[p])
-			if cnt < 0 || off+cnt > len(bs.Runes) || off+cnt > len(bs.ListLens) {
-				return nil, fmt.Errorf("core: snapshot bucket %d: truncated position table", bi)
-			}
-			m := make(map[rune][]int32, cnt)
-			for k := 0; k < cnt; k++ {
-				l := int(bs.ListLens[off+k])
-				if l < 0 || idOff+l > len(bs.ListIDs) {
-					return nil, fmt.Errorf("core: snapshot bucket %d: truncated posting lists", bi)
-				}
-				for _, id := range bs.ListIDs[idOff : idOff+l] {
-					if id < 0 || int(id) >= len(b.refs) {
-						return nil, fmt.Errorf("core: snapshot bucket %d: posting id %d out of range", bi, id)
-					}
-				}
-				m[bs.Runes[off+k]] = bs.ListIDs[idOff : idOff+l : idOff+l]
-				idOff += l
-			}
-			off += cnt
-			b.index[p] = m
-		}
-		if off != len(bs.Runes) || idOff != len(bs.ListIDs) {
-			return nil, fmt.Errorf("core: snapshot bucket %d: %d trailing index entries", bi, len(bs.Runes)-off)
-		}
-		d.byLen[n] = b
+		seen[ref] = true
 	}
 	d.buildArena()
 	skel, err := skelFromSnapshot(s, len(d.refs))
@@ -243,12 +138,17 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 	for i, k := range s.SkelKeys {
 		l := int(s.SkelListLens[i])
 		if l < 0 || idOff+l > len(s.SkelListIDs) {
-			return nil, fmt.Errorf("core: snapshot skeleton key %d: truncated posting list", i)
+			return nil, fmt.Errorf("core: snapshot skeleton key %d: truncated id list", i)
 		}
+		prev := int32(-1)
 		for _, id := range s.SkelListIDs[idOff : idOff+l] {
 			if id < 0 || int(id) >= numRefs {
 				return nil, fmt.Errorf("core: snapshot skeleton key %d: reference id %d out of range", i, id)
 			}
+			if id <= prev {
+				return nil, fmt.Errorf("core: snapshot skeleton key %d: reference ids not strictly ascending", i)
+			}
+			prev = id
 		}
 		x.refs[k] = s.SkelListIDs[idOff : idOff+l : idOff+l]
 		idOff += l

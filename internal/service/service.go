@@ -64,7 +64,7 @@ type Config struct {
 	MaxBatch int
 	// Backend selects the default detection backend for requests that
 	// do not name one ("backend" in /v1/detect bodies, ?backend= on
-	// /v1/explain). The zero value means the posting-list backend.
+	// /v1/explain). The zero value means the postings backend.
 	Backend core.Backend
 	// Survey wires the async triage job API (POST /v1/survey). The
 	// zero value works; see SurveyConfig.
@@ -270,7 +270,7 @@ type errorResponse struct {
 // scan normalizes one incoming name into the pooled buffer and scans
 // it against det. The zone-line rules decide everything: trailing root
 // dot dropped, ASCII uppercase folded (non-ASCII folding happens in
-// the punycode decode, same as ingestion). Under the posting backend,
+// the punycode decode, same as ingestion). Under the postings backend,
 // names with no scannable candidate label — plain ASCII, or an
 // ACE-TLD-only shape — return no matches without touching the index;
 // when the chosen backend includes the skeleton index, every non-blank

@@ -1,8 +1,8 @@
 // Package snapshot persists the framework's fully compiled artifacts —
 // the flattened homoglyph index (UC ∪ SimChar union, canonical targets,
 // source masks), the component databases needed to answer accounting
-// queries, and optionally a detector's per-(length, position) posting
-// lists — as one versioned, checksummed binary blob.
+// queries, and optionally a detector's reference list and skeleton
+// index — as one versioned, checksummed binary blob.
 //
 // The paper's build pipeline (font rasterization, the Section 3.3
 // pairwise Δ scan, UC parsing, index compilation) costs seconds per
@@ -47,9 +47,10 @@ const Magic = "SHAMSNAP"
 // detection, the one failure mode a checksum cannot catch.
 //
 // v2 extended the detector section with the TR39 skeleton index (rep
-// map, many-to-one sequences, skeleton→refs posting lists); v1 files
-// must be recompiled.
-const Version = 2
+// map, many-to-one sequences, skeleton→refs id lists); v3 drops the
+// per-(length, position) posting lists, since the detector now derives
+// every backend from the skeleton index. Older files must be recompiled.
+const Version = 3
 
 // Section flag bits.
 const (
@@ -279,17 +280,6 @@ func writeIndex(e *enc, s *homoglyph.Snapshot) {
 
 func writeDetector(e *enc, s *core.Snapshot) {
 	e.strings(s.Refs)
-	e.u32(uint32(len(s.Buckets)))
-	for i := range s.Buckets {
-		b := &s.Buckets[i]
-		e.u32(uint32(b.Length))
-		e.i32s(b.RefIDs)
-		e.i32s(b.PosCounts)
-		e.runes(b.Runes)
-		e.i32s(b.ListLens)
-		e.i32s(b.ListIDs)
-	}
-	// v2: the skeleton index.
 	e.runes(s.SkelRepRunes)
 	e.runes(s.SkelReps)
 	e.runes(s.SkelSeqRunes)
@@ -377,23 +367,6 @@ func readIndex(d *dec) *homoglyph.Snapshot {
 func readDetector(d *dec) *core.Snapshot {
 	s := &core.Snapshot{}
 	s.Refs = d.strings()
-	nb := d.count(4)
-	if d.err != nil {
-		return s
-	}
-	s.Buckets = make([]core.BucketSnapshot, nb)
-	for i := 0; i < nb; i++ {
-		b := &s.Buckets[i]
-		b.Length = int32(d.u32())
-		b.RefIDs = d.i32s(d.count(4))
-		b.PosCounts = d.i32s(d.count(4))
-		b.Runes = d.runes(d.count(4))
-		b.ListLens = d.i32s(d.count(4))
-		b.ListIDs = d.i32s(d.count(4))
-		if d.err != nil {
-			return s
-		}
-	}
 	s.SkelRepRunes = d.runes(d.count(4))
 	s.SkelReps = d.runes(d.count(4))
 	s.SkelSeqRunes = d.runes(d.count(4))

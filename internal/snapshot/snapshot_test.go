@@ -205,6 +205,18 @@ func TestRejectsWrongVersion(t *testing.T) {
 	}
 }
 
+// TestRejectsPreviousVersion: v2 files carry the retired posting-list
+// sections, so they must fail loudly rather than be misread as v3.
+func TestRejectsPreviousVersion(t *testing.T) {
+	db := builtDB(t)
+	data := Marshal(db, core.NewDetector(db, testRefs))
+	binary.LittleEndian.PutUint32(data[len(Magic):], Version-1)
+	reseal(data)
+	if _, _, err := Unmarshal(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("err = %v, want ErrVersion", err)
+	}
+}
+
 func TestRejectsCorruption(t *testing.T) {
 	db := builtDB(t)
 	det := core.NewDetector(db, testRefs)

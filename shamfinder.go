@@ -58,11 +58,12 @@ type Match = core.Match
 // CharDiff pinpoints one substituted character within a match.
 type CharDiff = core.CharDiff
 
-// Backend selects a detection backend: the per-(length,position)
-// posting-list index, the TR39 whole-label skeleton index, or both.
+// Backend selects a detection backend: Algorithm 1's pairwise-verified
+// same-length matches (postings), every reference sharing the label's
+// TR39 whole-label skeleton, or both.
 type Backend = core.Backend
 
-// Detection backends. The posting backend pinpoints per-character
+// Detection backends. The postings backend pinpoints per-character
 // substitutions but only sees same-length homographs; the skeleton
 // backend catches many-to-one confusions ("rn"→"m", "vv"→"w") by
 // whole-label prototype equality; BackendBoth unions them, tagging
@@ -176,7 +177,7 @@ func NewFromFont(font *hexfont.Font, cfg Config) (*Framework, error) {
 }
 
 // WriteSnapshot serializes the framework's fully compiled artifacts —
-// and, when det is non-nil, that detector's posting-list index — as a
+// and, when det is non-nil, that detector's skeleton index — as a
 // versioned, checksummed binary snapshot. Loading one skips the font
 // rasterization, the Section 3.3 Δ scan, and the index compilation
 // entirely, collapsing seconds of cold start into milliseconds; see
@@ -252,7 +253,7 @@ func NormalizeZoneLine(line []byte) ([]byte, bool) {
 // NormalizeZoneLineAll is NormalizeZoneLine without the ACE/non-ASCII
 // candidate gate: every non-blank name is kept. Pair it with the
 // skeleton backend, whose many-to-one targets ("rnicrosoft.com") are
-// pure ASCII and would be rejected by the posting backend's gate.
+// pure ASCII and would be rejected by the postings backend's gate.
 func NormalizeZoneLineAll(line []byte) ([]byte, bool) {
 	return domain.NormalizeZoneLineAll(line)
 }
@@ -319,7 +320,7 @@ type Detector struct {
 
 // DetectLabel checks one IDN label (ACE "xn--..." or Unicode form,
 // TLD removed) against every reference, returning all matches. The
-// check runs over the candidate index, so cost scales with the match
+// check runs over the skeleton index, so cost scales with the match
 // candidates, not the reference-list size. Safe for concurrent use.
 func (d *Detector) DetectLabel(idnLabel string) []Match {
 	return d.inner.DetectLabel(idnLabel)
