@@ -385,7 +385,7 @@ func streamDetect(det *shamfinder.Detector, in io.Reader, workers int) ([]shamfi
 // the backend includes the skeleton index the feeder keeps every
 // non-blank line (NormalizeZoneLineAll): pure-ASCII names like
 // "rnicrosoft.com" are exactly the class that backend catches, so the
-// postings backend's ACE/non-ASCII gate must not drop them.
+// posting backend's ACE/non-ASCII gate must not drop them.
 func streamDetectBackend(det *shamfinder.Detector, in io.Reader, workers int, be shamfinder.Backend) ([]shamfinder.Match, int, error) {
 	labels := make(chan *[]byte, 1024)
 	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 80); return &b }}

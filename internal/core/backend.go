@@ -12,10 +12,6 @@ import "fmt"
 // catching many-to-one and length-changing confusions ("rn"→"m",
 // "vv"→"w") the pairwise model provably cannot. BackendBoth unions the
 // two, tagging each match with the backend(s) that found it.
-//
-// The name "postings" predates the single index: it once named a
-// per-(length, position) posting-list index, and stays as the CLI and
-// wire spelling.
 type Backend uint8
 
 const (

@@ -51,7 +51,7 @@ type Match struct {
 	FQDN      string // full domain the label was matched in (equals IDN for bare-label input)
 	TLD       string // public suffix of FQDN ("com", "co.uk", "xn--p1ai"); "" for bare labels
 	Backend   Backend
-	Diffs     []CharDiff // per-character substitutions (postings backend only)
+	Diffs     []CharDiff // per-character substitutions (posting backend only)
 }
 
 // Imitated returns the domain the match imitates: the reference label
@@ -233,7 +233,7 @@ func (d *Detector) DetectDomain(fqdn string) []Match {
 // DetectDomainBackend is DetectDomain with an explicit backend choice.
 // With the skeleton backend enabled every non-empty label left of the
 // public suffix is a candidate — a pure-ASCII label ("rnicrosoft") can
-// be a many-to-one homograph, which the postings backend's non-ASCII
+// be a many-to-one homograph, which the posting backend's non-ASCII
 // candidate gate rightly excludes for itself.
 func (d *Detector) DetectDomainBackend(fqdn string, be Backend) []Match {
 	return detectDomain(d, fqdn, be)
@@ -350,7 +350,7 @@ func detectDomain[S punycode.ByteSeq](d *Detector, fqdn S, be Backend) []Match {
 }
 
 // candidateLabel reports whether a label can be a homograph under the
-// postings backend: an ACE label decodes to non-ASCII by construction,
+// posting backend: an ACE label decodes to non-ASCII by construction,
 // and a raw label must carry a non-ASCII byte (ASCII-to-ASCII pairs are
 // never homoglyphs — the soundness property the engine's tests pin).
 func candidateLabel[S punycode.ByteSeq](label S) bool {
@@ -367,7 +367,7 @@ func candidateLabel[S punycode.ByteSeq](label S) bool {
 
 // candidateLabelFor is the backend-aware candidate gate. The skeleton
 // backend must see every non-empty label: a many-to-one homograph
-// ("rnicrosoft") is pure ASCII, exactly the shape the postings gate
+// ("rnicrosoft") is pure ASCII, exactly the shape the posting gate
 // rejects as impossible for itself.
 func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 	if be&BackendSkeleton != 0 {

@@ -7,11 +7,12 @@ import (
 	"repro/internal/homoglyph"
 )
 
-// skelIndex is the TR39 skeleton backend: every rune maps to a canonical
-// prototype (a single representative rune, or a multi-rune sequence for
-// many-to-one confusables), and every reference's whole-label skeleton is
-// precomputed into a hash map — so a candidate label resolves to its
-// imitated references in one map probe, regardless of length.
+// skelIndex is the detector's one index, the TR39 skeleton map: every
+// rune maps to a canonical prototype (a single representative rune, or a
+// multi-rune sequence for many-to-one confusables), and every reference's
+// whole-label skeleton is precomputed into a hash map — so a candidate
+// label resolves to its imitated references in one map probe, regardless
+// of length.
 //
 // The per-rune mapping is derived from the pairwise homoglyph graph via
 // union-find: every connected component of the Confusable relation

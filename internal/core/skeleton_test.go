@@ -56,7 +56,7 @@ func TestSkeletonCatchesManyToOne(t *testing.T) {
 }
 
 // The skeleton backend must keep working at the domain level, where the
-// postings candidate gate would have rejected the pure-ASCII label before
+// posting candidate gate would have rejected the pure-ASCII label before
 // detection even ran.
 func TestSkeletonDomainLevel(t *testing.T) {
 	d := manyToOneDetector(t)
@@ -80,7 +80,7 @@ func TestSkeletonDomainLevel(t *testing.T) {
 }
 
 // In both-mode a reference found by the two backends carries the union
-// mask and keeps the postings match's diffs; a skeleton-only find is
+// mask and keeps the posting match's diffs; a skeleton-only find is
 // tagged skeleton.
 func TestBothModeUnionTagging(t *testing.T) {
 	d := NewDetector(testDB(t), []string{"google", "microsoft"})

@@ -270,7 +270,7 @@ type errorResponse struct {
 // scan normalizes one incoming name into the pooled buffer and scans
 // it against det. The zone-line rules decide everything: trailing root
 // dot dropped, ASCII uppercase folded (non-ASCII folding happens in
-// the punycode decode, same as ingestion). Under the postings backend,
+// the punycode decode, same as ingestion). Under the posting backend,
 // names with no scannable candidate label — plain ASCII, or an
 // ACE-TLD-only shape — return no matches without touching the index;
 // when the chosen backend includes the skeleton index, every non-blank

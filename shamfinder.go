@@ -63,7 +63,7 @@ type CharDiff = core.CharDiff
 // TR39 whole-label skeleton, or both.
 type Backend = core.Backend
 
-// Detection backends. The postings backend pinpoints per-character
+// Detection backends. The posting backend pinpoints per-character
 // substitutions but only sees same-length homographs; the skeleton
 // backend catches many-to-one confusions ("rn"→"m", "vv"→"w") by
 // whole-label prototype equality; BackendBoth unions them, tagging
@@ -253,7 +253,7 @@ func NormalizeZoneLine(line []byte) ([]byte, bool) {
 // NormalizeZoneLineAll is NormalizeZoneLine without the ACE/non-ASCII
 // candidate gate: every non-blank name is kept. Pair it with the
 // skeleton backend, whose many-to-one targets ("rnicrosoft.com") are
-// pure ASCII and would be rejected by the postings backend's gate.
+// pure ASCII and would be rejected by the posting backend's gate.
 func NormalizeZoneLineAll(line []byte) ([]byte, bool) {
 	return domain.NormalizeZoneLineAll(line)
 }
