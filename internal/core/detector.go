@@ -387,7 +387,16 @@ func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 // candidates. The miss path — skeletonize, one map probe, empty list —
 // allocates nothing: the map index uses the string(sc.skel) conversion
 // the compiler performs without copying.
+//
+// An ACE label longer than the DNS label limit is no candidate: no zone
+// can hold it, and its decode time grows with the square of its length
+// (every decoded code point is an insert), so an oversized label in a
+// request body would otherwise buy quadratic work. Raw UTF-8 labels
+// decode in linear time and are not capped.
 func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, idnLabel S, be Backend) []Match {
+	if len(idnLabel) > punycode.MaxLabelLength && punycode.HasACEPrefix(idnLabel) {
+		return nil
+	}
 	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
 	sc.runes = runes
 	if err != nil || len(runes) == 0 {

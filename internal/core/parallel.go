@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"runtime"
 	"slices"
 	"sort"
@@ -14,7 +16,7 @@ import (
 // reference — the deterministic output order every batch API guarantees
 // regardless of worker count. (A multi-label FQDN can match through
 // more than one of its labels, so the label breaks FQDN ties.)
-func compareMatch(a, b Match) int {
+func compareMatch(a, b *Match) int {
 	if c := strings.Compare(a.FQDN, b.FQDN); c != 0 {
 		return c
 	}
@@ -26,7 +28,7 @@ func compareMatch(a, b Match) int {
 
 // Detect scans a set of domains (full FQDNs on any TLD, or bare IDN
 // labels) across GOMAXPROCS workers and returns every (domain,
-// reference) match, sorted by FQDN then reference.
+// reference) match, sorted by FQDN, then IDN, then reference.
 func (d *Detector) Detect(domains []string) []Match {
 	return d.DetectParallel(domains, 0)
 }
@@ -70,7 +72,7 @@ func (d *Detector) DetectParallel(domains []string, workers int) []Match {
 			out = append(out, p...)
 		}
 	}
-	slices.SortFunc(out, compareMatch)
+	SortMatches(out)
 	return out
 }
 
@@ -144,10 +146,66 @@ func (d *Detector) DetectStreamBytesBackend(in <-chan *[]byte, workers int, recy
 	return out
 }
 
-// SortMatches sorts matches into the deterministic batch order (IDN,
-// then reference), e.g. after collecting a DetectStream.
+// SortMatches sorts matches into the deterministic batch order (FQDN,
+// then IDN, then reference), e.g. after collecting a DetectStream.
+//
+// A Match is over a hundred bytes, so the sort permutes small keys
+// instead: each holds a match's index and the first eight bytes of its
+// FQDN as a big-endian integer, which orders like the FQDN wherever the
+// two differ, so most comparisons never touch the matches. Equal
+// prefixes fall back to compareMatch on the matches in place, and full
+// ties keep their input order. The sorted keys are then applied by
+// following the permutation's cycles, moving every match once.
 func SortMatches(matches []Match) {
-	slices.SortFunc(matches, compareMatch)
+	if len(matches) < 2 {
+		return
+	}
+	keys := make([]sortKey, len(matches))
+	for i := range matches {
+		keys[i] = sortKey{prefix: fqdnPrefix(matches[i].FQDN), idx: int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if c := compareMatch(&matches[a.idx], &matches[b.idx]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	// Slot i takes matches[keys[i].idx]. Each cycle is rotated through
+	// one saved match, and a finished slot is marked keys[j].idx == j.
+	for i := range keys {
+		if keys[i].idx == int32(i) {
+			continue
+		}
+		saved := matches[i]
+		j := int32(i)
+		for {
+			k := keys[j].idx
+			keys[j].idx = j
+			if k == int32(i) {
+				matches[j] = saved
+				break
+			}
+			matches[j] = matches[k]
+			j = k
+		}
+	}
+}
+
+// sortKey is SortMatches' stand-in for one match.
+type sortKey struct {
+	prefix uint64 // fqdnPrefix(FQDN)
+	idx    int32  // index into the matches being sorted
+}
+
+// fqdnPrefix packs the first eight bytes of s, zero-padded, big-endian:
+// s < t implies fqdnPrefix(s) <= fqdnPrefix(t).
+func fqdnPrefix(s string) uint64 {
+	var b [8]byte
+	copy(b[:], s)
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // DetectedIDNs collapses matches to the distinct set of homograph IDNs —

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"unicode/utf8"
 
@@ -25,10 +26,87 @@ import (
 // prototype ('m' → "rn") expand to the mapped sequence, which is what
 // catches the length-changing homographs ("rnicrosoft") the pairwise
 // model cannot represent.
+//
+// rep and seq are the build and snapshot form of the per-rune mapping;
+// the hot path reads fold, the same mapping compiled into tables.
 type skelIndex struct {
 	rep  map[rune]rune      // non-identity component representatives
 	seq  map[rune][]rune    // multi-rune skeletons (already rep-mapped)
 	refs map[string][]int32 // skeleton(ref) → ascending ids into Detector.refs
+	fold foldTable
+}
+
+// foldTable is rep/seq compiled for appendLabel: a few array loads per
+// rune in place of two map probes. An entry k > 0 names the rune's
+// UTF-8 skeleton pool[ends[k-1]:ends[k]]; entry 0, like a rune past
+// the table, means the rune maps to itself. ASCII runes read one flat
+// row; other runes go through a directory indexed by rune>>8 to a
+// 256-entry page, and blocks with no mapped rune share "no page" (0).
+type foldTable struct {
+	ascii [0x80]uint32
+	dir   []uint16 // rune>>8 → 1-based page number, 0 = no page
+	pages []uint32 // page p occupies pages[(p-1)<<8 : p<<8]
+	ends  []uint32 // ends[0] = 0; entry k ends at ends[k]
+	pool  []byte
+}
+
+// newFoldTable compiles the rep/seq maps; seq wins where both hold a
+// rune, as it does in the maps' own lookup order. Keys outside the rune
+// space are dropped: neither decoded labels nor references can hold
+// such a rune, so no lookup ever reached them.
+func newFoldTable(rep map[rune]rune, seq map[rune][]rune) foldTable {
+	keys := make([]rune, 0, len(rep)+len(seq))
+	for r := range rep {
+		if _, ok := seq[r]; !ok {
+			keys = append(keys, r)
+		}
+	}
+	for r := range seq {
+		keys = append(keys, r)
+	}
+	slices.Sort(keys)
+	f := foldTable{ends: make([]uint32, 1, len(keys)+1)}
+	for _, r := range keys {
+		if r < 0 || r > utf8.MaxRune {
+			continue
+		}
+		if s, ok := seq[r]; ok {
+			for _, sr := range s {
+				f.pool = utf8.AppendRune(f.pool, sr)
+			}
+		} else {
+			f.pool = utf8.AppendRune(f.pool, rep[r])
+		}
+		f.ends = append(f.ends, uint32(len(f.pool)))
+		k := uint32(len(f.ends) - 1)
+		if r < 0x80 {
+			f.ascii[r] = k
+			continue
+		}
+		hi := int(r >> 8)
+		if hi >= len(f.dir) {
+			f.dir = append(f.dir, make([]uint16, hi+1-len(f.dir))...)
+		}
+		if f.dir[hi] == 0 {
+			f.pages = append(f.pages, make([]uint32, 256)...)
+			f.dir[hi] = uint16(len(f.pages) >> 8)
+		}
+		f.pages[int(f.dir[hi]-1)<<8|int(r&0xff)] = k
+	}
+	return f
+}
+
+// entry returns r's table entry, 0 when r maps to itself.
+func (f *foldTable) entry(r rune) uint32 {
+	if uint32(r) < 0x80 {
+		return f.ascii[r]
+	}
+	if hi := uint32(r) >> 8; hi < uint32(len(f.dir)) {
+		if p := f.dir[hi]; p != 0 {
+			return f.pages[uint32(p-1)<<8|uint32(r)&0xff]
+		}
+	}
+	return 0
 }
 
 // buildSkelIndex compiles the skeleton index for the detector's
@@ -114,6 +192,7 @@ func buildSkelIndex(d *Detector) *skelIndex {
 		}
 	}
 
+	x.fold = newFoldTable(x.rep, x.seq)
 	var key []byte
 	for id := range d.refs {
 		key = x.appendLabel(key[:0], d.refRunes(int32(id)))
@@ -133,15 +212,10 @@ type ucExpander interface {
 // returns the extended slice. Runes outside the database map to
 // themselves, so an all-unknown label's skeleton is itself.
 func (x *skelIndex) appendLabel(dst []byte, runes []rune) []byte {
+	f := &x.fold
 	for _, r := range runes {
-		if s, ok := x.seq[r]; ok {
-			for _, sr := range s {
-				dst = utf8.AppendRune(dst, sr)
-			}
-			continue
-		}
-		if m, ok := x.rep[r]; ok {
-			dst = utf8.AppendRune(dst, m)
+		if k := f.entry(r); k != 0 {
+			dst = append(dst, f.pool[f.ends[k-1]:f.ends[k]]...)
 			continue
 		}
 		dst = utf8.AppendRune(dst, r)

@@ -331,12 +331,28 @@ func stringsEq(a, b []string) bool {
 
 // BenchmarkSkeletonLookup and BenchmarkPostingsLookup: the ns/label cost
 // of the skeleton and postings backends on the miss path (the zone-scale
-// common case) — both one whole-label skeleton probe. CI publishes these
-// as BENCH_skeleton.json and gates both at zero allocations.
+// common case) — both one whole-label skeleton probe.
+// BenchmarkSkeletonLookupNonASCII is the same miss for an all-Cyrillic
+// label, whose every rune folds through the fold table's pages rather
+// than its ASCII row. CI publishes the three as BENCH_skeleton.json and
+// gates each at zero allocations.
 func BenchmarkSkeletonLookup(b *testing.B) {
 	d := NewDetector(testDB(b), benchRefs())
 	fqdn := []byte("xn--ggle-55da.example.com")
 	d.DetectDomainBytesBackend(fqdn, BackendSkeleton)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.DetectDomainBytesBackend(fqdn, BackendSkeleton)
+	}
+}
+
+func BenchmarkSkeletonLookupNonASCII(b *testing.B) {
+	d := NewDetector(testDB(b), benchRefs())
+	fqdn := []byte(ace(b, "пример") + ".example.com")
+	if ms := d.DetectDomainBytesBackend(fqdn, BackendSkeleton); len(ms) != 0 {
+		b.Fatalf("unexpected match: %v", ms)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

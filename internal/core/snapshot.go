@@ -156,5 +156,6 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 	if idOff != len(s.SkelListIDs) {
 		return nil, fmt.Errorf("core: snapshot skeleton ids: %d trailing entries", len(s.SkelListIDs)-idOff)
 	}
+	x.fold = newFoldTable(x.rep, x.seq)
 	return x, nil
 }

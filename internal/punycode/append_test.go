@@ -98,14 +98,28 @@ func seedToUnicodeLabel(label string) (string, error) {
 	return dec, nil
 }
 
+// errClass names the sentinel an error unwraps to: ErrOverflow,
+// ErrInvalid, or neither (nil for success).
+func errClass(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ErrOverflow):
+		return ErrOverflow
+	case errors.Is(err, ErrInvalid):
+		return ErrInvalid
+	}
+	return err
+}
+
 // checkDecode asserts every decode entry point agrees with the seed on
-// one input.
+// one input: same output, and on rejection the same error class.
 func checkDecode(t *testing.T, input string) {
 	t.Helper()
 	want, wantErr := seedDecode(input)
 
 	got, gotErr := Decode(input)
-	if (gotErr != nil) != (wantErr != nil) || got != want {
+	if errClass(gotErr) != errClass(wantErr) || got != want {
 		t.Fatalf("Decode(%q) = %q, %v; seed = %q, %v", input, got, gotErr, want, wantErr)
 	}
 
@@ -114,7 +128,7 @@ func checkDecode(t *testing.T, input string) {
 	prefix := []rune{'p', 'f', 'x'}
 	buf := append([]rune(nil), prefix...)
 	buf, gotErr = DecodeAppend(buf, input)
-	if (gotErr != nil) != (wantErr != nil) {
+	if errClass(gotErr) != errClass(wantErr) {
 		t.Fatalf("DecodeAppend(%q) err = %v; seed err = %v", input, gotErr, wantErr)
 	}
 	if string(buf[:3]) != "pfx" {
@@ -130,7 +144,7 @@ func checkDecode(t *testing.T, input string) {
 
 	// []byte instantiation must match the string one exactly.
 	bbuf, bErr := DecodeAppend(nil, []byte(input))
-	if (bErr != nil) != (wantErr != nil) || string(bbuf) != want {
+	if errClass(bErr) != errClass(wantErr) || string(bbuf) != want {
 		t.Fatalf("DecodeAppend([]byte %q) = %q, %v; want %q, %v", input, string(bbuf), bErr, want, wantErr)
 	}
 }
@@ -168,6 +182,62 @@ func TestDecodeAppendDifferential(t *testing.T) {
 	// Regression corner cases.
 	for _, in := range []string{"", "-", "--", "a-", "-a", "tda", "99999999", "bcher-kva", "ggle-55da"} {
 		checkDecode(t, in)
+	}
+}
+
+// TestDecodeOverflowBoundaries drives each reachable ErrOverflow return
+// of DecodeAppend from both sides of its bound. "w416146o" is the
+// variable-length integer maxInt32 under the initial bias.
+func TestDecodeOverflowBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want error
+		why  string
+	}{
+		{"w416146o", ErrOverflow, "i == maxInt32 passes the digit check; n + i/outLen overflows"},
+		{"w416146p", ErrOverflow, "the last digit one higher: i + digit*w overflows"},
+		{"a-w416146p", ErrOverflow, "the same past a basic prefix"},
+		{"9016146o", ErrOverflow, "i == maxInt32-127: n + i/outLen overflows by one"},
+		{"8016146o", ErrInvalid, "i == maxInt32-128: n lands on maxInt32, no overflow but out of range"},
+		{"a-w416146o", ErrInvalid, "i == maxInt32 passes the digit check; outLen 2 halves n's step: out of range"},
+	} {
+		_, err := DecodeAppend(nil, c.in)
+		if errClass(err) != c.want {
+			t.Errorf("DecodeAppend(%q) err = %v, want %v (%s)", c.in, err, c.want, c.why)
+		}
+		checkDecode(t, c.in)
+	}
+}
+
+// TestDecodeWeightOverflowUnreachable pins why no input reaches the
+// remaining ErrOverflow return, w*(base-t) > maxInt32, which DecodeAppend
+// keeps as RFC 3492 section 6.2 writes it. The weight w depends only on
+// the bias, and the cheapest digits that keep an integer going (each
+// equal to its threshold t) add the least to i, so if the digit check
+// fires first on that path it fires first on every path. adapt is
+// nondecreasing in delta, and a larger numPoints or firstTime only
+// lowers it, so adapt(maxInt32, 1, false) bounds every bias a decode
+// can reach.
+func TestDecodeWeightOverflowUnreachable(t *testing.T) {
+	maxBias := adapt(maxInt32, 1, false)
+	for bias := int32(0); bias <= maxBias; bias++ {
+		i, w := int64(0), int64(1)
+		for k := int32(base); ; k += base {
+			th := k - bias
+			if th < tmin {
+				th = tmin
+			} else if th > tmax {
+				th = tmax
+			}
+			if i+int64(th)*w > int64(maxInt32) {
+				break // the digit check rejects first
+			}
+			i += int64(th) * w
+			if w*int64(base-th) > int64(maxInt32) {
+				t.Fatalf("bias %d reaches the weight overflow at k=%d", bias, k)
+			}
+			w *= int64(base - th)
+		}
 	}
 }
 
@@ -268,13 +338,13 @@ func TestDecodeAppendErrorsUnwrap(t *testing.T) {
 // -fuzz`; under plain `go test` the seed corpus doubles as regression
 // coverage.
 func FuzzDecodeAppend(f *testing.F) {
-	for _, s := range []string{"", "tda", "bcher-kva", "ggle-55da", "--", "a-b-c", "\x80", "99999999"} {
+	for _, s := range []string{"", "tda", "bcher-kva", "ggle-55da", "--", "a-b-c", "\x80", "99999999", "w416146o", "w416146p", "8016146o", "9016146o"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		want, wantErr := seedDecode(input)
 		got, gotErr := DecodeAppend(nil, input)
-		if (gotErr != nil) != (wantErr != nil) || string(got) != want {
+		if errClass(gotErr) != errClass(wantErr) || string(got) != want {
 			t.Fatalf("DecodeAppend(%q) = %q, %v; seed = %q, %v", input, string(got), gotErr, want, wantErr)
 		}
 	})

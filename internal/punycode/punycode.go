@@ -175,16 +175,13 @@ type ByteSeq interface{ ~string | ~[]byte }
 //shamlint:noalloc
 func DecodeAppend[S ByteSeq](dst []rune, input S) ([]rune, error) {
 	floor := len(dst)
-	for i := 0; i < len(input); i++ {
-		if input[i] >= 0x80 {
-			return dst, errNonBasic
-		}
-	}
+	// One pass rejects non-basic input and finds the last delimiter.
 	pos := 0
-	for i := len(input) - 1; i >= 0; i-- {
-		if input[i] == delimiter {
+	for i := 0; i < len(input); i++ {
+		if c := input[i]; c >= 0x80 {
+			return dst, errNonBasic
+		} else if c == delimiter {
 			pos = i + 1
-			break
 		}
 	}
 	if pos > 0 {
@@ -207,7 +204,10 @@ func DecodeAppend[S ByteSeq](dst []rune, input S) ([]rune, error) {
 			if digit < 0 {
 				return dst[:floor], errBadDigit
 			}
-			if digit > (maxInt32-i)/w {
+			// RFC 3492 checks overflow by dividing; multiplying in
+			// int64 gives the same verdict without a division, as
+			// i, w ≤ maxInt32 and digit, base-t ≤ 35.
+			if int64(i)+int64(digit)*int64(w) > int64(maxInt32) {
 				return dst[:floor], ErrOverflow
 			}
 			i += digit * w
@@ -220,18 +220,19 @@ func DecodeAppend[S ByteSeq](dst []rune, input S) ([]rune, error) {
 			if digit < t {
 				break
 			}
-			if w > maxInt32/(base-t) {
+			if int64(w)*int64(base-t) > int64(maxInt32) {
 				return dst[:floor], ErrOverflow
 			}
 			w *= base - t
 		}
 		outLen := int32(len(dst)-floor) + 1
 		bias = adapt(i-oldi, outLen, oldi == 0)
-		if i/outLen > maxInt32-n {
+		q := i / outLen
+		if q > maxInt32-n {
 			return dst[:floor], ErrOverflow
 		}
-		n += i / outLen
-		i %= outLen
+		n += q
+		i -= q * outLen
 		if n > utf8.MaxRune || (n >= 0xD800 && n <= 0xDFFF) {
 			return dst[:floor], errOutOfRange
 		}

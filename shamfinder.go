@@ -328,7 +328,7 @@ func (d *Detector) DetectLabel(idnLabel string) []Match {
 
 // Detect scans a batch of domains (full FQDNs on any TLD, or bare IDN
 // labels) across GOMAXPROCS workers, returning matches sorted by
-// (FQDN, reference).
+// (FQDN, IDN, reference).
 func (d *Detector) Detect(domains []string) []Match {
 	return d.inner.Detect(domains)
 }
@@ -403,8 +403,8 @@ func (d *Detector) DetectStreamBytesBackend(in <-chan *[]byte, workers int, recy
 	return d.inner.DetectStreamBytesBackend(in, workers, recycle, be)
 }
 
-// SortMatches sorts matches into the deterministic batch order (IDN,
-// then reference), e.g. after collecting a DetectStream.
+// SortMatches sorts matches into the deterministic batch order (FQDN,
+// then IDN, then reference), e.g. after collecting a DetectStream.
 func SortMatches(matches []Match) { core.SortMatches(matches) }
 
 // Revert maps a homograph label to its most plausible original.
