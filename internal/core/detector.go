@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -44,6 +45,11 @@ func (d CharDiff) String() string {
 // the reference it imitates, and the domain context it was found in —
 // so a report can say "xn--ggle-55da.net imitates google.net" instead
 // of hardcoding one TLD.
+//
+// The detector materializes a matched name as one string: FQDN, IDN and
+// TLD are substrings of it, and Unicode is its tail (a second matching
+// label of the same name carries its own Unicode string). Keeping any
+// one of the four fields keeps that whole string alive.
 type Match struct {
 	IDN       string // ASCII (xn--) form of the matched label, as seen in the zone
 	Unicode   string // decoded label
@@ -71,6 +77,8 @@ func (m Match) Imitated() string {
 type scratch struct {
 	runes []rune
 	skel  []byte
+	diffs []CharDiff // a candidate's diffs, copied out only when it verifies
+	text  []byte     // a matched name and its label's Unicode form
 }
 
 // Detector holds the reference list, its skeleton index, and the
@@ -155,9 +163,11 @@ func (d *Detector) References() []string {
 }
 
 // matchAgainst implements the inner loop of Algorithm 1 for one
-// (reference, IDN) pair of equal rune length.
-func (d *Detector) matchAgainst(ref []rune, idn []rune) ([]CharDiff, bool) {
-	var diffs []CharDiff
+// (reference, IDN) pair of equal rune length. The diffs collect in
+// scratch and are copied out once, on success, so a candidate that
+// fails verification allocates nothing.
+func (d *Detector) matchAgainst(sc *scratch, ref []rune, idn []rune) ([]CharDiff, bool) {
+	sc.diffs = sc.diffs[:0]
 	for i := range ref {
 		if ref[i] == idn[i] {
 			continue
@@ -166,14 +176,14 @@ func (d *Detector) matchAgainst(ref []rune, idn []rune) ([]CharDiff, bool) {
 		if !ok {
 			return nil, false
 		}
-		diffs = append(diffs, CharDiff{Pos: i, Got: idn[i], Want: ref[i], Source: src})
+		sc.diffs = append(sc.diffs, CharDiff{Pos: i, Got: idn[i], Want: ref[i], Source: src})
 	}
 	// A homograph must differ somewhere; an identical string is the
 	// reference itself, not an attack.
-	if len(diffs) == 0 {
+	if len(sc.diffs) == 0 {
 		return nil, false
 	}
-	return diffs, true
+	return slices.Clone(sc.diffs), true
 }
 
 // DetectLabel checks one IDN label (ASCII xn-- form, TLD removed) against
@@ -213,7 +223,8 @@ func (d *Detector) DetectLabelBytesBackend(label []byte, be Backend) []Match {
 func detectLabel[S punycode.ByteSeq](d *Detector, idnLabel S, be Backend) []Match {
 	sc := d.scratch.Get().(*scratch)
 	defer d.scratch.Put(sc)
-	return detectLabelIn(d, sc, idnLabel, be)
+	var fq string
+	return detectLabelIn(d, sc, nil, &fq, idnLabel, 0, len(idnLabel), be)
 }
 
 // DetectDomain checks a dotted FQDN — any TLD, any label count,
@@ -227,7 +238,7 @@ func detectLabel[S punycode.ByteSeq](d *Detector, idnLabel S, be Backend) []Matc
 // reports can name the imitated domain on the zone it was actually
 // found in. Safe for concurrent use.
 func (d *Detector) DetectDomain(fqdn string) []Match {
-	return detectDomain(d, fqdn, BackendPostings)
+	return detectDomain(d, nil, fqdn, BackendPostings)
 }
 
 // DetectDomainBackend is DetectDomain with an explicit backend choice.
@@ -236,7 +247,7 @@ func (d *Detector) DetectDomain(fqdn string) []Match {
 // be a many-to-one homograph, which the posting backend's non-ASCII
 // candidate gate rightly excludes for itself.
 func (d *Detector) DetectDomainBackend(fqdn string, be Backend) []Match {
-	return detectDomain(d, fqdn, be)
+	return detectDomain(d, nil, fqdn, be)
 }
 
 // DetectDomainBytes is DetectDomain over a reused line buffer: nothing
@@ -246,7 +257,7 @@ func (d *Detector) DetectDomainBackend(fqdn string, be Backend) []Match {
 //
 //shamlint:noalloc
 func (d *Detector) DetectDomainBytes(fqdn []byte) []Match {
-	return detectDomain(d, fqdn, BackendPostings)
+	return detectDomain(d, nil, fqdn, BackendPostings)
 }
 
 // DetectDomainBytesBackend is DetectDomainBytes with an explicit
@@ -254,20 +265,21 @@ func (d *Detector) DetectDomainBytes(fqdn []byte) []Match {
 //
 //shamlint:noalloc
 func (d *Detector) DetectDomainBytesBackend(fqdn []byte, be Backend) []Match {
-	return detectDomain(d, fqdn, be)
+	return detectDomain(d, nil, fqdn, be)
 }
 
 // detectDomain is the domain-level hot path, compiled for both
-// spellings. A cheap scratch-free gate runs first: the scannable
-// labels all sit left of the final dot (the suffix is never scanned),
-// so a name with no candidate label before its last dot — the shape of
-// almost every line in an IDN-TLD zone such as .xn--p1ai, where the
-// ACE TLD alone gets plain lines past the feeder's xn-- test — rejects
-// on one short byte scan. Names that pass split into label spans
-// (scratch-backed, no allocation); the candidate labels left of the
-// public suffix are scanned, and matches are enriched with the
-// FQDN/TLD context (materialized only when a label actually matched).
-func detectDomain[S punycode.ByteSeq](d *Detector, fqdn S, be Backend) []Match {
+// spellings; it appends the name's matches to out, so a batch worker
+// can pass its own slice down. A cheap scratch-free gate runs first:
+// the scannable labels all sit left of the final dot (the suffix is
+// never scanned), so a name with no candidate label before its last
+// dot — the shape of almost every line in an IDN-TLD zone such as
+// .xn--p1ai, where the ACE TLD alone gets plain lines past the feeder's
+// xn-- test — rejects on one short byte scan. Names that pass split
+// into label spans (scratch-backed, no allocation); the candidate
+// labels left of the public suffix are scanned, and the matches' TLD is
+// cut from the name only once one exists.
+func detectDomain[S punycode.ByteSeq](d *Detector, out []Match, fqdn S, be Backend) []Match {
 	end := len(fqdn)
 	if end > 0 && fqdn[end-1] == '.' {
 		end-- // trailing root dot
@@ -280,20 +292,16 @@ func detectDomain[S punycode.ByteSeq](d *Detector, fqdn S, be Backend) []Match {
 			break
 		}
 	}
-	if firstDot < 0 { // bare label
+	// fq is the name's copy, set by its first match.
+	var fq string
+	if firstDot < 0 { // bare label; a root-dot spelling keeps its dot in FQDN
 		if !candidateLabelFor(trimmed, be) {
-			return nil
+			return out
 		}
 		sc := d.scratch.Get().(*scratch)
-		defer d.scratch.Put(sc)
-		ms := detectLabelIn(d, sc, trimmed, be)
-		if len(ms) > 0 && end != len(fqdn) { // root-dot spelling: echo it
-			fq := string(fqdn)
-			for i := range ms {
-				ms[i].FQDN = fq
-			}
-		}
-		return ms
+		out = detectLabelIn(d, sc, out, &fq, fqdn, 0, end, be)
+		d.scratch.Put(sc)
+		return out
 	}
 
 	// One fused walk scans every scannable label. Scannability reduces
@@ -306,11 +314,11 @@ func detectDomain[S punycode.ByteSeq](d *Detector, fqdn S, be Backend) []Match {
 	// so a line with no candidate label costs one byte scan and nothing
 	// else — the shape of almost every line an IDN TLD's xn-- sneaks
 	// past the feeder gate.
-	var out []Match
+	first := len(out)
 	var sc *scratch
-	if label := trimmed[:firstDot]; candidateLabelFor(label, be) {
+	if candidateLabelFor(trimmed[:firstDot], be) {
 		sc = d.scratch.Get().(*scratch)
-		out = detectLabelIn(d, sc, label, be)
+		out = detectLabelIn(d, sc, out, &fq, fqdn, 0, firstDot, be)
 	}
 	secondLastStart, lastStart := 0, firstDot+1
 	start := firstDot + 1
@@ -318,11 +326,11 @@ func detectDomain[S punycode.ByteSeq](d *Detector, fqdn S, be Backend) []Match {
 		if trimmed[i] != '.' {
 			continue
 		}
-		if label := trimmed[start:i]; candidateLabelFor(label, be) {
+		if candidateLabelFor(trimmed[start:i], be) {
 			if sc == nil {
 				sc = d.scratch.Get().(*scratch)
 			}
-			out = append(out, detectLabelIn(d, sc, label, be)...)
+			out = detectLabelIn(d, sc, out, &fq, fqdn, start, i, be)
 		}
 		secondLastStart, lastStart = lastStart, i+1
 		start = i + 1
@@ -330,20 +338,18 @@ func detectDomain[S punycode.ByteSeq](d *Detector, fqdn S, be Backend) []Match {
 	if sc != nil {
 		d.scratch.Put(sc)
 	}
-	if len(out) == 0 {
-		return nil
+	if len(out) == first {
+		return out
 	}
-	// Attach the domain context, deciding the suffix width only now
-	// that a match exists.
-	fq := string(fqdn)
+	// Attach the public suffix, deciding its width only now that a
+	// match exists.
 	tldStart := lastStart
 	if lastStart > firstDot+1 && // three labels or more
 		domain.TwoLabelSuffix(trimmed, domain.Span{Start: secondLastStart, End: lastStart - 1}, domain.Span{Start: lastStart, End: end}) {
 		tldStart = secondLastStart
 	}
 	tld := fq[tldStart:end]
-	for i := range out {
-		out[i].FQDN = fq
+	for i := first; i < len(out); i++ {
 		out[i].TLD = tld
 	}
 	return out
@@ -377,7 +383,8 @@ func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 }
 
 // detectLabelIn is the shared per-label hot path, compiled for both
-// label spellings, running on borrowed scratch. It decodes the label
+// spellings, running on borrowed scratch. It scans the label
+// name[lo:hi] and appends its matches to out. It decodes the label
 // once and answers every backend from one skeleton probe, which yields
 // the candidate references in ascending id order. Pass 1 runs
 // Algorithm 1's pairwise check on the candidates whose rune length
@@ -388,39 +395,49 @@ func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 // allocates nothing: the map index uses the string(sc.skel) conversion
 // the compiler performs without copying.
 //
+// The label's first match materializes its strings (see labelMatch) and
+// the label's later matches share them. fq holds the name's copy once
+// any of its labels has matched, "" before.
+//
 // An ACE label longer than the DNS label limit is no candidate: no zone
 // can hold it, and its decode time grows with the square of its length
 // (every decoded code point is an insert), so an oversized label in a
 // request body would otherwise buy quadratic work. Raw UTF-8 labels
 // decode in linear time and are not capped.
-func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, idnLabel S, be Backend) []Match {
+func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq *string, name S, lo, hi int, be Backend) []Match {
+	idnLabel := name[lo:hi]
 	if len(idnLabel) > punycode.MaxLabelLength && punycode.HasACEPrefix(idnLabel) {
-		return nil
+		return out
 	}
 	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
 	sc.runes = runes
 	if err != nil || len(runes) == 0 {
-		return nil
+		return out
 	}
 	sc.skel = d.skel.appendLabel(sc.skel[:0], runes)
 	ids := d.skel.refs[string(sc.skel)]
 	if len(ids) == 0 {
-		return nil
+		return out
 	}
-	var out []Match
+	labelStart := len(out)
+	var m Match // the label's forms, filled in by its first match
 	if be&BackendPostings != 0 {
 		for _, id := range ids {
 			ref := d.refRunes(id)
 			if len(ref) != len(runes) {
 				continue
 			}
-			if diffs, ok := d.matchAgainst(ref, runes); ok {
-				out = appendMatch(out, idnLabel, runes, d.refs[id], be&BackendBoth, diffs)
+			if diffs, ok := d.matchAgainst(sc, ref, runes); ok {
+				if len(out) == labelStart {
+					m = labelMatch(sc, fq, name, lo, hi, runes)
+				}
+				m.Reference, m.Backend, m.Diffs = d.refs[id], be&BackendBoth, diffs
+				out = append(out, m)
 			}
 		}
 	}
 	if be&BackendSkeleton != 0 {
-		verified, k := len(out), 0
+		verified, k := len(out), labelStart
 		for _, id := range ids {
 			ref := d.refs[id]
 			// Verified matches sit in id order ahead of this pass, and
@@ -435,30 +452,36 @@ func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, idnLabel S, be 
 			if runesEqualString(runes, ref) {
 				continue
 			}
-			out = appendMatch(out, idnLabel, runes, ref, BackendSkeleton, nil)
+			if len(out) == labelStart {
+				m = labelMatch(sc, fq, name, lo, hi, runes)
+			}
+			m.Reference, m.Backend, m.Diffs = ref, BackendSkeleton, nil
+			out = append(out, m)
 		}
 	}
 	return out
 }
 
-// appendMatch appends one bare-label match (detectDomain overwrites the
-// FQDN context). The IDN and Unicode strings are materialized once per
-// label, by its first match, and shared by the rest.
-func appendMatch[S punycode.ByteSeq](out []Match, idnLabel S, runes []rune, ref string, be Backend, diffs []CharDiff) []Match {
-	var idn, uni string
-	if len(out) > 0 {
-		idn, uni = out[0].IDN, out[0].Unicode
+// labelMatch returns the forms of the matched label name[lo:hi], which
+// decodes to runes, as a Match with no reference yet. The name's first
+// matched label copies the name and the label's UTF-8 Unicode form into
+// one string and keeps the name part in *fq: FQDN and IDN are
+// substrings of it, and Unicode is its tail. A later label of the same
+// name copies only its own Unicode form.
+func labelMatch[S punycode.ByteSeq](sc *scratch, fq *string, name S, lo, hi int, runes []rune) Match {
+	var uni string
+	if *fq == "" {
+		text := append(sc.text[:0], name...)
+		for _, r := range runes {
+			text = utf8.AppendRune(text, r)
+		}
+		sc.text = text
+		s := string(text)
+		*fq, uni = s[:len(name)], s[len(name):]
 	} else {
-		idn, uni = string(idnLabel), string(runes)
+		uni = string(runes)
 	}
-	return append(out, Match{
-		IDN:       idn,
-		Unicode:   uni,
-		Reference: ref,
-		FQDN:      idn,
-		Backend:   be,
-		Diffs:     diffs,
-	})
+	return Match{IDN: (*fq)[lo:hi], Unicode: uni, FQDN: *fq}
 }
 
 // DetectLabelLinear is the seed engine: a linear scan over every
@@ -470,13 +493,14 @@ func (d *Detector) DetectLabelLinear(idnLabel string) []Match {
 		return nil
 	}
 	runes := []rune(uni)
+	var sc scratch
 	var out []Match
 	for id, label := range d.refs {
 		ref := d.refRunes(int32(id))
 		if len(ref) != len(runes) {
 			continue
 		}
-		if diffs, ok := d.matchAgainst(ref, runes); ok {
+		if diffs, ok := d.matchAgainst(&sc, ref, runes); ok {
 			out = append(out, Match{
 				IDN:       idnLabel,
 				Unicode:   uni,

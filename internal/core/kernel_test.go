@@ -10,6 +10,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/homoglyph"
+	"repro/internal/lint"
 	"repro/internal/punycode"
 )
 
@@ -92,49 +93,110 @@ func TestFoldTableParity(t *testing.T) {
 	}
 }
 
-// TestSortMatchesParity checks the key-permutation sort against sorting
-// the matches themselves with compareMatch: same key order on random
-// sets with many duplicate keys, and every input match present exactly
-// once. Full ties must keep their input order. The FQDNs include ones
-// that share their first eight bytes, are shorter than eight, or hold
-// the zero byte the prefix pads with.
+// TestSortMatchesParity checks the radix sort against a stable sort of
+// the matches themselves with compareMatch: the same matches in the same
+// order, ties included. The fields are built to exercise every radix
+// level: FQDNs sharing 8-, 16- and 24-byte prefixes, lengths either side
+// of the 8- and 16-byte digit boundaries, the zero byte the digits pad
+// with at offsets 8 and 15, equal FQDNs whose IDNs differ only past
+// byte 8, and equal FQDNs and IDNs that differ only in the reference.
+// Sizes run past the insertion-sort cutoffs, so the LSD passes and the
+// deeper levels run too.
 func TestSortMatchesParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
+	const p24 = "xn--abcdefghijklmnopqrst"
 	fqdns := []string{"a.com", "b.com", "xn--a.net", "a.com.", "", "a", "a\x00", "a\x00\x00b",
-		"xn--abcd.com", "xn--abcd.co", "xn--abcde.com", "xn--abcd", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"}
-	idns := []string{"xn--a", "xn--b", "a", ""}
-	refs := []string{"google", "amazon", "g"}
-	pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
-	for _, n := range []int{0, 1, 2, 2, 2, 3, 5, 17, 64, 300, 1000} {
-		for trial := 0; trial < 20; trial++ {
+		p24[:7], p24[:8], p24[:9], p24[:16], p24[:17], p24[:8] + "\x00", p24[:15] + "\x00", p24[:15] + "\x00x",
+		p24[:8] + "x.com", p24[:8] + "y.com", p24[:16] + "x.com", p24[:16] + "y.com",
+		p24 + ".com", p24 + ".net", p24 + "\x00", p24,
+		"\xff\xff\xff\xff\xff\xff\xff\xff\xff"}
+	for _, n := range []int{7, 8, 9, 16, 17, 24} {
+		if !slices.ContainsFunc(fqdns, func(f string) bool { return len(f) == n }) {
+			t.Fatalf("no fixture FQDN of length %d", n)
+		}
+	}
+	idns := []string{"xn--abcdefgh1", "xn--abcdefgh2", "xn--abcdefgh", "xn--abcdefgh\x00", "xn--a", "a", ""}
+	refs := []string{"google", "googlf", "amazon", "g", ""}
+	pick := func(rng *rand.Rand, xs []string) string {
+		// Skewed toward the front, so some keys repeat far more often
+		// than others.
+		return xs[min(rng.Intn(len(xs)), rng.Intn(len(xs)))]
+	}
+	rng := rand.New(rand.NewSource(20))
+	for _, n := range []int{0, 1, 2, 2, 2, 3, 5, 16, 17, 48, 49, 64, 300, 1000, 5000} {
+		trials := 20
+		if n >= 1000 {
+			trials = 4
+		}
+		for trial := 0; trial < trials; trial++ {
 			in := make([]Match, n)
 			for i := range in {
 				// Unicode tags each match with its input position.
-				in[i] = Match{FQDN: pick(fqdns), IDN: pick(idns), Reference: pick(refs), Unicode: strconv.Itoa(i)}
+				in[i] = Match{FQDN: pick(rng, fqdns), IDN: pick(rng, idns), Reference: pick(rng, refs), Unicode: strconv.Itoa(i)}
+			}
+			switch trial {
+			case 1:
+				slices.SortStableFunc(in, func(a, b Match) int { return compareMatch(&a, &b) })
+			case 2:
+				slices.SortStableFunc(in, func(a, b Match) int { return compareMatch(&b, &a) })
 			}
 			got := slices.Clone(in)
 			SortMatches(got)
 			want := slices.Clone(in)
-			slices.SortFunc(want, func(a, b Match) int { return compareMatch(&a, &b) })
-
-			seen := make([]bool, n)
+			slices.SortStableFunc(want, func(a, b Match) int { return compareMatch(&a, &b) })
 			for i := range got {
-				if compareMatch(&got[i], &want[i]) != 0 {
-					t.Fatalf("n=%d: position %d key %q/%q/%q, want %q/%q/%q", n, i,
-						got[i].FQDN, got[i].IDN, got[i].Reference, want[i].FQDN, want[i].IDN, want[i].Reference)
-				}
-				id, _ := strconv.Atoi(got[i].Unicode)
-				if seen[id] {
-					t.Fatalf("n=%d: match %d appears twice", n, id)
-				}
-				seen[id] = true
-				if i > 0 && compareMatch(&got[i-1], &got[i]) == 0 {
-					if prev, _ := strconv.Atoi(got[i-1].Unicode); prev > id {
-						t.Fatalf("n=%d: tied matches %d and %d out of input order", n, prev, id)
-					}
+				if compareMatch(&got[i], &want[i]) != 0 || got[i].Unicode != want[i].Unicode {
+					t.Fatalf("n=%d trial %d: position %d holds %q/%q/%q (input %s), want %q/%q/%q (input %s)", n, trial, i,
+						got[i].FQDN, got[i].IDN, got[i].Reference, got[i].Unicode,
+						want[i].FQDN, want[i].IDN, want[i].Reference, want[i].Unicode)
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkSortMatches sorts an idn-sweep-shaped batch: about 37k
+// matches, most of them from 3,300 ACE names that each recur ten times
+// (duplicate FQDNs sharing the "xn--" prefix), the rest from plain
+// ASCII names. CI gates its allocations: the radix sort allocates one
+// key buffer per call.
+func BenchmarkSortMatches(b *testing.B) {
+	rng := rand.New(rand.NewSource(15))
+	const alnum = "abcdefghijklmnopqrstuvwxyz0123456789"
+	word := func(n int) string {
+		w := make([]byte, n)
+		for i := range w {
+			w[i] = alnum[rng.Intn(len(alnum))]
+		}
+		return string(w)
+	}
+	tlds := []string{"com", "net", "org", "jp", "co.uk"}
+	refs := make([]string, 200)
+	for i := range refs {
+		refs[i] = word(4 + rng.Intn(8))
+	}
+	var names []Match
+	for i := 0; i < 3300; i++ {
+		idn := "xn--" + word(4+rng.Intn(10)) + "-" + word(4)
+		fqdn := idn + "." + tlds[rng.Intn(len(tlds))]
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			names = append(names, Match{FQDN: fqdn, IDN: idn, Reference: refs[rng.Intn(len(refs))]})
+		}
+	}
+	var in []Match
+	for c := 0; c < 10; c++ {
+		in = append(in, names...)
+	}
+	for len(in) < 37672 {
+		label := word(5 + rng.Intn(10))
+		in = append(in, Match{FQDN: label + "." + tlds[rng.Intn(len(tlds))], IDN: label, Reference: refs[rng.Intn(len(refs))]})
+	}
+	in = in[:37672]
+	work := make([]Match, len(in))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, in)
+		SortMatches(work)
 	}
 }
 
@@ -192,5 +254,80 @@ func TestOverlongACELabelSkipped(t *testing.T) {
 		if ms := d.DetectDomainBackend(rawLong+".com", be); len(ms) != 1 || ms[0].Reference != rawRef {
 			t.Errorf("%v: %d-octet raw UTF-8 label: %v, want one match of %q", be, len(rawLong), ms, rawRef)
 		}
+	}
+}
+
+// TestMatchMaterialization pins how a match's strings are built: they
+// are copies, never views of the caller's buffer; every matching label
+// of a name carries its own IDN and Unicode forms under the name's one
+// FQDN; and a root-dot bare label keeps the dot in FQDN but not in IDN.
+func TestMatchMaterialization(t *testing.T) {
+	d := NewDetector(testDB(t), []string{"google", "amazon", "microsoft"})
+	goo, ama := ace(t, "gооgle"), ace(t, "amazоn")
+
+	t.Run("buffer reuse", func(t *testing.T) {
+		buf := []byte("www." + goo + ".co.uk")
+		ms := d.DetectDomainBytesBackend(buf, BackendBoth)
+		if len(ms) != 1 {
+			t.Fatalf("matches = %v", ms)
+		}
+		want := ms[0]
+		want.Diffs = slices.Clone(want.Diffs)
+		for i := range buf {
+			buf[i] = 'X'
+		}
+		got := ms[0]
+		if got.FQDN != "www."+goo+".co.uk" || got.IDN != goo || got.Unicode != "gооgle" || got.TLD != "co.uk" ||
+			got.FQDN != want.FQDN || got.IDN != want.IDN || got.Unicode != want.Unicode || got.TLD != want.TLD {
+			t.Fatalf("after overwriting the input: %+v", got)
+		}
+	})
+
+	t.Run("two matching labels", func(t *testing.T) {
+		name := goo + "." + ama + ".com"
+		for _, ms := range [][]Match{d.DetectDomain(name), d.DetectDomainBytes([]byte(name))} {
+			if len(ms) != 2 {
+				t.Fatalf("matches = %v", ms)
+			}
+			want := []struct{ idn, uni, ref string }{{goo, "gооgle", "google"}, {ama, "amazоn", "amazon"}}
+			for i, w := range want {
+				m := ms[i]
+				if m.IDN != w.idn || m.Unicode != w.uni || m.Reference != w.ref || m.FQDN != name || m.TLD != "com" {
+					t.Errorf("match %d = %+v, want IDN %q Unicode %q of %q in %q", i, m, w.idn, w.uni, w.ref, name)
+				}
+			}
+		}
+	})
+
+	t.Run("root-dot bare label", func(t *testing.T) {
+		for _, ms := range [][]Match{d.DetectDomain(goo + "."), d.DetectDomainBytesBackend([]byte(goo+"."), BackendBoth)} {
+			if len(ms) != 1 || ms[0].FQDN != goo+"." || ms[0].IDN != goo || ms[0].Unicode != "gооgle" || ms[0].TLD != "" {
+				t.Fatalf("matches = %+v", ms)
+			}
+		}
+	})
+}
+
+// TestHitAllocBudget pins the hit path's allocations on the byte entry
+// points: the returned slice, one string for the name with its label's
+// Unicode form, and — for a verified match — one copy of its diffs.
+func TestHitAllocBudget(t *testing.T) {
+	if lint.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	d := NewDetector(testDB(t), []string{"google", "microsoft"})
+	verified := []byte(ace(t, "gооgle") + ".com") // two Cyrillic о: a 2-diff hit
+	skeletal := []byte("rnicrosoft.com")          // rn→m: a skeleton-only hit
+	if ms := d.DetectDomainBytes(verified); len(ms) != 1 || len(ms[0].Diffs) != 2 {
+		t.Fatalf("verified hit = %+v", ms)
+	}
+	if ms := d.DetectDomainBytesBackend(skeletal, BackendSkeleton); len(ms) != 1 || ms[0].Diffs != nil {
+		t.Fatalf("skeleton hit = %+v", ms)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.DetectDomainBytes(verified) }); n > 3 {
+		t.Errorf("verified 2-diff hit: %v allocations, budget 3", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.DetectDomainBytesBackend(skeletal, BackendSkeleton) }); n > 2 {
+		t.Errorf("skeleton-only hit: %v allocations, budget 2", n)
 	}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"cmp"
-	"encoding/binary"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,7 +31,7 @@ func (d *Detector) Detect(domains []string) []Match {
 }
 
 // DetectParallel is Detect with an explicit worker count (≤ 0 means
-// GOMAXPROCS). The result is deterministic: workers accumulate private
+// GOMAXPROCS). The result is deterministic: workers append to private
 // match slices which are concatenated and sorted exactly once.
 func (d *Detector) DetectParallel(domains []string, workers int) []Match {
 	if workers <= 0 {
@@ -46,7 +43,7 @@ func (d *Detector) DetectParallel(domains []string, workers int) []Match {
 	var out []Match
 	if workers <= 1 {
 		for _, idn := range domains {
-			out = append(out, d.DetectDomain(idn)...)
+			out = detectDomain(d, out, idn, BackendPostings)
 		}
 	} else {
 		parts := make([][]Match, workers)
@@ -57,7 +54,7 @@ func (d *Detector) DetectParallel(domains []string, workers int) []Match {
 				defer wg.Done()
 				var local []Match
 				for i := w; i < len(domains); i += workers {
-					local = append(local, d.DetectDomain(domains[i])...)
+					local = detectDomain(d, local, domains[i], BackendPostings)
 				}
 				parts[w] = local
 			}(w)
@@ -148,31 +145,32 @@ func (d *Detector) DetectStreamBytesBackend(in <-chan *[]byte, workers int, recy
 
 // SortMatches sorts matches into the deterministic batch order (FQDN,
 // then IDN, then reference), e.g. after collecting a DetectStream.
+// Full ties keep their input order.
 //
-// A Match is over a hundred bytes, so the sort permutes small keys
-// instead: each holds a match's index and the first eight bytes of its
-// FQDN as a big-endian integer, which orders like the FQDN wherever the
-// two differ, so most comparisons never touch the matches. Equal
-// prefixes fall back to compareMatch on the matches in place, and full
-// ties keep their input order. The sorted keys are then applied by
+// A Match is over a hundred bytes, so the sort orders small keys
+// instead, by MSD radix: each key holds a match's index, the next eight
+// bytes of the field under comparison as a big-endian digit (zero
+// padded), and how many bytes of the field remain from there, capped at
+// 9. Keys order like their fields' bytes, and only a key left with 9
+// (more than the digit holds) can tie with a longer field, so a run of
+// equal keys recurses eight bytes deeper while bytes remain, or else
+// moves on to the next field. Each run sorts stably: a byte-wise LSD
+// pass over its keys when it is long, insertion sort when it is short,
+// and insertion sort on the matches themselves once the run is no
+// longer than 16. The sorted keys are then applied by
 // following the permutation's cycles, moving every match once.
 func SortMatches(matches []Match) {
-	if len(matches) < 2 {
+	n := len(matches)
+	if n < 2 {
 		return
 	}
-	keys := make([]sortKey, len(matches))
-	for i := range matches {
-		keys[i] = sortKey{prefix: fqdnPrefix(matches[i].FQDN), idx: int32(i)}
+	buf := make([]radixKey, 2*n)
+	keys := buf[:n]
+	for i := range keys {
+		keys[i].idx = int32(i)
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		if a.prefix != b.prefix {
-			return cmp.Compare(a.prefix, b.prefix)
-		}
-		if c := compareMatch(&matches[a.idx], &matches[b.idx]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	ms := matchSorter{matches: matches, tmp: buf[n:]}
+	ms.sort(keys, 0, 0)
 	// Slot i takes matches[keys[i].idx]. Each cycle is rotated through
 	// one saved match, and a finished slot is marked keys[j].idx == j.
 	for i := range keys {
@@ -194,18 +192,149 @@ func SortMatches(matches []Match) {
 	}
 }
 
-// sortKey is SortMatches' stand-in for one match.
-type sortKey struct {
-	prefix uint64 // fqdnPrefix(FQDN)
-	idx    int32  // index into the matches being sorted
+// radixKey is SortMatches' stand-in for one match at one radix level.
+type radixKey struct {
+	digit uint64 // eight field bytes from the level's depth, big-endian
+	idx   int32  // index into the matches being sorted
+	rem   uint8  // field bytes left from the depth, capped at 9
 }
 
-// fqdnPrefix packs the first eight bytes of s, zero-padded, big-endian:
-// s < t implies fqdnPrefix(s) <= fqdnPrefix(t).
-func fqdnPrefix(s string) uint64 {
-	var b [8]byte
-	copy(b[:], s)
-	return binary.BigEndian.Uint64(b[:])
+// Key runs longer than lsdMin sort by LSD radix, shorter ones by
+// insertion; runs of at most compareMax sort on compareMatch directly.
+const (
+	lsdMin     = 48
+	compareMax = 16
+)
+
+// matchSorter carries SortMatches' state down the radix recursion.
+type matchSorter struct {
+	matches []Match
+	tmp     []radixKey // LSD scatter target, as long as the matches
+}
+
+// field returns the sort field f (0 FQDN, 1 IDN, 2 Reference) of m.
+func field(m *Match, f int) string {
+	switch f {
+	case 0:
+		return m.FQDN
+	case 1:
+		return m.IDN
+	}
+	return m.Reference
+}
+
+// sort orders keys, whose matches agree on the fields before f and on
+// the first depth bytes of field f.
+func (s *matchSorter) sort(keys []radixKey, f, depth int) {
+	if len(keys) <= compareMax {
+		s.insertionByMatch(keys)
+		return
+	}
+	for i := range keys {
+		keys[i].digit, keys[i].rem = digitAt(field(&s.matches[keys[i].idx], f), depth)
+	}
+	if len(keys) > lsdMin {
+		s.lsd(keys)
+	} else {
+		insertionByKey(keys)
+	}
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j].digit == keys[i].digit && keys[j].rem == keys[i].rem {
+			j++
+		}
+		if j-i > 1 {
+			switch {
+			case keys[i].rem > 8:
+				s.sort(keys[i:j], f, depth+8)
+			case f < 2:
+				s.sort(keys[i:j], f+1, 0)
+			}
+		}
+		i = j
+	}
+}
+
+// digitAt returns the eight bytes of s from depth as a big-endian
+// integer, zero padded, and the count of bytes left from depth, capped
+// at 9.
+func digitAt(s string, depth int) (uint64, uint8) {
+	if depth >= len(s) {
+		return 0, 0
+	}
+	s = s[depth:]
+	if len(s) >= 8 {
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7]), uint8(min(len(s), 9))
+	}
+	var d uint64
+	for i := 0; i < len(s); i++ {
+		d |= uint64(s[i]) << (56 - 8*i)
+	}
+	return d, uint8(len(s))
+}
+
+// lsd sorts keys stably by (digit, rem), one byte per pass from the
+// least significant (rem) up, skipping bytes every key shares.
+func (s *matchSorter) lsd(keys []radixKey) {
+	var counts [9][256]int32 // counts[0] is rem, counts[b] digit byte b-1 from the bottom
+	for _, k := range keys {
+		counts[0][k.rem]++
+		for b := 1; b < 9; b++ {
+			counts[b][byte(k.digit>>(8*(b-1)))]++
+		}
+	}
+	n := int32(len(keys))
+	src, dst := keys, s.tmp[:len(keys)]
+	for b := range counts {
+		c := &counts[b]
+		at := func(k *radixKey) byte {
+			if b == 0 {
+				return k.rem
+			}
+			return byte(k.digit >> (8 * (b - 1)))
+		}
+		if c[at(&src[0])] == n {
+			continue
+		}
+		var sum int32
+		for v := range c {
+			c[v], sum = sum, sum+c[v]
+		}
+		for i := range src {
+			v := at(&src[i])
+			dst[c[v]] = src[i]
+			c[v]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
+// insertionByKey sorts a short run stably by (digit, rem).
+func insertionByKey(keys []radixKey) {
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		for ; j > 0 && (keys[j-1].digit > k.digit || keys[j-1].digit == k.digit && keys[j-1].rem > k.rem); j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+}
+
+// insertionByMatch sorts a short run stably by compareMatch.
+func (s *matchSorter) insertionByMatch(keys []radixKey) {
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		for ; j > 0 && compareMatch(&s.matches[k.idx], &s.matches[keys[j-1].idx]) < 0; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
 }
 
 // DetectedIDNs collapses matches to the distinct set of homograph IDNs —

@@ -573,3 +573,42 @@ func TestSurveyRegistrySlotAccounting(t *testing.T) {
 		t.Fatal("slot handoff to a queued job must keep the slot occupied")
 	}
 }
+
+// TestSurveyTerminalManifestBeforeStatus pins the finalize order: the
+// terminal manifest is on disk before the status says the job finished,
+// so a poller that sees "done" may use (or remove) the job's durable
+// state at once. The status is polled without pause, to land inside any
+// window between the two.
+func TestSurveyTerminalManifestBeforeStatus(t *testing.T) {
+	resolver := durableDNS(t)
+	_, ts, store := newDurableServer(t, t.TempDir())
+	no := false
+	req := surveyRequest{FQDNs: []string{"d00.com", "d01.com", "d02.com"}, Resolver: resolver, Detect: &no, SkipWeb: true}
+	for run := 0; run < 5; run++ {
+		resp, data := postJSON(t, ts.URL+"/v1/survey", req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d: %s", resp.StatusCode, data)
+		}
+		var acc surveyAcceptedResp
+		if err := json.Unmarshal(data, &acc); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		var st surveyStatus
+		for {
+			getJSON(t, ts.URL+"/v1/survey/"+acc.ID+"?records=0", &st)
+			if jobstore.Terminal(st.Status) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("survey did not finish")
+			}
+		}
+		if st.Status != surveyDone {
+			t.Fatalf("run %d: final = %+v", run, st)
+		}
+		if m, ok := store.Get(acc.ID); !ok || m.State != surveyDone {
+			t.Fatalf("run %d: status is done but the stored manifest says %q (present %v)", run, m.State, ok)
+		}
+	}
+}

@@ -122,12 +122,17 @@ func (s *Server) dropEvicted(evicted []*surveyJob) {
 
 // persistSurvey writes the job's manifest when a store is wired.
 func (s *Server) persistSurvey(job *surveyJob) error {
-	if s.store() == nil || !job.durable {
-		return nil
-	}
 	job.mu.Lock()
 	m := job.manifestLocked()
 	job.mu.Unlock()
+	return s.putManifest(job, m)
+}
+
+// putManifest writes m as job's manifest when a store is wired.
+func (s *Server) putManifest(job *surveyJob, m jobstore.Manifest) error {
+	if s.store() == nil || !job.durable {
+		return nil
+	}
 	if err := s.store().Put(m); err != nil {
 		return fmt.Errorf("survey %s: persisting manifest: %w", job.id, err)
 	}
@@ -343,10 +348,23 @@ func (s *Server) runSurvey(ctx context.Context, job *surveyJob) {
 	}
 }
 
-// finalizeSurvey lands a job's terminal state: in-memory results, the
-// aggregate tally, the durable manifest.
+// finalizeSurvey lands a job's terminal state: the durable manifest,
+// the aggregate tally, then the in-memory results. The status turns
+// terminal last, so a client that sees the job finished finds its
+// manifest already written and may use or remove the job's directory at
+// once.
 func (s *Server) finalizeSurvey(job *surveyJob, records []triage.Record, tally *triage.Tally,
 	state, errMsg string, retryable bool) {
+	job.mu.Lock()
+	m := job.manifestLocked()
+	job.mu.Unlock()
+	m.State, m.Error, m.Retryable, m.Tally = state, errMsg, retryable, tally
+	if err := s.putManifest(job, m); err != nil {
+		s.logf("%v", err)
+	}
+	if state == surveyDone && tally != nil {
+		s.mergeSurveyTally(tally)
+	}
 	job.mu.Lock()
 	job.status = state
 	job.err = errMsg
@@ -355,12 +373,6 @@ func (s *Server) finalizeSurvey(job *surveyJob, records []triage.Record, tally *
 	job.tally = tally
 	job.finishedAt = s.surveys.clock()
 	job.mu.Unlock()
-	if state == surveyDone && tally != nil {
-		s.mergeSurveyTally(tally)
-	}
-	if err := s.persistSurvey(job); err != nil {
-		s.logf("%v", err)
-	}
 	s.logf("survey %s: %s (%d records)", job.id, state, len(records))
 }
 
