@@ -155,18 +155,25 @@ func (p *Policy) Decide(label string) (Display, Reason) {
 
 // wholeScriptConfusable reports whether every letter of a single-script
 // non-Latin label maps to a Latin prototype in the UC database — the
-// "аррӏе.com" class Chrome punycodes.
+// "аррӏе.com" class Chrome punycodes. A letter qualifies when its full
+// prototype differs from the letter and is all ASCII.
 func (p *Policy) wholeScriptConfusable(label string) bool {
 	if p.UC == nil {
 		return false
 	}
+	var buf [8]rune
 	for _, r := range label {
 		if scriptOf(r) == scCommon {
 			continue
 		}
-		proto := p.UC.SkeletonRune(r)
-		if proto == r || proto >= 0x80 {
+		proto := p.UC.SkeletonAppend(buf[:0], r)
+		if len(proto) == 1 && proto[0] == r {
 			return false
+		}
+		for _, pr := range proto {
+			if pr >= 0x80 {
+				return false
+			}
 		}
 	}
 	return true

@@ -82,33 +82,8 @@ func (db *DB) Confusable(a, b rune) bool {
 	return true
 }
 
-// SkeletonRune resolves a single code point to the first rune of its
-// prototype, following chains (bounded, to tolerate accidental cycles in
-// hand-edited files).
-//
-// Deprecated: a multi-rune prototype ("ﬃ" → "ffi") is silently truncated
-// to its first rune, losing exactly the many-to-one mappings TR39
-// skeletons exist for. Use SkeletonAppend, which returns the complete
-// sequence; this survives only for callers that depend on the historical
-// single-rune behavior.
-func (db *DB) SkeletonRune(r rune) rune {
-	cur := r
-	for depth := 0; depth < 8; depth++ {
-		t, ok := db.entries[cur]
-		if !ok || len(t) == 0 {
-			return cur
-		}
-		if len(t) == 1 && t[0] == cur {
-			return cur
-		}
-		cur = t[0]
-	}
-	return cur
-}
-
 // SkeletonAppend appends r's full prototype sequence to dst and returns
-// the extended slice. Unlike the deprecated SkeletonRune, a multi-rune
-// target is expanded in full — and each rune of the target is itself
+// the extended slice. A multi-rune target is expanded in full — and each rune of the target is itself
 // resolved recursively (bounded, to tolerate accidental cycles), so the
 // result is the fixed point TR39 calls the prototype. A rune with no
 // entry appends itself.

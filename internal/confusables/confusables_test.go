@@ -97,12 +97,12 @@ func TestSkeletonChainsAndCycles(t *testing.T) {
 	db := New()
 	db.Add('x', []rune{'y'}, "")
 	db.Add('y', []rune{'z'}, "")
-	if db.SkeletonRune('x') != 'z' {
-		t.Fatal("chains must resolve transitively")
+	if got := string(db.SkeletonAppend(nil, 'x')); got != "z" {
+		t.Fatalf("SkeletonAppend(x) = %q; chains must resolve transitively", got)
 	}
 	// A cycle must terminate.
 	db.Add('z', []rune{'x'}, "")
-	_ = db.SkeletonRune('x') // must not hang
+	_ = db.SkeletonAppend(nil, 'x') // must not hang
 }
 
 func TestRestrictSources(t *testing.T) {

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// The bug this PR closes: SkeletonRune truncated multi-rune prototypes to
-// their first rune. SkeletonAppend must return the complete sequence.
+// SkeletonAppend returns a multi-rune prototype in full, never truncated
+// to its first rune.
 func TestSkeletonAppendMultiRune(t *testing.T) {
 	db := New()
 	db.Add(0xFB03, []rune("ffi"), "") // ﬃ
@@ -18,10 +18,6 @@ func TestSkeletonAppendMultiRune(t *testing.T) {
 	}
 	if got := string(db.SkeletonAppend(nil, 'm')); got != "rn" {
 		t.Errorf("SkeletonAppend(m) = %q, want %q", got, "rn")
-	}
-	// The deprecated API keeps its historical truncating behavior.
-	if got := db.SkeletonRune(0xFB03); got != 'f' {
-		t.Errorf("SkeletonRune(ﬃ) = %q, want 'f' (deprecated first-rune behavior)", got)
 	}
 	// A rune with no entry appends itself.
 	if got := string(db.SkeletonAppend(nil, 'q')); got != "q" {

@@ -391,9 +391,10 @@ func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 // equals the label's: each verified candidate is a postings match with
 // its Diffs, tagged both when the skeleton backend is also selected.
 // Pass 2, for the skeleton backend, appends the remaining non-identical
-// candidates. The miss path — skeletonize, one map probe, empty list —
-// allocates nothing: the map index uses the string(sc.skel) conversion
-// the compiler performs without copying.
+// candidates. The miss path — decode and skeletonize behind the
+// dead-rune gate (see probe), at most one map probe, empty list —
+// allocates nothing: the map index uses the string(skel) conversion the
+// compiler performs without copying.
 //
 // The label's first match materializes its strings (see labelMatch) and
 // the label's later matches share them. fq holds the name's copy once
@@ -409,16 +410,11 @@ func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq
 	if len(idnLabel) > punycode.MaxLabelLength && punycode.HasACEPrefix(idnLabel) {
 		return out
 	}
-	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], idnLabel)
-	sc.runes = runes
-	if err != nil || len(runes) == 0 {
-		return out
-	}
-	sc.skel = d.skel.appendLabel(sc.skel[:0], runes)
-	ids := d.skel.refs[string(sc.skel)]
+	ids := probe(d.skel, sc, idnLabel)
 	if len(ids) == 0 {
 		return out
 	}
+	runes := sc.runes
 	labelStart := len(out)
 	var m Match // the label's forms, filled in by its first match
 	if be&BackendPostings != 0 {
@@ -460,6 +456,24 @@ func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq
 		}
 	}
 	return out
+}
+
+// probe decodes label into sc.runes and returns its candidate reference
+// ids, in ascending order, or nil on a miss. The dead-rune gate ends a
+// miss early: the decoder stops at the first dead code point it inserts,
+// and the fold at the first dead rune of the rest, before any map probe.
+func probe[S punycode.ByteSeq](x *skelIndex, sc *scratch, label S) []int32 {
+	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], label, x.keep)
+	sc.runes = runes
+	if err != nil || len(runes) == 0 {
+		return nil
+	}
+	skel, live := x.appendLive(sc.skel[:0], runes)
+	sc.skel = skel
+	if !live {
+		return nil
+	}
+	return x.refs[string(skel)]
 }
 
 // labelMatch returns the forms of the matched label name[lo:hi], which

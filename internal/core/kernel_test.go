@@ -67,7 +67,7 @@ func TestFoldTableParity(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%v %s: fold(%U) = %q, maps say %q", use, name, r, got, want)
 				}
-				if x.fold.entry(r) != 0 {
+				if x.fold.entry(r)&^deadBit != 0 {
 					mapped++
 				}
 			}
@@ -88,6 +88,93 @@ func TestFoldTableParity(t *testing.T) {
 				if got := x.appendLabel([]byte("prefix"), label); !bytes.Equal(got[6:], want) || string(got[:6]) != "prefix" {
 					t.Fatalf("%v %s: fold(%q) = %q, maps say %q", use, name, string(label), got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestLiveRuneTable checks the dead-rune gate against a brute-force
+// verdict: r is live exactly when every rune of skeleton(Fold(r)), as
+// the rep/seq maps define it, appears in some reference key. Probes are
+// every database rune, all of ASCII, random code points and runes that
+// case-fold elsewhere. The references mix ASCII, a Latin letter beyond
+// ASCII and CJK runes no database maps, so live runes that map to
+// themselves occur inside and outside the fold table's pages, and they
+// leave some multi-rune skeletons live only in part. It runs
+// on the UC, SimChar and union views, on fresh and snapshot-loaded
+// detectors.
+func TestLiveRuneTable(t *testing.T) {
+	db := testDB(t)
+	probe := append([]rune(nil), db.Chars().Runes()...)
+	for r := rune(0); r < 0x80; r++ {
+		probe = append(probe, r)
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 4000; i++ {
+		probe = append(probe, rune(rng.Intn(utf8.MaxRune+1)))
+	}
+	// KELVIN SIGN, OHM SIGN, ANGSTROM SIGN, İ, capital sharp s, Cyrillic
+	// О, fullwidth Ｇ, Deseret 𐐀: each folds to another rune.
+	folding := []rune{0x212A, 0x2126, 0x212B, 0x0130, 0x1E9E, 0x041E, 0xFF27, 0x10400, 'G', 'Ü'}
+	probe = append(probe, folding...)
+	for _, r := range folding {
+		if punycode.Fold(r) == r {
+			t.Fatalf("%U does not case-fold", r)
+		}
+	}
+
+	// No reference holds an n or an m, but "bücher" holds the r of
+	// skeleton(m) = "rn".
+	refs := []string{"google", "yahoo", "wikipedia", "close", "bücher", "中文", "例え"}
+	views := []homoglyph.Source{homoglyph.SourceUC, homoglyph.SourceSimChar, homoglyph.SourceUC | homoglyph.SourceSimChar}
+	for _, use := range views {
+		view := db.WithSources(use)
+		fresh := NewDetector(view, refs)
+		loaded, err := NewDetectorFromSnapshot(view, fresh.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, d := range map[string]*Detector{"fresh": fresh, "loaded": loaded} {
+			x := d.skel
+			keyRunes := map[rune]bool{}
+			for k := range x.refs {
+				for _, r := range k {
+					keyRunes[r] = true
+				}
+			}
+			// partial counts dead runes whose skeleton starts with a key
+			// rune, so the gate must look past the first rune. The UC
+			// view has one: skeleton(m) = "rn".
+			live, dead, partial := 0, 0, 0
+			for _, r := range probe {
+				want := true
+				for i, sr := range []rune(string(mapFold(x, nil, punycode.Fold(r)))) {
+					if !keyRunes[sr] {
+						if want && i > 0 {
+							partial++
+						}
+						want = false
+					}
+				}
+				if got := x.live(punycode.Fold(r)); got != want {
+					t.Fatalf("%v %s: live(Fold(%U)) = %v, brute force says %v", use, name, r, got, want)
+				}
+				if x.keep(punycode.Fold(r)) != want {
+					t.Fatalf("%v %s: keep(Fold(%U)) disagrees with live", use, name, r)
+				}
+				if want {
+					live++
+				} else {
+					dead++
+				}
+			}
+			for _, r := range []rune{'g', 0x212A, '中', '例', 'え'} {
+				if !x.live(punycode.Fold(r)) {
+					t.Fatalf("%v %s: reference rune %U is dead", use, name, r)
+				}
+			}
+			if live == 0 || dead == 0 || (use == homoglyph.SourceUC && partial == 0) {
+				t.Fatalf("%v %s: %d live, %d dead and %d partly live probes; want all three", use, name, live, dead, partial)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,7 +72,35 @@ func zoneCorpus(t *testing.T) (*homoglyph.DB, []string, []string) {
 			labels = append(labels, a)
 		}
 	}
-	return db, refs, labels
+	return db, refs, append(labels, deadRuneLabels(db, refs)...)
+}
+
+// deadRuneLabels returns labels holding runes no reference key can
+// contain: CJK labels, and substituted references carrying a CJK rune
+// at the end or inside, in ACE and raw UTF-8 form. The CJK rune is
+// usually the label's largest code point, so the decoder inserts it
+// last. The raw substituted references themselves are live.
+func deadRuneLabels(db *homoglyph.DB, refs []string) []string {
+	labels := []string{"xn--fiqs8s", "xn--fiq228c", "中国", "例え", "中文例", "\xff\xfe"}
+	cjk := []rune("中例語")
+	rng := stats.NewRNG(16)
+	for i := 0; i < len(refs); i += 7 {
+		runes := []rune(refs[i])
+		pos := rng.Intn(len(runes))
+		if hs := db.Homoglyphs(runes[pos]); len(hs) > 0 {
+			runes[pos] = hs[rng.Intn(len(hs))]
+		}
+		labels = append(labels, string(runes))
+		mixed := append(runes[:len(runes):len(runes)], cjk[rng.Intn(len(cjk))])
+		inside := slices.Insert(slices.Clone(runes), rng.Intn(len(runes)+1), cjk[rng.Intn(len(cjk))])
+		for _, l := range []string{string(mixed), string(inside)} {
+			labels = append(labels, l)
+			if a, err := punycode.ToASCIILabel(l); err == nil {
+				labels = append(labels, a)
+			}
+		}
+	}
+	return labels
 }
 
 // TestSkeletonDerivedMatchesLinear pins the single-index derivation
@@ -90,7 +119,7 @@ func TestSkeletonDerivedMatchesLinear(t *testing.T) {
 		stride = 16
 	}
 	views := []homoglyph.Source{homoglyph.SourceUC, homoglyph.SourceSimChar, homoglyph.SourceUC | homoglyph.SourceSimChar}
-	skelOnly := 0
+	skelOnly, dead := 0, 0
 	for _, use := range views {
 		view := db.WithSources(use)
 		fresh := core.NewDetector(view, refs)
@@ -134,6 +163,13 @@ func TestSkeletonDerivedMatchesLinear(t *testing.T) {
 				if d == fresh {
 					skelOnly += len(skel) - found
 				}
+				gated, ungated, isDead := d.Candidates(l)
+				if !slices.Equal(gated, ungated) {
+					t.Fatalf("%v %q: gated candidates %v, ungated probe %v", use, l, gated, ungated)
+				}
+				if isDead {
+					dead++
+				}
 			}
 		}
 		if matches == 0 {
@@ -142,5 +178,8 @@ func TestSkeletonDerivedMatchesLinear(t *testing.T) {
 	}
 	if skelOnly == 0 {
 		t.Fatal("corpus produced no skeleton-only matches")
+	}
+	if dead == 0 {
+		t.Fatal("corpus holds no label with a dead rune")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/punycode"
 )
 
 // manyToOneFixtures pins the false-negative class this backend closes:
@@ -334,8 +336,11 @@ func stringsEq(a, b []string) bool {
 // common case) — both one whole-label skeleton probe.
 // BenchmarkSkeletonLookupNonASCII is the same miss for an all-Cyrillic
 // label, whose every rune folds through the fold table's pages rather
-// than its ASCII row. CI publishes the three as BENCH_skeleton.json and
-// gates each at zero allocations.
+// than its ASCII row; every rune is live, so the label pays the whole
+// decode, fold and probe. BenchmarkSkeletonLookupDeadRune is a CJK miss,
+// which the dead-rune gate ends at the first code point the decoder
+// inserts. CI publishes the four as BENCH_skeleton.json and gates each
+// at zero allocations.
 func BenchmarkSkeletonLookup(b *testing.B) {
 	d := NewDetector(testDB(b), benchRefs())
 	fqdn := []byte("xn--ggle-55da.example.com")
@@ -348,10 +353,28 @@ func BenchmarkSkeletonLookup(b *testing.B) {
 }
 
 func BenchmarkSkeletonLookupNonASCII(b *testing.B) {
+	benchSkeletonMiss(b, "аеросо", true)
+}
+
+func BenchmarkSkeletonLookupDeadRune(b *testing.B) {
+	benchSkeletonMiss(b, "例え中文", false)
+}
+
+// benchSkeletonMiss times the skeleton-backend miss of the ACE form of
+// label, after checking that the label misses and that it passes the
+// dead-rune gate exactly when live says so.
+func benchSkeletonMiss(b *testing.B, label string, live bool) {
 	d := NewDetector(testDB(b), benchRefs())
-	fqdn := []byte(ace(b, "пример") + ".example.com")
+	fqdn := []byte(ace(b, label) + ".example.com")
 	if ms := d.DetectDomainBytesBackend(fqdn, BackendSkeleton); len(ms) != 0 {
 		b.Fatalf("unexpected match: %v", ms)
+	}
+	runes, err := punycode.ToUnicodeLabelAppend(nil, ace(b, label), d.skel.keep)
+	if (err == nil) != live {
+		b.Fatalf("%q: gate err = %v, want live = %v", label, err, live)
+	}
+	if _, ok := d.skel.appendLive(nil, runes); live && !ok {
+		b.Fatalf("%q stops at the dead-rune gate", label)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

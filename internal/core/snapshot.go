@@ -135,7 +135,9 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 		return nil, fmt.Errorf("core: snapshot skeleton seqs: %d trailing runes", len(s.SkelSeqs)-off)
 	}
 	idOff := 0
+	var keyRunes runeSet
 	for i, k := range s.SkelKeys {
+		keyRunes.addString(k)
 		l := int(s.SkelListLens[i])
 		if l < 0 || idOff+l > len(s.SkelListIDs) {
 			return nil, fmt.Errorf("core: snapshot skeleton key %d: truncated id list", i)
@@ -157,5 +159,6 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 		return nil, fmt.Errorf("core: snapshot skeleton ids: %d trailing entries", len(s.SkelListIDs)-idOff)
 	}
 	x.fold = newFoldTable(x.rep, x.seq)
+	x.compileGate(keyRunes)
 	return x, nil
 }

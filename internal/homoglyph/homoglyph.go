@@ -171,8 +171,8 @@ func compile(uc *confusables.DB, sim *simchar.DB) *index {
 		if uc != nil {
 			// CanonicalRune follows the chain only through single-rune
 			// targets: a rune whose prototype is a sequence has no one-rune
-			// original, so it canonicalizes no further (SkeletonRune would
-			// have truncated "II" to 'I' here).
+			// original, so it canonicalizes no further: 'Ⅱ' (prototype
+			// "II") stays itself rather than becoming 'I'.
 			if sk := uc.CanonicalRune(r); sk != r {
 				sp.ucSkel = sk
 			}

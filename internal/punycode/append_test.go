@@ -3,6 +3,7 @@ package punycode
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -247,14 +248,14 @@ func checkLabel(t *testing.T, label string) {
 	t.Helper()
 	want, wantErr := ToUnicodeLabel(label)
 
-	got, gotErr := ToUnicodeLabelAppend(nil, label)
+	got, gotErr := ToUnicodeLabelAppend(nil, label, nil)
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("ToUnicodeLabelAppend(%q) err = %v; ToUnicodeLabel err = %v", label, gotErr, wantErr)
 	}
 	if wantErr == nil && string(got) != want {
 		t.Fatalf("ToUnicodeLabelAppend(%q) = %q, want %q", label, string(got), want)
 	}
-	bgot, bErr := ToUnicodeLabelAppend(nil, []byte(label))
+	bgot, bErr := ToUnicodeLabelAppend(nil, []byte(label), nil)
 	if (bErr != nil) != (wantErr != nil) || string(bgot) != string(got) {
 		t.Fatalf("ToUnicodeLabelAppend([]byte %q) = %q, %v; string variant %q, %v",
 			label, string(bgot), bErr, string(got), gotErr)
@@ -317,7 +318,7 @@ func TestDecodeAppendSteadyStateAllocs(t *testing.T) {
 	full := []byte("xn--ggle-55da")
 	if n := testing.AllocsPerRun(200, func() {
 		var err error
-		buf, err = ToUnicodeLabelAppend(buf[:0], full)
+		buf, err = ToUnicodeLabelAppend(buf[:0], full, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,5 +348,128 @@ func FuzzDecodeAppend(f *testing.F) {
 		if errClass(gotErr) != errClass(wantErr) || string(got) != want {
 			t.Fatalf("DecodeAppend(%q) = %q, %v; seed = %q, %v", input, string(got), gotErr, want, wantErr)
 		}
+	})
+}
+
+// seededKeep returns a keep predicate that rejects about one code point
+// in four, chosen by a hash of the code point and seed, and records
+// every code point it is offered.
+func seededKeep(seed uint64, offered *[]rune) func(rune) bool {
+	return func(r rune) bool {
+		*offered = append(*offered, r)
+		h := (uint64(r) ^ seed) * 0x9e3779b97f4a7c15
+		return h>>62 != 0
+	}
+}
+
+// checkKeep compares ToUnicodeLabelAppend with a seeded keep predicate
+// against the nil-keep result for one label. When the nil-keep decode
+// fails, the keep decode fails too. When it succeeds, the code points
+// keep is offered are the label's inserted (non-basic) code points,
+// folded, in decode order, up to the first rejection; if keep accepts
+// them all the outputs are identical, otherwise the result is
+// ErrRejected with dst truncated. A non-ACE label is never offered to
+// keep.
+func checkKeep(t *testing.T, label string, seed uint64) {
+	t.Helper()
+	prefix := []rune("pre")
+	want, wantErr := ToUnicodeLabelAppend(prefix[:3:3], label, nil)
+	var offered []rune
+	got, gotErr := ToUnicodeLabelAppend(prefix[:3:3], label, seededKeep(seed, &offered))
+	if string(got[:3]) != "pre" {
+		t.Fatalf("keep decode of %q clobbered the prefix: %q", label, string(got))
+	}
+	if wantErr != nil {
+		if gotErr == nil || len(got) != 3 {
+			t.Fatalf("keep decode of %q = %q, %v; nil-keep failed with %v", label, string(got), gotErr, wantErr)
+		}
+		return
+	}
+	var inserted []rune
+	if HasACEPrefix(label) {
+		raw, err := DecodeAppend(nil, strings.ToLower(label[len(ACEPrefix):]))
+		if err != nil {
+			t.Fatalf("DecodeAppend(%q) failed after ToUnicodeLabelAppend succeeded: %v", label, err)
+		}
+		for _, r := range raw {
+			if r >= 0x80 {
+				inserted = append(inserted, r)
+			}
+		}
+		// Code points are inserted in ascending order.
+		slices.Sort(inserted)
+	}
+	keep := seededKeep(seed, new([]rune))
+	rejected := -1
+	for i, r := range inserted {
+		if !keep(Fold(r)) {
+			rejected = i
+			break
+		}
+	}
+	wantOffered := inserted
+	if rejected >= 0 {
+		wantOffered = inserted[:rejected+1]
+	}
+	if len(offered) != len(wantOffered) {
+		t.Fatalf("keep decode of %q offered %q, want %q folded", label, string(offered), string(wantOffered))
+	}
+	for i, r := range wantOffered {
+		if offered[i] != Fold(r) {
+			t.Fatalf("keep decode of %q offered %q, want %q folded", label, string(offered), string(wantOffered))
+		}
+	}
+	if rejected < 0 {
+		if gotErr != nil || string(got) != string(want) {
+			t.Fatalf("keep decode of %q = %q, %v; nil-keep = %q", label, string(got), gotErr, string(want))
+		}
+		return
+	}
+	if !errors.Is(gotErr, ErrRejected) || len(got) != 3 {
+		t.Fatalf("keep decode of %q = %q, %v; want ErrRejected with dst truncated", label, string(got), gotErr)
+	}
+	bgot, bErr := ToUnicodeLabelAppend(nil, []byte(label), seededKeep(seed, new([]rune)))
+	if bErr != gotErr || len(bgot) != 0 {
+		t.Fatalf("keep decode of []byte %q = %q, %v; string variant %v", label, string(bgot), bErr, gotErr)
+	}
+}
+
+// TestToUnicodeLabelAppendKeep runs checkKeep over encoded random
+// labels mixing ASCII, uppercase, Cyrillic, CJK and case-folding code
+// points such as U+212A KELVIN SIGN, plus malformed and non-ACE labels.
+func TestToUnicodeLabelAppendKeep(t *testing.T) {
+	pool := []rune("abcXYZ09-оаеАЕ中文例äÜßΣσKİ\U0001F600")
+	rng := stats.NewRNG(0x6b656570)
+	for iter := 0; iter < 3000; iter++ {
+		label := make([]rune, 1+rng.Intn(10))
+		for i := range label {
+			label[i] = pool[rng.Intn(len(pool))]
+		}
+		seed := uint64(rng.Intn(1 << 30))
+		enc, err := Encode(string(label))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkKeep(t, ACEPrefix+enc, seed)
+		checkKeep(t, "XN--"+strings.ToUpper(enc), seed)
+		checkKeep(t, string(label), seed)
+		checkKeep(t, ACEPrefix+enc[:rng.Intn(len(enc)+1)]+"!", seed)
+	}
+	for _, l := range []string{"xn--", "xn--bcher-kva", "xn--abc-", "xn--ggle-55da", "plain", "xn--99999999"} {
+		for seed := uint64(0); seed < 8; seed++ {
+			checkKeep(t, l, seed)
+		}
+	}
+}
+
+// FuzzToUnicodeLabelKeep runs checkKeep on arbitrary ACE and non-ACE
+// labels with a fuzzed keep seed.
+func FuzzToUnicodeLabelKeep(f *testing.F) {
+	for _, s := range []string{"", "tda", "bcher-kva", "ggle-55da", "--", "a-b-c", "\x80", "99999999", "fiqs8s", "n3h"} {
+		f.Add(s, uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, input string, seed uint64) {
+		checkKeep(t, ACEPrefix+input, seed)
+		checkKeep(t, input, seed)
 	})
 }

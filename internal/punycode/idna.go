@@ -176,7 +176,7 @@ func ToUnicodeLabel(label string) (string, error) {
 		return FoldString(label), nil
 	}
 	label = lowerASCII(label)
-	dec, err := ToUnicodeLabelAppend(nil, label)
+	dec, err := ToUnicodeLabelAppend(nil, label, nil)
 	if err != nil {
 		return "", fmt.Errorf("label %q: %w", label, err)
 	}
@@ -190,8 +190,18 @@ func ToUnicodeLabel(label string) (string, error) {
 // truncated back to its original length and are preallocated, so even a
 // malformed line costs nothing in steady state.
 //
+// keep, when not nil, lets a caller that only wants labels made of
+// certain code points stop an ACE decode early. The decoder offers it
+// each code point it inserts — the non-basic ones, in ascending order,
+// already folded — and the first one keep rejects ends the decode with
+// ErrRejected, so a label in an unwanted script stops after its first
+// non-basic code point instead of paying for every insert. Basic code
+// points and non-ACE labels are not offered: they cost no insert, and
+// the caller can check them as it consumes the output. keep must not
+// allocate if the call is to stay allocation-free.
+//
 //shamlint:noalloc
-func ToUnicodeLabelAppend[S ByteSeq](dst []rune, label S) ([]rune, error) {
+func ToUnicodeLabelAppend[S ByteSeq](dst []rune, label S, keep func(rune) bool) ([]rune, error) {
 	base := len(dst)
 	if !hasACEPrefix(label) {
 		// range string(label) is conversion-free for the []byte
@@ -203,7 +213,7 @@ func ToUnicodeLabelAppend[S ByteSeq](dst []rune, label S) ([]rune, error) {
 		}
 		return dst, nil
 	}
-	dst, err := DecodeAppend(dst, label[len(ACEPrefix):])
+	dst, err := decodeAppend(dst, label[len(ACEPrefix):], keep)
 	if err != nil {
 		return dst[:base], err
 	}

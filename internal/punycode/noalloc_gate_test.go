@@ -16,6 +16,8 @@ func TestNoallocGate(t *testing.T) {
 	full := []byte("xn--ggle-55da")
 	idn := "www.xn--ggle-55da.com"
 	idnBytes := []byte(idn)
+	// A keep predicate that rejects the first inserted code point.
+	reject := func(rune) bool { return false }
 	var foldSink rune
 	var boolSink bool
 
@@ -24,7 +26,10 @@ func TestNoallocGate(t *testing.T) {
 			runeBuf, _ = DecodeAppend(runeBuf[:0], ace)
 		},
 		"ToUnicodeLabelAppend": func() {
-			runeBuf, _ = ToUnicodeLabelAppend(runeBuf[:0], full)
+			runeBuf, _ = ToUnicodeLabelAppend(runeBuf[:0], full, nil)
+			if _, err := ToUnicodeLabelAppend(runeBuf[:0], full, reject); err != ErrRejected {
+				panic("keep did not reject")
+			}
 		},
 		"Fold": func() {
 			foldSink = Fold('Ä')

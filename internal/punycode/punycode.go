@@ -2,6 +2,15 @@
 // and the IDNA label conversions (ToASCII/ToUnicode with the "xn--" ACE
 // prefix) that the paper's Step 2 relies on to extract IDNs from domain
 // lists.
+//
+// The append forms, DecodeAppend and ToUnicodeLabelAppend, decode into a
+// caller's buffer and allocate nothing in steady state. Every decoded
+// code point beyond ASCII costs an insert, so ToUnicodeLabelAppend also
+// takes a keep predicate: it sees each inserted code point, folded, in
+// ascending order, and the first one it rejects ends the decode with
+// ErrRejected. A detector passes the code points its references can
+// contain, so a label in another script stops at its first non-basic
+// code point. A nil keep decodes the whole label.
 package punycode
 
 import (
@@ -29,6 +38,12 @@ var ErrOverflow = errors.New("punycode: overflow")
 
 // ErrInvalid is returned for malformed Punycode input.
 var ErrInvalid = errors.New("punycode: invalid input")
+
+// ErrRejected is returned by ToUnicodeLabelAppend when its keep
+// predicate rejects a code point the decoder inserts. The label may be
+// well-formed; the caller asked to stop at that code point. Like the
+// decode errors below it is preallocated, so a rejection costs nothing.
+var ErrRejected = errors.New("punycode: code point rejected")
 
 // The decode hot path returns preallocated errors so a malformed label in
 // a zone sweep costs no allocation; all of them unwrap to ErrInvalid.
@@ -174,6 +189,14 @@ type ByteSeq interface{ ~string | ~[]byte }
 //
 //shamlint:noalloc
 func DecodeAppend[S ByteSeq](dst []rune, input S) ([]rune, error) {
+	return decodeAppend(dst, input, nil)
+}
+
+// decodeAppend is DecodeAppend with ToUnicodeLabelAppend's keep
+// predicate: each inserted (non-basic) code point is folded and offered
+// to keep before it is inserted, and the first one keep rejects ends
+// the decode with ErrRejected. A nil keep accepts everything.
+func decodeAppend[S ByteSeq](dst []rune, input S, keep func(rune) bool) ([]rune, error) {
 	floor := len(dst)
 	// One pass rejects non-basic input and finds the last delimiter.
 	pos := 0
@@ -235,6 +258,9 @@ func DecodeAppend[S ByteSeq](dst []rune, input S) ([]rune, error) {
 		i -= q * outLen
 		if n > utf8.MaxRune || (n >= 0xD800 && n <= 0xDFFF) {
 			return dst[:floor], errOutOfRange
+		}
+		if keep != nil && !keep(Fold(rune(n))) {
+			return dst[:floor], ErrRejected
 		}
 		dst = append(dst, 0)
 		at := floor + int(i)
