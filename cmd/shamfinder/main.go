@@ -338,7 +338,7 @@ func cmdDetect(args []string) error {
 		in = f
 	}
 
-	matches, scanned, err := streamDetectBackend(det, in, *workers, be)
+	matches, scanned, err := streamDetect(det, in, *workers, be)
 	if err != nil {
 		return err
 	}
@@ -368,25 +368,20 @@ func cmdDetect(args []string) error {
 	return nil
 }
 
-// streamDetect drives the zone through the parallel engine: a feeder
-// goroutine pushes labels while workers detect, so scanning overlaps
-// I/O and memory scales with the IDNs (0.67% of a zone), not the zone.
-// Labels travel as pooled byte buffers that workers recycle after each
-// scan — with the in-place normalization and the engine's lazy string
-// materialization, a line that matches nothing allocates nothing.
-// Matches are sorted before returning, making the output deterministic
-// for any worker count. Shared by detect (which prints them) and
-// survey (which pipes them into the triage pipeline).
-func streamDetect(det *shamfinder.Detector, in io.Reader, workers int) ([]shamfinder.Match, int, error) {
-	return streamDetectBackend(det, in, workers, shamfinder.BackendPostings)
-}
-
-// streamDetectBackend is streamDetect with an explicit backend. When
-// the backend includes the skeleton index the feeder keeps every
+// streamDetect drives the zone through the parallel engine under
+// backend be: a feeder goroutine pushes labels while workers detect, so
+// scanning overlaps I/O and memory scales with the IDNs (0.67% of a
+// zone), not the zone. Labels travel as pooled byte buffers that
+// workers recycle after each scan — with the in-place normalization and
+// the engine's lazy string materialization, a line that matches nothing
+// allocates nothing. Matches are sorted before returning, making the
+// output deterministic for any worker count. Shared by detect (which
+// prints them) and survey (which pipes them into the triage pipeline).
+// When the backend includes the skeleton index the feeder keeps every
 // non-blank line (NormalizeZoneLineAll): pure-ASCII names like
 // "rnicrosoft.com" are exactly the class that backend catches, so the
 // posting backend's ACE/non-ASCII gate must not drop them.
-func streamDetectBackend(det *shamfinder.Detector, in io.Reader, workers int, be shamfinder.Backend) ([]shamfinder.Match, int, error) {
+func streamDetect(det *shamfinder.Detector, in io.Reader, workers int, be shamfinder.Backend) ([]shamfinder.Match, int, error) {
 	labels := make(chan *[]byte, 1024)
 	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 80); return &b }}
 	normalize := shamfinder.NormalizeZoneLine
@@ -412,7 +407,7 @@ func streamDetectBackend(det *shamfinder.Detector, in io.Reader, workers int, be
 		scanErr = sc.Err()
 	}()
 	var matches []shamfinder.Match
-	for m := range det.DetectStreamBytesBackend(labels, workers, pool, be) {
+	for m := range det.DetectStream(labels, workers, pool, be) {
 		matches = append(matches, m)
 	}
 	// The stream has drained, so the feeder is done: scanErr is safe to
@@ -509,7 +504,7 @@ func cmdSurvey(args []string) error {
 			defer f.Close()
 			in = f
 		}
-		matches, scanned, err := streamDetectBackend(det, in, *workers, be)
+		matches, scanned, err := streamDetect(det, in, *workers, be)
 		if err != nil {
 			return err
 		}
@@ -753,7 +748,7 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	matches := det.DetectDomain(strings.ToLower(fs.Arg(0)))
+	matches := det.DetectDomainBackend(strings.ToLower(fs.Arg(0)), shamfinder.BackendPostings)
 	if len(matches) == 0 {
 		fmt.Printf("%s: no homograph of any reference domain\n", fs.Arg(0))
 		return nil

@@ -90,8 +90,7 @@ func (p *proxy) inspect(host string) []shamfinder.Match {
 	// One atomic engine load per request: a brand-list swap (e.g.
 	// p.engine.Rebuild(updatedBrands) from an admin endpoint) lands
 	// between requests, never mid-inspection.
-	matches, _ := p.engine.DetectDomain(strings.ToLower(name))
-	return matches
+	return p.engine.Detector().DetectDomainBackend(strings.ToLower(name), shamfinder.BackendPostings)
 }
 
 // interstitial renders the Figure 12 warning page.

@@ -33,7 +33,7 @@ func main() {
 	}
 	fmt.Printf("checking %s (%s)\n\n", suspicious, uni)
 
-	matches := det.DetectDomain(suspicious)
+	matches := det.DetectDomainBackend(suspicious, shamfinder.BackendPostings)
 	if len(matches) == 0 {
 		fmt.Println("no homograph detected")
 		return

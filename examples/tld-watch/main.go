@@ -62,9 +62,10 @@ func main() {
 	start := time.Now()
 	alerts := 0
 	for _, domain := range newIDNs {
-		// DetectDomain splits the FQDN itself (root dot tolerated), so
-		// the same watch loop serves a .com, .net or IDN-TLD zone.
-		for _, m := range det.DetectDomain(domain) {
+		// DetectDomainBackend splits the FQDN itself (root dot
+		// tolerated), so the same watch loop serves a .com, .net or
+		// IDN-TLD zone.
+		for _, m := range det.DetectDomainBackend(domain, shamfinder.BackendPostings) {
 			alerts++
 			fmt.Printf("ALERT: new registration %s (%s) is a homograph of %s\n",
 				domain, m.Unicode, m.Imitated())

@@ -71,9 +71,9 @@ func (m Match) Imitated() string {
 	return m.Reference + "." + m.TLD
 }
 
-// scratch holds the per-call working memory DetectLabel and
-// DetectDomain reuse across labels, keeping the steady-state path
-// allocation-free except for the matches themselves.
+// scratch holds the per-call working memory the detect paths reuse
+// across labels, keeping the steady-state path allocation-free except
+// for the matches themselves.
 type scratch struct {
 	runes []rune
 	skel  []byte
@@ -186,82 +186,38 @@ func (d *Detector) matchAgainst(sc *scratch, ref []rune, idn []rune) ([]CharDiff
 	return slices.Clone(sc.diffs), true
 }
 
-// DetectLabel checks one IDN label (ASCII xn-- form, TLD removed) against
-// the same-length references via the skeleton index and returns all
-// matches, in reference insertion order. Safe for concurrent use.
-func (d *Detector) DetectLabel(idnLabel string) []Match {
-	return detectLabel(d, idnLabel, BackendPostings)
-}
-
-// DetectLabelBackend is DetectLabel with an explicit backend choice.
-func (d *Detector) DetectLabelBackend(idnLabel string, be Backend) []Match {
-	return detectLabel(d, idnLabel, be)
-}
-
-// DetectLabelBytes is DetectLabel over a reused line buffer: nothing is
-// retained from label, and the miss path allocates nothing, so a zone
-// feeder can recycle one buffer per in-flight line. Strings (the match's
-// IDN and Unicode forms) are materialized only when a label actually
-// matches.
-//
-//shamlint:noalloc
-func (d *Detector) DetectLabelBytes(label []byte) []Match {
-	return detectLabel(d, label, BackendPostings)
-}
-
-// DetectLabelBytesBackend is DetectLabelBytes with an explicit backend;
-// the skeleton path keeps the same contract — one map probe on borrowed
-// scratch, nothing allocated unless the label matches.
-//
-//shamlint:noalloc
-func (d *Detector) DetectLabelBytesBackend(label []byte, be Backend) []Match {
-	return detectLabel(d, label, be)
-}
-
-// detectLabel is the label-level entry point: it borrows scratch and
-// runs the shared hot path.
-func detectLabel[S punycode.ByteSeq](d *Detector, idnLabel S, be Backend) []Match {
+// detectLabel scans idnLabel as one label, dots and all, on borrowed
+// scratch — Revert's lookup, which must not split its input.
+func detectLabel(d *Detector, idnLabel string, be Backend) []Match {
 	sc := d.scratch.Get().(*scratch)
 	defer d.scratch.Put(sc)
 	var fq string
 	return detectLabelIn(d, sc, nil, &fq, idnLabel, 0, len(idnLabel), be)
 }
 
-// DetectDomain checks a dotted FQDN — any TLD, any label count,
-// trailing root dot tolerated — by scanning each candidate label (ACE
-// "xn--" labels and labels carrying non-ASCII bytes; pure-ASCII labels
-// cannot be homographs) against the reference index. Only labels left
+// DetectDomainBackend checks a name under backend be and returns its
+// matches: a dotted FQDN on any TLD, any label count, trailing root dot
+// tolerated, or a bare label (a dotless name). Each candidate label is
+// scanned against the reference index; under the posting backend a
+// candidate is an ACE "xn--" label or one carrying non-ASCII bytes
+// (pure-ASCII labels cannot be one-to-one homographs), and with the
+// skeleton backend every non-empty label is one, because a pure-ASCII
+// label ("rnicrosoft") can be a many-to-one homograph. Only labels left
 // of the public suffix are scanned: the registrable label and any
 // subdomains are attacker-chosen, the suffix is the zone's own (and
 // skipping it keeps ACE TLDs like xn--p1ai from costing a punycode
 // decode per line). Matches carry the FQDN and its public suffix, so
 // reports can name the imitated domain on the zone it was actually
 // found in. Safe for concurrent use.
-func (d *Detector) DetectDomain(fqdn string) []Match {
-	return detectDomain(d, nil, fqdn, BackendPostings)
-}
-
-// DetectDomainBackend is DetectDomain with an explicit backend choice.
-// With the skeleton backend enabled every non-empty label left of the
-// public suffix is a candidate — a pure-ASCII label ("rnicrosoft") can
-// be a many-to-one homograph, which the posting backend's non-ASCII
-// candidate gate rightly excludes for itself.
 func (d *Detector) DetectDomainBackend(fqdn string, be Backend) []Match {
 	return detectDomain(d, nil, fqdn, be)
 }
 
-// DetectDomainBytes is DetectDomain over a reused line buffer: nothing
-// is retained from fqdn, and a domain that matches nothing allocates
-// nothing — the zone-feeder contract of DetectLabelBytes, lifted to
-// whole FQDNs.
-//
-//shamlint:noalloc
-func (d *Detector) DetectDomainBytes(fqdn []byte) []Match {
-	return detectDomain(d, nil, fqdn, BackendPostings)
-}
-
-// DetectDomainBytesBackend is DetectDomainBytes with an explicit
-// backend, preserving the zero-allocation miss path.
+// DetectDomainBytesBackend is DetectDomainBackend over a reused line
+// buffer: nothing is retained from fqdn, and a name that matches
+// nothing allocates nothing, under every backend, so a zone feeder can
+// recycle one buffer per in-flight line. Strings (the match's FQDN, IDN
+// and Unicode forms) are materialized only when a label matches.
 //
 //shamlint:noalloc
 func (d *Detector) DetectDomainBytesBackend(fqdn []byte, be Backend) []Match {

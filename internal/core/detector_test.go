@@ -45,7 +45,7 @@ func TestDetectCyrillicGoogle(t *testing.T) {
 	// gооgle with two Cyrillic о (the paper's Figure 2 example uses
 	// Armenian օ; both are twins of o in the database).
 	idn := ace(t, "gооgle")
-	matches := d.DetectLabel(idn)
+	matches := d.DetectDomainBackend(idn, BackendPostings)
 	if len(matches) != 1 {
 		t.Fatalf("matches = %d, want 1 (%v)", len(matches), matches)
 	}
@@ -66,7 +66,7 @@ func TestDetectArmenianExample(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google"})
 	idn := ace(t, "gօօgle")
-	if got := d.DetectLabel(idn); len(got) != 1 {
+	if got := d.DetectDomainBackend(idn, BackendPostings); len(got) != 1 {
 		t.Fatalf("Armenian gօօgle not detected: %v", got)
 	}
 }
@@ -76,7 +76,7 @@ func TestRejectNonHomograph(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google"})
 	idn := ace(t, "gocaié")
-	if got := d.DetectLabel(idn); len(got) != 0 {
+	if got := d.DetectDomainBackend(idn, BackendPostings); len(got) != 0 {
 		t.Fatalf("gocaié wrongly detected: %v", got)
 	}
 }
@@ -85,7 +85,7 @@ func TestLengthMismatchSkipped(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google"})
 	idn := ace(t, "gооgles") // 7 runes vs 6
-	if got := d.DetectLabel(idn); len(got) != 0 {
+	if got := d.DetectDomainBackend(idn, BackendPostings); len(got) != 0 {
 		t.Fatalf("length mismatch should not match: %v", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestDiacriticHomograph(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"facebook"})
 	idn := ace(t, "facébook")
-	matches := d.DetectLabel(idn)
+	matches := d.DetectDomainBackend(idn, BackendPostings)
 	if len(matches) != 1 {
 		t.Fatalf("facébook not detected: %v", matches)
 	}
@@ -110,10 +110,10 @@ func TestUCOnlyVsUnionDetection(t *testing.T) {
 	ucOnly := NewDetector(db.WithSources(homoglyph.SourceUC), []string{"facebook"})
 	union := NewDetector(db, []string{"facebook"})
 	idn := ace(t, "facébook") // é is SimChar-only
-	if got := ucOnly.DetectLabel(idn); len(got) != 0 {
+	if got := ucOnly.DetectDomainBackend(idn, BackendPostings); len(got) != 0 {
 		t.Fatalf("UC-only should miss é: %v", got)
 	}
-	if got := union.DetectLabel(idn); len(got) != 1 {
+	if got := union.DetectDomainBackend(idn, BackendPostings); len(got) != 1 {
 		t.Fatalf("union should detect é: %v", got)
 	}
 }
@@ -141,16 +141,19 @@ func TestIdenticalLabelNotAHomograph(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google"})
 	// A non-IDN ASCII label identical to the reference must not match
-	// (DetectLabel requires at least one substitution).
-	if got := d.DetectLabel("google"); len(got) != 0 {
-		t.Fatalf("identical label matched: %v", got)
+	// (a homograph requires at least one substitution). The posting
+	// gate skips ASCII labels, so the skeleton backends reach the check.
+	for _, be := range []Backend{BackendPostings, BackendSkeleton, BackendBoth} {
+		if got := d.DetectDomainBackend("google", be); len(got) != 0 {
+			t.Fatalf("identical label matched under %v: %v", be, got)
+		}
 	}
 }
 
 func TestInvalidPunycodeIgnored(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google"})
-	if got := d.DetectLabel("xn--!!!"); got != nil {
+	if got := d.DetectDomainBackend("xn--!!!", BackendPostings); got != nil {
 		t.Fatalf("invalid punycode should yield nil, got %v", got)
 	}
 }
@@ -185,7 +188,7 @@ func TestReferencesDeduplicated(t *testing.T) {
 func TestWarningRendering(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google"})
-	m := d.DetectLabel(ace(t, "g໐໐gle"))
+	m := d.DetectDomainBackend(ace(t, "g໐໐gle"), BackendPostings)
 	if len(m) != 1 {
 		t.Fatalf("expected 1 match, got %v", m)
 	}
@@ -227,6 +230,6 @@ func BenchmarkDetectLabel(b *testing.B) {
 	idn, _ := punycode.ToASCIILabel("gооgle")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.DetectLabel(idn)
+		d.DetectDomainBackend(idn, BackendPostings)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/punycode"
@@ -27,20 +28,20 @@ func TestDetectDomainMultiTLD(t *testing.T) {
 		{g, "google", "", "google"}, // bare label still works
 	}
 	for _, c := range cases {
-		ms := d.DetectDomain(c.fqdn)
+		ms := d.DetectDomainBackend(c.fqdn, BackendPostings)
 		if len(ms) != 1 {
-			t.Errorf("DetectDomain(%q) = %v, want 1 match", c.fqdn, ms)
+			t.Errorf("DetectDomainBackend(%q) = %v, want 1 match", c.fqdn, ms)
 			continue
 		}
 		m := ms[0]
 		if m.Reference != c.ref || m.FQDN != c.fqdn || m.TLD != c.tld || m.Imitated() != c.imitated {
-			t.Errorf("DetectDomain(%q) = {ref %q fqdn %q tld %q imitated %q}, want {%q %q %q %q}",
+			t.Errorf("DetectDomainBackend(%q) = {ref %q fqdn %q tld %q imitated %q}, want {%q %q %q %q}",
 				c.fqdn, m.Reference, m.FQDN, m.TLD, m.Imitated(), c.ref, c.fqdn, c.tld, c.imitated)
 		}
 		// The byte path must agree exactly.
-		bs := d.DetectDomainBytes([]byte(c.fqdn))
+		bs := d.DetectDomainBytesBackend([]byte(c.fqdn), BackendPostings)
 		if !reflect.DeepEqual(ms, bs) {
-			t.Errorf("DetectDomainBytes(%q) diverges: %+v vs %+v", c.fqdn, bs, ms)
+			t.Errorf("DetectDomainBytesBackend(%q) diverges: %+v vs %+v", c.fqdn, bs, ms)
 		}
 	}
 }
@@ -53,9 +54,9 @@ func TestDetectDomainNonFinalIDNLabel(t *testing.T) {
 	d := NewDetector(db, []string{"google"})
 	g := ace(t, "gооgle")
 	fqdn := g + ".mail.example.net"
-	ms := d.DetectDomain(fqdn)
+	ms := d.DetectDomainBackend(fqdn, BackendPostings)
 	if len(ms) != 1 {
-		t.Fatalf("DetectDomain(%q) = %v, want 1 match", fqdn, ms)
+		t.Fatalf("DetectDomainBackend(%q) = %v, want 1 match", fqdn, ms)
 	}
 	if ms[0].FQDN != fqdn || ms[0].TLD != "net" || ms[0].IDN != g {
 		t.Fatalf("match context = %+v", ms[0])
@@ -72,8 +73,8 @@ func TestDetectDomainMisses(t *testing.T) {
 		"xn--!!!.com", // malformed ACE label rejects cleanly
 		"www.google.com.",
 	} {
-		if ms := d.DetectDomain(fqdn); len(ms) != 0 {
-			t.Errorf("DetectDomain(%q) = %v, want none", fqdn, ms)
+		if ms := d.DetectDomainBackend(fqdn, BackendPostings); len(ms) != 0 {
+			t.Errorf("DetectDomainBackend(%q) = %v, want none", fqdn, ms)
 		}
 	}
 }
@@ -86,11 +87,11 @@ func TestDetectDomainSuffixNotScanned(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google"})
 	g := ace(t, "gооgle")
-	if ms := d.DetectDomain("foo." + g); len(ms) != 0 {
+	if ms := d.DetectDomainBackend("foo."+g, BackendPostings); len(ms) != 0 {
 		t.Fatalf("suffix-position label matched: %+v", ms)
 	}
 	// The same label in registrable position matches, of course.
-	if ms := d.DetectDomain(g + ".foo"); len(ms) != 1 {
+	if ms := d.DetectDomainBackend(g+".foo", BackendPostings); len(ms) != 1 {
 		t.Fatalf("registrable-position label missed: %+v", ms)
 	}
 }
@@ -100,7 +101,7 @@ func TestDetectDomainSuffixNotScanned(t *testing.T) {
 func TestDetectDomainUnicodeForm(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google"})
-	ms := d.DetectDomain("gооgle.co.uk") // Cyrillic о ×2, raw Unicode
+	ms := d.DetectDomainBackend("gооgle.co.uk", BackendPostings) // Cyrillic о ×2, raw Unicode
 	if len(ms) != 1 || ms[0].TLD != "co.uk" || ms[0].Imitated() != "google.co.uk" {
 		t.Fatalf("unicode-form domain: %+v", ms)
 	}
@@ -112,7 +113,7 @@ func TestDetectDomainTrailingRootDot(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google"})
 	g := ace(t, "gооgle")
-	ms := d.DetectDomain(g + ".net.")
+	ms := d.DetectDomainBackend(g+".net.", BackendPostings)
 	if len(ms) != 1 || ms[0].TLD != "net" || ms[0].FQDN != g+".net." {
 		t.Fatalf("trailing-dot domain: %+v", ms)
 	}
@@ -133,7 +134,7 @@ func TestUppercaseNonASCIIReference(t *testing.T) {
 
 	homograph := "büchér" // é for e, a SimChar twin
 	aceLower := ace(t, homograph)
-	um, lm := upper.DetectLabel(aceLower), lower.DetectLabel(aceLower)
+	um, lm := upper.DetectDomainBackend(aceLower, BackendPostings), lower.DetectDomainBackend(aceLower, BackendPostings)
 	if !reflect.DeepEqual(um, lm) || len(um) != 1 || um[0].Reference != "bücher" {
 		t.Fatalf("uppercase-ref detector diverges: %+v vs %+v", um, lm)
 	}
@@ -145,7 +146,7 @@ func TestUppercaseNonASCIIReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	aceUpper := punycode.ACEPrefix + enc
-	if ms := upper.DetectLabel(aceUpper); len(ms) != 1 || ms[0].Reference != "bücher" {
+	if ms := upper.DetectDomainBackend(aceUpper, BackendPostings); len(ms) != 1 || ms[0].Reference != "bücher" {
 		t.Fatalf("uppercase-encoded label missed: %+v", ms)
 	}
 }
@@ -162,7 +163,7 @@ func TestACEReferenceIndexesDecoded(t *testing.T) {
 		t.Fatalf("References() = %v, want [bücher]", refs)
 	}
 	homograph := ace(t, "büchér") // é for e, a SimChar twin
-	ms := d.DetectDomain(homograph + ".xn--p1ai")
+	ms := d.DetectDomainBackend(homograph+".xn--p1ai", BackendPostings)
 	if len(ms) != 1 || ms[0].Reference != "bücher" || ms[0].Imitated() != "bücher.xn--p1ai" {
 		t.Fatalf("ACE-reference detection = %+v", ms)
 	}
@@ -197,11 +198,36 @@ func TestDetectDomainStreamParity(t *testing.T) {
 		}
 	}()
 	var got []Match
-	for m := range det.DetectStreamBytes(in, 3, nil) {
+	for m := range det.DetectStream(in, 3, nil, BackendPostings) {
 		got = append(got, m)
 	}
 	SortMatches(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("stream diverges from batch:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
+// TestLabelPathDoesNotSplit re-enacts the seed pipeline, which stripped
+// ".com" and scanned the rest as one label: every name below keeps a
+// dot or a TLD, so the label path Revert uses sees a malformed label
+// and finds nothing, while the domain path splits the name and finds
+// the homograph in each.
+func TestLabelPathDoesNotSplit(t *testing.T) {
+	d := NewDetector(testDB(t), []string{"google", "amazon"})
+	g, a := ace(t, "gооgle"), ace(t, "amаzon") // Cyrillic о ×2, а
+	for _, name := range []string{
+		g + ".net",
+		"www." + g + ".com",
+		g + ".xn--p1ai",
+		a + ".co.uk",
+		strings.ToUpper(g) + ".NET.",
+	} {
+		seedLabel := strings.TrimSuffix(strings.ToLower(name), ".com")
+		if ms := detectLabel(d, seedLabel, BackendPostings); len(ms) != 0 {
+			t.Fatalf("seed-style label scan of %q unexpectedly matched: %v", seedLabel, ms)
+		}
+		if ms := d.DetectDomainBackend(strings.ToLower(name), BackendPostings); len(ms) != 1 {
+			t.Fatalf("domain scan of %q: %v, want one match", name, ms)
+		}
 	}
 }

@@ -55,7 +55,9 @@ func NewEngine(det *Detector) *Engine {
 // Current returns the live detector and its epoch as one consistent
 // pair. The detector is immutable and remains valid (and correct for
 // that epoch) even after a later Swap — which is exactly how in-flight
-// queries finish on the state they started with.
+// queries finish on the state they started with. A query, or a batch
+// that must answer from one epoch (the HTTP layer's /v1/detect), takes
+// Current() once and runs every detection on the returned detector.
 func (e *Engine) Current() (*Detector, uint64) {
 	s := e.state.Load()
 	return s.det, s.epoch
@@ -95,36 +97,4 @@ func (e *Engine) Swap(det *Detector) uint64 {
 func (e *Engine) Rebuild(refs []string) uint64 {
 	det := NewDetector(e.state.Load().det.db, refs)
 	return e.Swap(det)
-}
-
-// DetectDomain runs Detector.DetectDomain against one consistent
-// state, reporting the epoch the answer is valid for.
-func (e *Engine) DetectDomain(fqdn string) ([]Match, uint64) {
-	s := e.state.Load()
-	return s.det.DetectDomain(fqdn), s.epoch
-}
-
-// DetectDomainBytes is DetectDomain over a reused line buffer — the
-// serving layer's hot path: zero allocation on the miss path, one
-// atomic load of state per query.
-//
-// Batch callers that must answer a whole request from one epoch (the
-// HTTP layer's /v1/detect) take Current() once and loop on the
-// returned detector — the pattern these two methods are sugar for.
-func (e *Engine) DetectDomainBytes(fqdn []byte) ([]Match, uint64) {
-	s := e.state.Load()
-	return s.det.DetectDomainBytes(fqdn), s.epoch
-}
-
-// DetectDomainBackend is DetectDomain with an explicit backend choice.
-func (e *Engine) DetectDomainBackend(fqdn string, be Backend) ([]Match, uint64) {
-	s := e.state.Load()
-	return s.det.DetectDomainBackend(fqdn, be), s.epoch
-}
-
-// DetectDomainBytesBackend is DetectDomainBytes with an explicit backend
-// choice — the serving layer's hot path when a request selects one.
-func (e *Engine) DetectDomainBytesBackend(fqdn []byte, be Backend) ([]Match, uint64) {
-	s := e.state.Load()
-	return s.det.DetectDomainBytesBackend(fqdn, be), s.epoch
 }

@@ -16,13 +16,19 @@ func engineFixture(t testing.TB) (e *Engine, detA, detB *Detector, probe string)
 	detA = NewDetector(db, []string{"google", "facebook", "amazon"})
 	detB = NewDetector(db, []string{"paypal", "wikipedia"})
 	probe = ace(t, "gооgle") + ".com" // Cyrillic о ×2: matches only set A
-	if ms := detA.DetectDomain(probe); len(ms) == 0 {
+	if ms := detA.DetectDomainBackend(probe, BackendPostings); len(ms) == 0 {
 		t.Fatal("probe does not match set A")
 	}
-	if ms := detB.DetectDomain(probe); len(ms) != 0 {
+	if ms := detB.DetectDomainBackend(probe, BackendPostings); len(ms) != 0 {
 		t.Fatal("probe matches set B")
 	}
 	return NewEngine(detA), detA, detB, probe
+}
+
+// query scans fqdn on one consistent engine state, reporting its epoch.
+func query(e *Engine, fqdn string) ([]Match, uint64) {
+	det, ep := e.Current()
+	return det.DetectDomainBackend(fqdn, BackendPostings), ep
 }
 
 func TestEngineSwapAdvancesEpoch(t *testing.T) {
@@ -30,13 +36,13 @@ func TestEngineSwapAdvancesEpoch(t *testing.T) {
 	if got := e.Epoch(); got != 1 {
 		t.Fatalf("initial epoch = %d, want 1", got)
 	}
-	if ms, ep := e.DetectDomain(probe); len(ms) == 0 || ep != 1 {
+	if ms, ep := query(e, probe); len(ms) == 0 || ep != 1 {
 		t.Fatalf("epoch-1 query: %d matches at epoch %d", len(ms), ep)
 	}
 	if got := e.Swap(detB); got != 2 {
 		t.Fatalf("Swap = %d, want 2", got)
 	}
-	if ms, ep := e.DetectDomain(probe); len(ms) != 0 || ep != 2 {
+	if ms, ep := query(e, probe); len(ms) != 0 || ep != 2 {
 		t.Fatalf("epoch-2 query: %d matches at epoch %d", len(ms), ep)
 	}
 	if got := e.Swap(detA); got != 3 {
@@ -60,11 +66,11 @@ func TestEngineRebuildUsesSharedDB(t *testing.T) {
 	if n := e.Detector().NumReferences(); n != 1 {
 		t.Fatalf("NumReferences = %d, want 1", n)
 	}
-	if ms, _ := e.DetectDomain(probe); len(ms) != 0 {
+	if ms, _ := query(e, probe); len(ms) != 0 {
 		t.Fatal("probe still matches after rebuilding away its reference")
 	}
 	e.Rebuild([]string{"google"})
-	if ms, ep := e.DetectDomain(probe); len(ms) == 0 || ep != 3 {
+	if ms, ep := query(e, probe); len(ms) == 0 || ep != 3 {
 		t.Fatalf("after second rebuild: %d matches at epoch %d", len(ms), ep)
 	}
 }
@@ -83,7 +89,7 @@ func TestEngineCurrentAnswersBatchFromOneEpoch(t *testing.T) {
 		if i == 1 {
 			e.Swap(detB) // a swap mid-batch must not change the answers
 		}
-		n += len(det.DetectDomain(fqdn))
+		n += len(det.DetectDomainBackend(fqdn, BackendPostings))
 	}
 	if n != 2 {
 		t.Fatalf("batch found %d matches across a mid-batch swap, want 2", n)
@@ -94,8 +100,9 @@ func TestEngineCurrentAnswersBatchFromOneEpoch(t *testing.T) {
 }
 
 // TestEngineConcurrentHotReload is the zero-downtime proof at the
-// engine layer: N goroutines hammer DetectDomain[Bytes] while a writer
-// loops Swap (and interleaved Rebuilds). The detectors alternate per
+// engine layer: N goroutines take Current() and scan the probe, as a
+// string or a byte slice, while a writer loops Swap (and interleaved
+// Rebuilds). The detectors alternate per
 // epoch — odd epochs hold set A, even hold set B — so every response
 // must be exactly consistent with the epoch it reports: a match at an
 // even epoch (or a miss at an odd one) is a torn read. Each reader
@@ -131,11 +138,11 @@ func TestEngineConcurrentHotReload(t *testing.T) {
 			for !stop.Load() {
 				before := e.Epoch()
 				var ms []Match
-				var ep uint64
+				det, ep := e.Current()
 				if r%2 == 0 {
-					ms, ep = e.DetectDomain(probe)
+					ms = det.DetectDomainBackend(probe, BackendPostings)
 				} else {
-					ms, ep = e.DetectDomainBytes(probeBytes)
+					ms = det.DetectDomainBytesBackend(probeBytes, BackendPostings)
 				}
 				after := e.Epoch()
 				wantMatch := ep%2 == 1 // odd epochs hold set A

@@ -54,7 +54,7 @@ func TestIndexedMatchesLinearParity(t *testing.T) {
 		if err != nil {
 			return true // unencodable candidate; not a registrable attack
 		}
-		indexed := det.DetectLabel(ace)
+		indexed := det.DetectDomainBackend(ace, BackendPostings)
 		linear := det.DetectLabelLinear(ace)
 		if !reflect.DeepEqual(indexed, linear) {
 			t.Logf("label %q: indexed %+v, linear %+v", label, indexed, linear)
@@ -73,7 +73,7 @@ func TestIndexedParityOnReferences(t *testing.T) {
 	db := testDB(t)
 	det := NewDetector(db, indexRefs)
 	for _, ref := range indexRefs {
-		indexed := det.DetectLabel(ref)
+		indexed := det.DetectDomainBackend(ref, BackendPostings)
 		linear := det.DetectLabelLinear(ref)
 		if !reflect.DeepEqual(indexed, linear) {
 			t.Errorf("ref %q: indexed %+v, linear %+v", ref, indexed, linear)
@@ -86,8 +86,9 @@ func TestIndexedParityOnReferences(t *testing.T) {
 	}
 }
 
-// TestDetectParallelDeterminism: Detect must return the identical slice
-// for any worker count, including duplicated input labels.
+// TestDetectParallelDeterminism: the batch path behind Detect must
+// return the identical slice for any worker count, including
+// duplicated input labels.
 func TestDetectParallelDeterminism(t *testing.T) {
 	db := testDB(t)
 	det := NewDetector(db, indexRefs)
@@ -102,12 +103,12 @@ func TestDetectParallelDeterminism(t *testing.T) {
 	}
 	labels = append(labels, labels[:40]...) // duplicates on purpose
 
-	want := det.DetectParallel(labels, 1)
+	want := det.detect(labels, 1)
 	if len(want) == 0 {
 		t.Fatal("no matches in determinism corpus")
 	}
-	for _, workers := range []int{0, 2, 3, 7, 16, len(labels) + 5} {
-		got := det.DetectParallel(labels, workers)
+	for _, workers := range []int{0, 2, 3, 4, 7, 16, 32, len(labels) + 5} {
+		got := det.detect(labels, workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: output differs from sequential (%d vs %d matches)",
 				workers, len(got), len(want))
@@ -132,15 +133,16 @@ func TestDetectStreamMatchesBatch(t *testing.T) {
 	}
 	want := det.Detect(labels)
 
-	in := make(chan string)
+	in := make(chan *[]byte)
 	go func() {
 		for _, l := range labels {
-			in <- l
+			b := []byte(l)
+			in <- &b
 		}
 		close(in)
 	}()
 	var got []Match
-	for m := range det.DetectStream(in, 4) {
+	for m := range det.DetectStream(in, 4, nil, BackendPostings) {
 		got = append(got, m)
 	}
 	SortMatches(got)

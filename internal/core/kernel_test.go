@@ -323,16 +323,16 @@ func TestOverlongACELabelSkipped(t *testing.T) {
 		t.Fatalf("linear scan of the 64-octet label: %v", ms)
 	}
 	for _, be := range []Backend{BackendPostings, BackendSkeleton, BackendBoth} {
-		if ms := d.DetectLabelBackend(fits, be); len(ms) != 1 || ms[0].Reference != fitsRef {
+		if ms := d.DetectDomainBackend(fits, be); len(ms) != 1 || ms[0].Reference != fitsRef {
 			t.Errorf("%v: 63-octet ACE label: %v, want one match of %q", be, ms, fitsRef)
 		}
 		if ms := d.DetectDomainBackend(fits+".com", be); len(ms) != 1 || ms[0].Reference != fitsRef {
 			t.Errorf("%v: 63-octet ACE domain: %v, want one match of %q", be, ms, fitsRef)
 		}
-		if ms := d.DetectLabelBackend(long, be); len(ms) != 0 {
+		if ms := d.DetectDomainBackend(long, be); len(ms) != 0 {
 			t.Errorf("%v: 64-octet ACE label matched: %v", be, ms)
 		}
-		if ms := d.DetectLabelBytesBackend([]byte(strings.ToUpper(long)), be); len(ms) != 0 {
+		if ms := d.DetectDomainBytesBackend([]byte(strings.ToUpper(long)), be); len(ms) != 0 {
 			t.Errorf("%v: 64-octet uppercase ACE label matched: %v", be, ms)
 		}
 		if ms := d.DetectDomainBytesBackend([]byte("www."+long+".com"), be); len(ms) != 0 {
@@ -372,7 +372,7 @@ func TestMatchMaterialization(t *testing.T) {
 
 	t.Run("two matching labels", func(t *testing.T) {
 		name := goo + "." + ama + ".com"
-		for _, ms := range [][]Match{d.DetectDomain(name), d.DetectDomainBytes([]byte(name))} {
+		for _, ms := range [][]Match{d.DetectDomainBackend(name, BackendPostings), d.DetectDomainBytesBackend([]byte(name), BackendPostings)} {
 			if len(ms) != 2 {
 				t.Fatalf("matches = %v", ms)
 			}
@@ -387,7 +387,7 @@ func TestMatchMaterialization(t *testing.T) {
 	})
 
 	t.Run("root-dot bare label", func(t *testing.T) {
-		for _, ms := range [][]Match{d.DetectDomain(goo + "."), d.DetectDomainBytesBackend([]byte(goo+"."), BackendBoth)} {
+		for _, ms := range [][]Match{d.DetectDomainBackend(goo+".", BackendPostings), d.DetectDomainBytesBackend([]byte(goo+"."), BackendBoth)} {
 			if len(ms) != 1 || ms[0].FQDN != goo+"." || ms[0].IDN != goo || ms[0].Unicode != "gооgle" || ms[0].TLD != "" {
 				t.Fatalf("matches = %+v", ms)
 			}
@@ -405,13 +405,13 @@ func TestHitAllocBudget(t *testing.T) {
 	d := NewDetector(testDB(t), []string{"google", "microsoft"})
 	verified := []byte(ace(t, "gооgle") + ".com") // two Cyrillic о: a 2-diff hit
 	skeletal := []byte("rnicrosoft.com")          // rn→m: a skeleton-only hit
-	if ms := d.DetectDomainBytes(verified); len(ms) != 1 || len(ms[0].Diffs) != 2 {
+	if ms := d.DetectDomainBytesBackend(verified, BackendPostings); len(ms) != 1 || len(ms[0].Diffs) != 2 {
 		t.Fatalf("verified hit = %+v", ms)
 	}
 	if ms := d.DetectDomainBytesBackend(skeletal, BackendSkeleton); len(ms) != 1 || ms[0].Diffs != nil {
 		t.Fatalf("skeleton hit = %+v", ms)
 	}
-	if n := testing.AllocsPerRun(100, func() { d.DetectDomainBytes(verified) }); n > 3 {
+	if n := testing.AllocsPerRun(100, func() { d.DetectDomainBytesBackend(verified, BackendPostings) }); n > 3 {
 		t.Errorf("verified 2-diff hit: %v allocations, budget 3", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { d.DetectDomainBytesBackend(skeletal, BackendSkeleton) }); n > 2 {

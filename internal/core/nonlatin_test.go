@@ -17,7 +17,7 @@ func TestDetectNonLatinHomograph(t *testing.T) {
 	d := NewDetector(db, refs)
 
 	idn := ace(t, "エ業大学")
-	matches := d.DetectLabel(idn)
+	matches := d.DetectDomainBackend(idn, BackendPostings)
 	if len(matches) != 1 {
 		t.Fatalf("matches = %v", matches)
 	}
@@ -39,7 +39,7 @@ func TestDetectDoubleKanaSubstitution(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"二口工"})
 	idn := ace(t, "ニロ工")
-	matches := d.DetectLabel(idn)
+	matches := d.DetectDomainBackend(idn, BackendPostings)
 	if len(matches) != 1 {
 		t.Fatalf("matches = %v", matches)
 	}
@@ -54,7 +54,7 @@ func TestNonLatinNoFalsePositive(t *testing.T) {
 	d := NewDetector(db, []string{"工業大学"})
 	// 山 (U+5C71) is not a homoglyph of 工 in any database.
 	idn := ace(t, "山業大学")
-	if matches := d.DetectLabel(idn); len(matches) != 0 {
+	if matches := d.DetectDomainBackend(idn, BackendPostings); len(matches) != 0 {
 		t.Errorf("unrelated CJK label matched: %v", matches)
 	}
 }
@@ -64,7 +64,7 @@ func TestNonLatinNoFalsePositive(t *testing.T) {
 func TestDetectLabelUnicodeInput(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"工業大学"})
-	matches := d.DetectLabel("エ業大学")
+	matches := d.DetectDomainBackend("エ業大学", BackendPostings)
 	if len(matches) != 1 {
 		t.Fatalf("unicode-form input: matches = %v", matches)
 	}
@@ -95,7 +95,7 @@ func TestMixedScriptHomograph(t *testing.T) {
 	if _, err := punycode.ToASCIILabel(label); err != nil {
 		t.Fatalf("test label not encodable: %v", err)
 	}
-	matches := d.DetectLabel(ace(t, label))
+	matches := d.DetectDomainBackend(ace(t, label), BackendPostings)
 	if len(matches) != 1 {
 		t.Fatalf("matches = %v", matches)
 	}

@@ -105,10 +105,12 @@ func deadRuneLabels(db *homoglyph.DB, refs []string) []string {
 
 // TestSkeletonDerivedMatchesLinear pins the single-index derivation
 // against the seed linear scan, for every source view, on fresh and
-// snapshot-loaded detectors: the postings backend must equal
-// DetectLabelLinear exactly (order, Diffs and Backend included), the
-// skeleton backend must contain every linear match, and both-mode must
-// list the linear matches tagged both, then the skeleton-only ones.
+// snapshot-loaded detectors, through both spellings of the detect path
+// (DetectDomainBackend and DetectDomainBytesBackend must agree): the
+// postings backend must equal DetectLabelLinear exactly (order, Diffs
+// and Backend included), the skeleton backend must contain every
+// linear match, and both-mode must list the linear matches tagged
+// both, then the skeleton-only ones.
 func TestSkeletonDerivedMatchesLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the zone corpus")
@@ -120,6 +122,13 @@ func TestSkeletonDerivedMatchesLinear(t *testing.T) {
 	}
 	views := []homoglyph.Source{homoglyph.SourceUC, homoglyph.SourceSimChar, homoglyph.SourceUC | homoglyph.SourceSimChar}
 	skelOnly, dead := 0, 0
+	detect := func(d *core.Detector, l string, be core.Backend) []core.Match {
+		ms := d.DetectDomainBackend(l, be)
+		if bs := d.DetectDomainBytesBackend([]byte(l), be); !reflect.DeepEqual(bs, ms) {
+			t.Fatalf("%v %q: bytes spelling %+v, string spelling %+v", be, l, bs, ms)
+		}
+		return ms
+	}
 	for _, use := range views {
 		view := db.WithSources(use)
 		fresh := core.NewDetector(view, refs)
@@ -137,10 +146,10 @@ func TestSkeletonDerivedMatchesLinear(t *testing.T) {
 				linRefs[m.Reference] = true
 			}
 			for _, d := range []*core.Detector{fresh, loaded} {
-				if got := d.DetectLabelBackend(l, core.BackendPostings); !reflect.DeepEqual(got, lin) {
+				if got := detect(d, l, core.BackendPostings); !reflect.DeepEqual(got, lin) {
 					t.Fatalf("%v postings %q:\n got %+v\nwant %+v", use, l, got, lin)
 				}
-				skel := d.DetectLabelBackend(l, core.BackendSkeleton)
+				skel := detect(d, l, core.BackendSkeleton)
 				var want []core.Match
 				for _, m := range lin {
 					m.Backend = core.BackendBoth
@@ -157,7 +166,7 @@ func TestSkeletonDerivedMatchesLinear(t *testing.T) {
 				if found != len(lin) {
 					t.Fatalf("%v %q: skeleton %+v misses a linear match of %+v", use, l, skel, lin)
 				}
-				if got := d.DetectLabelBackend(l, core.BackendBoth); !reflect.DeepEqual(got, want) {
+				if got := detect(d, l, core.BackendBoth); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v both %q:\n got %+v\nwant %+v", use, l, got, want)
 				}
 				if d == fresh {

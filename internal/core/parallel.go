@@ -24,16 +24,17 @@ func compareMatch(a, b *Match) int {
 }
 
 // Detect scans a set of domains (full FQDNs on any TLD, or bare IDN
-// labels) across GOMAXPROCS workers and returns every (domain,
-// reference) match, sorted by FQDN, then IDN, then reference.
+// labels) under the posting backend across GOMAXPROCS workers and
+// returns every (domain, reference) match, sorted by FQDN, then IDN,
+// then reference.
 func (d *Detector) Detect(domains []string) []Match {
-	return d.DetectParallel(domains, 0)
+	return d.detect(domains, 0)
 }
 
-// DetectParallel is Detect with an explicit worker count (≤ 0 means
+// detect is Detect with an explicit worker count (≤ 0 means
 // GOMAXPROCS). The result is deterministic: workers append to private
 // match slices which are concatenated and sorted exactly once.
-func (d *Detector) DetectParallel(domains []string, workers int) []Match {
+func (d *Detector) detect(domains []string, workers int) []Match {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -73,50 +74,17 @@ func (d *Detector) DetectParallel(domains []string, workers int) []Match {
 	return out
 }
 
-// DetectStream scans domains arriving on in across workers (≤ 0 means
-// GOMAXPROCS) and sends every match on the returned channel, which is
-// closed once in is drained. Workers reuse the detector's per-call
-// buffers, so steady-state allocation is O(matches); match order across
-// domains is not deterministic — stream consumers that need the batch
-// ordering should sort with SortMatches.
-func (d *Detector) DetectStream(in <-chan string, workers int) <-chan Match {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make(chan Match, 4*workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idn := range in {
-				for _, m := range d.DetectDomain(idn) {
-					out <- m
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// DetectStreamBytes is DetectStream for pooled line buffers: normalized
-// zone lines (full FQDNs, any TLD) arrive as *[]byte, and each buffer is
-// handed back to recycle (when non-nil) as soon as its domain has been
-// scanned. Together with DetectDomainBytes' lazy string materialization
+// DetectStream scans names arriving on in under backend be across
+// workers (≤ 0 means GOMAXPROCS) and sends every match on the returned
+// channel, which is closed once in is drained. Names (full FQDNs on any
+// TLD, or bare labels) arrive as pooled line buffers, and each buffer is
+// handed back to recycle (when non-nil) as soon as it has been scanned.
+// Together with DetectDomainBytesBackend's lazy string materialization
 // this makes the whole line→match pipeline allocation-free in steady
 // state on the miss path — the common case at zone scale, where ~99% of
-// domains match nothing.
-func (d *Detector) DetectStreamBytes(in <-chan *[]byte, workers int, recycle *sync.Pool) <-chan Match {
-	return d.DetectStreamBytesBackend(in, workers, recycle, BackendPostings)
-}
-
-// DetectStreamBytesBackend is DetectStreamBytes with an explicit backend
-// choice — the CLI's `detect -backend` stream path.
-func (d *Detector) DetectStreamBytesBackend(in <-chan *[]byte, workers int, recycle *sync.Pool, be Backend) <-chan Match {
+// domains match nothing. Match order across names is not deterministic;
+// consumers that need the batch ordering sort with SortMatches.
+func (d *Detector) DetectStream(in <-chan *[]byte, workers int, recycle *sync.Pool, be Backend) <-chan Match {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -376,7 +344,7 @@ func TargetHistogram(matches []Match) map[string]int {
 // CJK 工 vs Katakana エ); otherwise every character is canonicalized
 // independently.
 func (d *Detector) Revert(idnLabel string) (string, error) {
-	if matches := d.DetectLabel(idnLabel); len(matches) > 0 {
+	if matches := detectLabel(d, idnLabel, BackendPostings); len(matches) > 0 {
 		return matches[0].Reference, nil
 	}
 	uni, err := punycode.ToUnicodeLabel(idnLabel)

@@ -43,7 +43,7 @@ func TestDetectionCompletenessProperty(t *testing.T) {
 		if _, err := punycode.ToASCIILabel(label); err != nil {
 			return true // unencodable candidate; not a registrable attack
 		}
-		for _, m := range det.DetectLabel(label) {
+		for _, m := range det.DetectDomainBackend(label, BackendPostings) {
 			if m.Reference == ref && len(m.Diffs) == changed {
 				return true
 			}
@@ -68,13 +68,24 @@ func TestDetectionSoundnessProperty(t *testing.T) {
 			runes[i] = rune('a' + rng.Intn(26))
 		}
 		label := string(runes)
-		matches := det.DetectLabel(label)
+		matches := det.DetectDomainBackend(label, BackendPostings)
 		if label == "google" {
 			return len(matches) == 1
 		}
 		// An ASCII label is a homograph only if it IS the reference:
-		// ASCII-to-ASCII pairs are never homoglyphs.
-		return len(matches) == 0
+		// ASCII-to-ASCII pairs are never homoglyphs. The posting
+		// backend's candidate gate skips ASCII labels on that premise,
+		// so the pairwise check itself is reached through BackendBoth,
+		// whose gate passes every label: no candidate may verify.
+		if len(matches) != 0 {
+			return false
+		}
+		for _, m := range det.DetectDomainBackend(label, BackendBoth) {
+			if m.Backend != BackendSkeleton {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -123,7 +134,7 @@ func TestDetectBatchMatchesPerLabel(t *testing.T) {
 	batch := det.Detect(labels)
 	var single []Match
 	for _, l := range labels {
-		single = append(single, det.DetectLabel(l)...)
+		single = append(single, det.DetectDomainBackend(l, BackendPostings)...)
 	}
 	if len(batch) != len(single) {
 		t.Fatalf("batch %d matches, per-label %d", len(batch), len(single))
@@ -151,8 +162,10 @@ func TestDetectLabelRejectsGarbage(t *testing.T) {
 	db := testDB(t)
 	det := NewDetector(db, []string{"google"})
 	for _, label := range []string{"xn--", "xn---", "xn--\x00", strings.Repeat("x", 500)} {
-		if matches := det.DetectLabel(label); len(matches) != 0 {
-			t.Errorf("garbage %q matched: %v", label, matches)
+		for _, be := range []Backend{BackendPostings, BackendSkeleton, BackendBoth} {
+			if matches := det.DetectDomainBackend(label, be); len(matches) != 0 {
+				t.Errorf("garbage %q matched under %v: %v", label, be, matches)
+			}
 		}
 	}
 }

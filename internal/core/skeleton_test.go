@@ -35,10 +35,10 @@ func manyToOneDetector(t testing.TB) *Detector {
 func TestSkeletonCatchesManyToOne(t *testing.T) {
 	d := manyToOneDetector(t)
 	for _, f := range manyToOneFixtures {
-		if ms := d.DetectLabelBackend(f.label, BackendPostings); len(ms) != 0 {
+		if ms := d.DetectDomainBackend(f.label, BackendPostings); len(ms) != 0 {
 			t.Errorf("postings unexpectedly matched %q: %v", f.label, ms)
 		}
-		ms := d.DetectLabelBackend(f.label, BackendSkeleton)
+		ms := d.DetectDomainBackend(f.label, BackendSkeleton)
 		found := false
 		for _, m := range ms {
 			if m.Reference == f.ref {
@@ -67,7 +67,7 @@ func TestSkeletonDomainLevel(t *testing.T) {
 	}
 	ms := d.DetectDomainBackend("rnicrosoft.com", BackendSkeleton)
 	if len(ms) != 1 || ms[0].Reference != "microsoft" {
-		t.Fatalf("skeleton DetectDomain = %v, want microsoft", ms)
+		t.Fatalf("skeleton DetectDomainBackend = %v, want microsoft", ms)
 	}
 	if ms[0].FQDN != "rnicrosoft.com" || ms[0].TLD != "com" {
 		t.Fatalf("domain context = %q/%q", ms[0].FQDN, ms[0].TLD)
@@ -87,7 +87,7 @@ func TestSkeletonDomainLevel(t *testing.T) {
 func TestBothModeUnionTagging(t *testing.T) {
 	d := NewDetector(testDB(t), []string{"google", "microsoft"})
 	idn := ace(t, "gооgle") // Cyrillic о twice: visible to both backends
-	ms := d.DetectLabelBackend(idn, BackendBoth)
+	ms := d.DetectDomainBackend(idn, BackendBoth)
 	if len(ms) != 1 {
 		t.Fatalf("matches = %v", ms)
 	}
@@ -97,7 +97,7 @@ func TestBothModeUnionTagging(t *testing.T) {
 	if len(ms[0].Diffs) != 2 {
 		t.Fatalf("merged match lost its diffs: %v", ms[0].Diffs)
 	}
-	ms = d.DetectLabelBackend("rnicrosoft", BackendBoth)
+	ms = d.DetectDomainBackend("rnicrosoft", BackendBoth)
 	if len(ms) != 1 || ms[0].Backend != BackendSkeleton || len(ms[0].Diffs) != 0 {
 		t.Fatalf("skeleton-only both-mode match = %+v", ms)
 	}
@@ -108,14 +108,14 @@ func TestBothModeUnionTagging(t *testing.T) {
 func TestSkeletonRejectsIdentity(t *testing.T) {
 	d := NewDetector(testDB(t), []string{"google", "microsoft"})
 	for _, be := range []Backend{BackendSkeleton, BackendBoth} {
-		if ms := d.DetectLabelBackend("google", be); len(ms) != 0 {
+		if ms := d.DetectDomainBackend("google", be); len(ms) != 0 {
 			t.Errorf("%v: identical label matched: %v", be, ms)
 		}
 	}
 	// But a label that equals another reference's skeleton form still
 	// matches that OTHER reference ("rnicrosoft" is not a reference here,
 	// "microsoft" is — and "microsoft" skeletonizes with its own 'm').
-	if ms := d.DetectLabelBackend("rnicrosoft", BackendSkeleton); len(ms) != 1 {
+	if ms := d.DetectDomainBackend("rnicrosoft", BackendSkeleton); len(ms) != 1 {
 		t.Errorf("non-identity skeleton match lost: %v", ms)
 	}
 }
@@ -229,8 +229,8 @@ func TestSkeletonSnapshotRoundTrip(t *testing.T) {
 	}
 
 	for _, f := range manyToOneFixtures[:3] {
-		a := d.DetectLabelBackend(f.label, BackendBoth)
-		b := d2.DetectLabelBackend(f.label, BackendBoth)
+		a := d.DetectDomainBackend(f.label, BackendBoth)
+		b := d2.DetectDomainBackend(f.label, BackendBoth)
 		if len(a) != len(b) {
 			t.Fatalf("rebuilt detector diverges on %q: %v vs %v", f.label, a, b)
 		}

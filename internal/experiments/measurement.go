@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -130,15 +131,18 @@ func Detect(e *Env) (*DetectionResult, error) {
 	// union detector just built: the zone-scale streaming API and the
 	// seed linear scan it replaced.
 	start := time.Now()
-	in := make(chan string, 256)
+	in := make(chan *[]byte, 256)
+	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 	go func() {
 		for _, l := range labels {
-			in <- l
+			bp := pool.Get().(*[]byte)
+			*bp = append((*bp)[:0], l...)
+			in <- bp
 		}
 		close(in)
 	}()
 	streamed := 0
-	for range det.DetectStream(in, 0) {
+	for range det.DetectStream(in, 0, pool, core.BackendPostings) {
 		streamed++
 	}
 	res.StreamElapsed = time.Since(start)

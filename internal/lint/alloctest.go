@@ -19,7 +19,7 @@ import (
 // vice versa) fails that package's tests.
 
 // ScanNoallocDir returns the display names ("DecodeAppend",
-// "(*Detector).DetectLabelBytes") of //shamlint:noalloc functions
+// "(*Detector).DetectDomainBytesBackend") of //shamlint:noalloc functions
 // declared in the non-test files of one package directory.
 func ScanNoallocDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)

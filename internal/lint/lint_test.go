@@ -112,8 +112,7 @@ func TestScanNoallocTree(t *testing.T) {
 	// The documented hot-path contracts must stay annotated; losing one
 	// silently would disable both the static and dynamic gates for it.
 	for _, k := range []string{
-		"internal/core.(*Detector).DetectLabelBytes",
-		"internal/core.(*Detector).DetectDomainBytes",
+		"internal/core.(*Detector).DetectDomainBytesBackend",
 		"internal/domain.NormalizeZoneLine",
 		"internal/domain.AppendSpans",
 		"internal/punycode.DecodeAppend",

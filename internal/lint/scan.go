@@ -11,13 +11,13 @@ import (
 )
 
 // NoallocRef names one //shamlint:noalloc-annotated function:
-// "internal/core.(*Detector).DetectLabelBytes". ScanNoallocTree
+// "internal/core.(*Detector).DetectDomainBytesBackend". ScanNoallocTree
 // gathers these with a comment-only parse (no type checking), so the
 // dynamic AllocsPerRun gate can enumerate the contract list cheaply at
 // test time and fail when it drifts from the annotations.
 type NoallocRef struct {
 	Pkg  string // module-relative package dir ("internal/core")
-	Func string // display name ("(*Detector).DetectLabelBytes")
+	Func string // display name ("(*Detector).DetectDomainBytesBackend")
 	File string // absolute path of the declaring file
 	Line int
 }

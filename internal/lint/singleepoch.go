@@ -9,9 +9,9 @@ import (
 // SingleEpochAnalyzer enforces the PR-4 serving invariant: a request is
 // answered from exactly ONE engine epoch. A handler takes
 // Engine.Current() once and runs the whole request against that
-// detector; consulting the engine a second time (a second Current(), a
-// convenience DetectDomain* on the engine, or either inside a loop)
-// can straddle a hot swap and mix epochs within one response.
+// detector; consulting the engine a second time (a second Current() or
+// Detector(), or either inside a loop) can straddle a hot swap and mix
+// epochs within one response.
 func SingleEpochAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "single-epoch",
@@ -71,9 +71,9 @@ func SingleEpochAnalyzer() *Analyzer {
 	}
 }
 
-// engineCall reports whether call is a state-reading method on an
-// Engine (matched by type name, so the facade wrapper and test
-// fixtures are covered alongside core.Engine).
+// engineCall reports whether call is an Engine method that hands out
+// query state — Current or Detector (matched by type name, so the
+// facade wrapper and test fixtures are covered alongside core.Engine).
 func engineCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 	f := calleeFunc(pkg.Info, call)
 	if f == nil {
@@ -88,7 +88,7 @@ func engineCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch f.Name() {
-	case "Current", "DetectDomain", "DetectDomainBytes":
+	case "Current", "Detector":
 		return "Engine." + f.Name(), true
 	}
 	return "", false

@@ -8,8 +8,8 @@ func (d *Detector) DetectBytes(b []byte) int { return d.refs + len(b) }
 
 type Engine struct{ det *Detector }
 
-func (e *Engine) Current() (*Detector, uint64)             { return e.det, 1 }
-func (e *Engine) DetectDomainBytes(b []byte) (int, uint64) { return e.det.DetectBytes(b), 1 }
+func (e *Engine) Current() (*Detector, uint64) { return e.det, 1 }
+func (e *Engine) Detector() *Detector          { return e.det }
 
 // handleOnce is the contract: one Current(), everything else on the
 // pinned detector.
@@ -23,16 +23,21 @@ func handleOnce(e *Engine, reqs [][]byte) int {
 }
 
 func handleTwice(e *Engine, a, b []byte) int {
-	x, _ := e.DetectDomainBytes(a)
-	y, _ := e.DetectDomainBytes(b) // want single-epoch "engine consulted 2 times"
+	x, _ := e.Current()
+	y, _ := e.Current() // want single-epoch "engine consulted 2 times"
+	return x.DetectBytes(a) + y.DetectBytes(b)
+}
+
+func handleDetectorTwice(e *Engine, a, b []byte) int {
+	x := e.Detector().DetectBytes(a)
+	y := e.Detector().DetectBytes(b) // want single-epoch "engine consulted 2 times"
 	return x + y
 }
 
 func handleInLoop(e *Engine, reqs [][]byte) int {
 	total := 0
 	for _, r := range reqs {
-		n, _ := e.DetectDomainBytes(r) // want single-epoch "inside a loop"
-		total += n
+		total += e.Detector().DetectBytes(r) // want single-epoch "inside a loop"
 	}
 	return total
 }
@@ -40,6 +45,6 @@ func handleInLoop(e *Engine, reqs [][]byte) int {
 func handleAllowed(e *Engine, a []byte) (int, uint64) {
 	_, epoch := e.Current()
 	//shamlint:allow single-epoch fixture: second read is a freshness probe, not part of the answer
-	n, _ := e.DetectDomainBytes(a)
+	n := e.Detector().DetectBytes(a)
 	return n, epoch
 }

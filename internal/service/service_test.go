@@ -749,7 +749,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 // flag and the HTTP responses both emit.
 func TestMatchEncodingShape(t *testing.T) {
 	det := core.NewDetector(testDB(t), []string{"google"})
-	ms := det.DetectDomain(ace(t, "gооgle") + ".co.uk")
+	ms := det.DetectDomainBackend(ace(t, "gооgle")+".co.uk", core.BackendPostings)
 	if len(ms) != 1 {
 		t.Fatalf("fixture: %d matches", len(ms))
 	}

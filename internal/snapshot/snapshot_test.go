@@ -87,9 +87,11 @@ func fuzzCorpus(t testing.TB, db *homoglyph.DB, n int) []string {
 }
 
 // TestRoundTripDetectionParity is the tentpole guarantee: build → save →
-// load must produce byte-for-byte identical DetectLabel results versus
+// load must produce byte-for-byte identical detection results versus
 // the freshly built detector, across a fuzzed corpus, for both the
-// embedded-detector path and a detector rebuilt over the loaded DB.
+// embedded-detector path and a detector rebuilt over the loaded DB. The
+// corpus runs under the posting backend and under BackendBoth, whose
+// gate also passes the pure-ASCII labels on to the index probe.
 func TestRoundTripDetectionParity(t *testing.T) {
 	db := builtDB(t)
 	det := core.NewDetector(db, testRefs)
@@ -106,13 +108,17 @@ func TestRoundTripDetectionParity(t *testing.T) {
 	corpus := fuzzCorpus(t, db, 4000)
 	matches := 0
 	for _, label := range corpus {
-		want := det.DetectLabel(label)
-		matches += len(want)
-		if got := loadedDet.DetectLabel(label); !reflect.DeepEqual(got, want) {
-			t.Fatalf("embedded detector diverges on %q:\n got %v\nwant %v", label, got, want)
-		}
-		if got := rebuilt.DetectLabel(label); !reflect.DeepEqual(got, want) {
-			t.Fatalf("rebuilt detector diverges on %q:\n got %v\nwant %v", label, got, want)
+		for _, be := range []core.Backend{core.BackendPostings, core.BackendBoth} {
+			want := det.DetectDomainBackend(label, be)
+			if be == core.BackendPostings {
+				matches += len(want)
+			}
+			if got := loadedDet.DetectDomainBackend(label, be); !reflect.DeepEqual(got, want) {
+				t.Fatalf("embedded detector diverges on %q (%v):\n got %v\nwant %v", label, be, got, want)
+			}
+			if got := rebuilt.DetectDomainBackend(label, be); !reflect.DeepEqual(got, want) {
+				t.Fatalf("rebuilt detector diverges on %q (%v):\n got %v\nwant %v", label, be, got, want)
+			}
 		}
 	}
 	if matches == 0 {
@@ -315,9 +321,9 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal("no detector in file")
 	}
 	idn := mustACE(t, "gооgle") // two Cyrillic о
-	m := loadedDet.DetectLabel(idn)
+	m := loadedDet.DetectDomainBackend(idn, core.BackendPostings)
 	if len(m) != 1 || m[0].Reference != "google" {
-		t.Fatalf("DetectLabel(%s) = %v", idn, m)
+		t.Fatalf("DetectDomainBackend(%s) = %v", idn, m)
 	}
 }
 

@@ -287,7 +287,7 @@ func (w *Watcher) scanLocked(ctx context.Context) (st ScanStats, retErr error) {
 			if name, ok := domain.NormalizeZoneLine(firstField(line)); ok {
 				st.Names++
 				if w.seen.addHash(Fingerprint(name)) {
-					matches := det.DetectDomainBytes(name)
+					matches := det.DetectDomainBytesBackend(name, core.BackendPostings)
 					n, werr := writeDeltaLine(dw, name, matches)
 					if werr != nil {
 						return st, fmt.Errorf("write deltas: %w", werr)

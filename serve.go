@@ -41,7 +41,8 @@ func EngineFor(det *Detector) *Engine {
 func (e *Engine) Epoch() uint64 { return e.inner.Epoch() }
 
 // Detector returns the current frozen detector. It stays valid (for
-// its epoch) even after a later swap.
+// its epoch) even after a later swap, so a query takes it once and runs
+// every detection on it.
 func (e *Engine) Detector() *Detector { return &Detector{inner: e.inner.Detector()} }
 
 // Swap installs det as the new serving state and returns its epoch.
@@ -54,29 +55,6 @@ func (e *Engine) Swap(det *Detector) uint64 { return e.inner.Swap(det.inner) }
 // continue on the old state — then swaps it in, returning the new
 // epoch.
 func (e *Engine) Rebuild(references []string) uint64 { return e.inner.Rebuild(references) }
-
-// DetectDomain scans one FQDN against the current state, reporting
-// the epoch the answer is valid for.
-func (e *Engine) DetectDomain(fqdn string) ([]Match, uint64) {
-	return e.inner.DetectDomain(fqdn)
-}
-
-// DetectDomainBytes is DetectDomain over a reused line buffer (zero
-// allocation on the miss path).
-func (e *Engine) DetectDomainBytes(fqdn []byte) ([]Match, uint64) {
-	return e.inner.DetectDomainBytes(fqdn)
-}
-
-// DetectDomainBackend is DetectDomain with an explicit backend choice.
-func (e *Engine) DetectDomainBackend(fqdn string, be Backend) ([]Match, uint64) {
-	return e.inner.DetectDomainBackend(fqdn, be)
-}
-
-// DetectDomainBytesBackend is DetectDomainBytes with an explicit
-// backend choice.
-func (e *Engine) DetectDomainBytesBackend(fqdn []byte, be Backend) ([]Match, uint64) {
-	return e.inner.DetectDomainBytesBackend(fqdn, be)
-}
 
 // ServeOptions configures Serve.
 type ServeOptions struct {

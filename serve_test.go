@@ -22,13 +22,13 @@ func TestEngineFacadeSwapAndRebuild(t *testing.T) {
 		t.Fatalf("epoch = %d", e.Epoch())
 	}
 	probe := "xn--ggle-55da.com" // gооgle
-	if ms, ep := e.DetectDomain(probe); len(ms) != 1 || ep != 1 {
+	if ms, ep := e.Detector().DetectDomainBackend(probe, BackendPostings), e.Epoch(); len(ms) != 1 || ep != 1 {
 		t.Fatalf("epoch-1 probe: %d matches at %d", len(ms), ep)
 	}
 	if ep := e.Rebuild([]string{"paypal"}); ep != 2 {
 		t.Fatalf("Rebuild = %d", ep)
 	}
-	if ms, ep := e.DetectDomainBytes([]byte(probe)); len(ms) != 0 || ep != 2 {
+	if ms, ep := e.Detector().DetectDomainBytesBackend([]byte(probe), BackendPostings), e.Epoch(); len(ms) != 0 || ep != 2 {
 		t.Fatalf("epoch-2 probe: %d matches at %d", len(ms), ep)
 	}
 	if ep := e.Swap(fw.NewDetector([]string{"google"})); ep != 3 {
@@ -41,8 +41,9 @@ func TestEngineFacadeSwapAndRebuild(t *testing.T) {
 
 // TestEngineHotReloadUnderLoad is the facade-level leg of the
 // concurrent hot-reload proof (the engine-internal hammer lives in
-// internal/core): readers stream DetectDomain while Rebuild loops,
-// and every answer must agree with the epoch it reports. Runs in the
+// internal/core): readers take Detector() once per query and scan the
+// probe on it while Rebuild loops, and every answer must agree with
+// the reference set of the detector it ran on. Runs in the
 // race-enabled tier-1 suite; raceEnabled only scales the iteration
 // count down so the instrumented run stays fast.
 func TestEngineHotReloadUnderLoad(t *testing.T) {
@@ -62,9 +63,10 @@ func TestEngineHotReloadUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				ms, ep := e.DetectDomain(probe)
+				det := e.Detector()
+				ms := det.DetectDomainBackend(probe, BackendPostings)
 				// Odd epochs index "google", even ones "paypal".
-				if (ep%2 == 1) != (len(ms) == 1) {
+				if (det.References()[0] == "google") != (len(ms) == 1) {
 					bad.Add(1)
 					return
 				}

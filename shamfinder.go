@@ -17,7 +17,7 @@
 //	sf, err := shamfinder.New(shamfinder.Config{})
 //	if err != nil { ... }
 //	det := sf.NewDetector([]string{"google", "facebook"})
-//	matches := det.DetectDomain("xn--ggle-55da.net") // gооgle, any TLD
+//	matches := det.DetectDomainBackend("xn--ggle-55da.net", shamfinder.BackendPostings) // gооgle, any TLD
 //	for _, m := range matches {
 //	    fmt.Println(sf.Warn(m).Text()) // "did you mean google.net?"
 //	}
@@ -231,7 +231,7 @@ func loadSnapshot(db *homoglyph.DB, det *core.Detector, err error) (*Framework, 
 // place and without allocating: ASCII whitespace is trimmed, one
 // trailing root dot is dropped, and ASCII letters are lowercased. The
 // whole FQDN is kept — any TLD, any label count — for the domain-aware
-// detectors (DetectDomainBytes / DetectStreamBytes) to split; the seed
+// detectors (DetectDomainBytesBackend / DetectStream) to split; the seed
 // pipeline's trailing-".com" strip made every other zone invisible.
 //
 // It reports false for blank lines and lines with no scannable
@@ -318,89 +318,41 @@ type Detector struct {
 	inner *core.Detector
 }
 
-// DetectLabel checks one IDN label (ACE "xn--..." or Unicode form,
-// TLD removed) against every reference, returning all matches. The
-// check runs over the skeleton index, so cost scales with the match
-// candidates, not the reference-list size. Safe for concurrent use.
-func (d *Detector) DetectLabel(idnLabel string) []Match {
-	return d.inner.DetectLabel(idnLabel)
-}
-
 // Detect scans a batch of domains (full FQDNs on any TLD, or bare IDN
-// labels) across GOMAXPROCS workers, returning matches sorted by
-// (FQDN, IDN, reference).
+// labels) under the posting backend across GOMAXPROCS workers,
+// returning matches sorted by (FQDN, IDN, reference).
 func (d *Detector) Detect(domains []string) []Match {
 	return d.inner.Detect(domains)
 }
 
-// DetectParallel is Detect with an explicit worker count (≤ 0 means
-// GOMAXPROCS). Output is deterministic regardless of worker count.
-func (d *Detector) DetectParallel(domains []string, workers int) []Match {
-	return d.inner.DetectParallel(domains, workers)
-}
-
-// DetectStream scans domains arriving on in across workers (≤ 0 means
-// GOMAXPROCS), sending matches on the returned channel until in is
-// drained — the zone-scale entry point: per-worker buffers are reused,
-// so steady-state allocation is O(matches). Cross-domain match order is
-// not deterministic; use SortMatches for the batch ordering.
-func (d *Detector) DetectStream(in <-chan string, workers int) <-chan Match {
-	return d.inner.DetectStream(in, workers)
-}
-
-// DetectLabelBytes is DetectLabel over a reused line buffer: nothing is
-// retained from label and the miss path allocates nothing, so a feeder
-// can recycle one buffer per in-flight line.
-func (d *Detector) DetectLabelBytes(label []byte) []Match {
-	return d.inner.DetectLabelBytes(label)
-}
-
-// DetectDomain checks a dotted FQDN on any TLD — "xn--ggle-55da.net",
-// "www.xn--ggle-55da.com", "xn--80ak6aa92e.xn--p1ai", "gооgle.co.uk" —
-// scanning every candidate label (ACE or non-ASCII) against the
-// references. Matches carry the FQDN and its public suffix; see
-// Match.Imitated for the "google.net"-style rendering.
-func (d *Detector) DetectDomain(fqdn string) []Match {
-	return d.inner.DetectDomain(fqdn)
-}
-
-// DetectDomainBytes is DetectDomain over a reused line buffer (zero
-// allocation when the domain matches nothing) — the primitive a zone
-// feeder pairs with NormalizeZoneLine.
-func (d *Detector) DetectDomainBytes(fqdn []byte) []Match {
-	return d.inner.DetectDomainBytes(fqdn)
-}
-
-// DetectLabelBackend is DetectLabel with an explicit backend choice.
-func (d *Detector) DetectLabelBackend(idnLabel string, be Backend) []Match {
-	return d.inner.DetectLabelBackend(idnLabel, be)
-}
-
-// DetectDomainBackend is DetectDomain with an explicit backend choice.
-// Note the skeleton backend also scans pure-ASCII labels — feeders
-// should pair it with NormalizeZoneLineAll, not NormalizeZoneLine.
+// DetectDomainBackend checks one name under backend be — a dotted FQDN
+// on any TLD ("xn--ggle-55da.net", "www.xn--ggle-55da.com",
+// "xn--80ak6aa92e.xn--p1ai", "gооgle.co.uk") or a bare label — scanning
+// every candidate label against the references. Matches carry the FQDN
+// and its public suffix; see Match.Imitated for the "google.net"-style
+// rendering. The skeleton backend also scans pure-ASCII labels, so
+// feeders should pair it with NormalizeZoneLineAll, not
+// NormalizeZoneLine. Safe for concurrent use.
 func (d *Detector) DetectDomainBackend(fqdn string, be Backend) []Match {
 	return d.inner.DetectDomainBackend(fqdn, be)
 }
 
-// DetectDomainBytesBackend is DetectDomainBytes with an explicit
-// backend choice, zero-allocation on the miss path for every backend.
+// DetectDomainBytesBackend is DetectDomainBackend over a reused line
+// buffer, zero-allocation when the name matches nothing, under every
+// backend — the primitive a zone feeder pairs with NormalizeZoneLine.
 func (d *Detector) DetectDomainBytesBackend(fqdn []byte, be Backend) []Match {
 	return d.inner.DetectDomainBytesBackend(fqdn, be)
 }
 
-// DetectStreamBytes is DetectStream for pooled line buffers: each *[]byte
-// drained from in is handed back to recycle (when non-nil) as soon as its
-// label has been scanned, making the whole line→match pipeline
-// allocation-free in steady state on the miss path.
-func (d *Detector) DetectStreamBytes(in <-chan *[]byte, workers int, recycle *sync.Pool) <-chan Match {
-	return d.inner.DetectStreamBytes(in, workers, recycle)
-}
-
-// DetectStreamBytesBackend is DetectStreamBytes with an explicit
-// backend choice for every scanned line.
-func (d *Detector) DetectStreamBytesBackend(in <-chan *[]byte, workers int, recycle *sync.Pool, be Backend) <-chan Match {
-	return d.inner.DetectStreamBytesBackend(in, workers, recycle, be)
+// DetectStream scans names arriving on in under backend be across
+// workers (≤ 0 means GOMAXPROCS), sending matches on the returned
+// channel until in is drained — the zone-scale entry point. Each
+// *[]byte drained from in is handed back to recycle (when non-nil) as
+// soon as it has been scanned, making the whole line→match pipeline
+// allocation-free in steady state on the miss path. Cross-name match
+// order is not deterministic; use SortMatches for the batch ordering.
+func (d *Detector) DetectStream(in <-chan *[]byte, workers int, recycle *sync.Pool, be Backend) <-chan Match {
+	return d.inner.DetectStream(in, workers, recycle, be)
 }
 
 // SortMatches sorts matches into the deterministic batch order (FQDN,
@@ -412,7 +364,8 @@ func (d *Detector) Revert(idnLabel string) (string, error) {
 	return d.inner.Revert(idnLabel)
 }
 
-// References returns the reference labels, length-bucketed order.
+// References returns the deduplicated reference labels in first-seen
+// order.
 func (d *Detector) References() []string { return d.inner.References() }
 
 // ToASCII converts a Unicode domain to its IDNA ACE form.

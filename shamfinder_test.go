@@ -48,7 +48,7 @@ func TestDetectEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	label := strings.TrimSuffix(ace, ".com")
-	matches := det.DetectLabel(label)
+	matches := det.DetectDomainBackend(label, BackendPostings)
 	if len(matches) != 1 {
 		t.Fatalf("matches = %v", matches)
 	}
@@ -64,7 +64,7 @@ func TestDetectEndToEnd(t *testing.T) {
 func TestDetectCleanLabel(t *testing.T) {
 	fw := framework(t)
 	det := fw.NewDetector([]string{"google"})
-	if matches := det.DetectLabel("xn--bcher-kva"); len(matches) != 0 {
+	if matches := det.DetectDomainBackend("xn--bcher-kva", BackendPostings); len(matches) != 0 {
 		t.Errorf("bücher matched google: %v", matches)
 	}
 }
@@ -81,7 +81,7 @@ func TestWarn(t *testing.T) {
 	fw := framework(t)
 	det := fw.NewDetector([]string{"google"})
 	ace, _ := ToASCII("gооgle")
-	matches := det.DetectLabel(ace)
+	matches := det.DetectDomainBackend(ace, BackendPostings)
 	if len(matches) == 0 {
 		t.Fatal("no match to warn about")
 	}
@@ -231,8 +231,8 @@ func TestSnapshotFacadeRoundTrip(t *testing.T) {
 	}
 	ace, _ := ToASCII("gооgle.com") // two Cyrillic о
 	label := strings.TrimSuffix(ace, ".com")
-	want := det.DetectLabel(label)
-	got := ldet.DetectLabel(label)
+	want := det.DetectDomainBackend(label, BackendPostings)
+	got := ldet.DetectDomainBackend(label, BackendPostings)
 	if len(got) != 1 || len(want) != 1 || got[0].Reference != want[0].Reference ||
 		got[0].Unicode != want[0].Unicode || len(got[0].Diffs) != len(want[0].Diffs) {
 		t.Fatalf("snapshot detector diverges: got %v want %v", got, want)
@@ -400,7 +400,7 @@ func TestDetectDomainBytesMissAllocs(t *testing.T) {
 	for _, l := range lines {
 		buf = append(buf[:0], l...)
 		if fqdn, ok := NormalizeZoneLine(buf); ok {
-			det.DetectDomainBytes(fqdn)
+			det.DetectDomainBytesBackend(fqdn, BackendPostings)
 		}
 	}
 	if n := testing.AllocsPerRun(200, func() {
@@ -410,7 +410,7 @@ func TestDetectDomainBytesMissAllocs(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if ms := det.DetectDomainBytes(fqdn); len(ms) != 0 {
+			if ms := det.DetectDomainBytesBackend(fqdn, BackendPostings); len(ms) != 0 {
 				t.Fatal("unexpected match")
 			}
 		}
@@ -440,7 +440,7 @@ func TestDetectStreamBytesMatchesBatch(t *testing.T) {
 		}
 	}()
 	var got []Match
-	for m := range det.DetectStreamBytes(in, 3, pool) {
+	for m := range det.DetectStream(in, 3, pool, BackendPostings) {
 		got = append(got, m)
 	}
 	SortMatches(got)
@@ -455,12 +455,12 @@ func TestDetectStreamBytesMatchesBatch(t *testing.T) {
 }
 
 // TestDetectMultiTLDEndToEnd drives the exact cmdDetect pipeline —
-// NormalizeZoneLine feeding pooled buffers into DetectStreamBytes —
-// over a zone slice spanning .com, .net, a multi-label suffix, and an
-// IDN TLD. The seed pipeline (strip ".com", treat the rest as one
-// label) silently missed every non-.com line here; the test first
-// re-enacts that miss, then asserts the domain-aware pipeline finds
-// them all with the right FQDN/TLD context.
+// NormalizeZoneLine feeding pooled buffers into DetectStream — over a
+// zone slice spanning .com, .net, a multi-label suffix, and an IDN TLD.
+// The seed pipeline (strip ".com", treat the rest as one label)
+// silently missed every non-.com line here (internal/core's
+// TestLabelPathDoesNotSplit re-enacts that miss); the test asserts the
+// domain-aware pipeline finds them all with the right FQDN/TLD context.
 func TestDetectMultiTLDEndToEnd(t *testing.T) {
 	fw := framework(t)
 	det := fw.NewDetector([]string{"google", "amazon"})
@@ -474,16 +474,6 @@ func TestDetectMultiTLDEndToEnd(t *testing.T) {
 		g + ".xn--p1ai",              // ACE/IDN TLD
 		a + ".co.uk",                 // multi-label public suffix
 		strings.ToUpper(g) + ".NET.", // uppercase + root dot
-	}
-
-	// The seed treatment: TrimSuffix(".com") and detect the remainder as
-	// one label. Every line above either keeps its dots or keeps its TLD,
-	// so the single-label engine sees a malformed label and finds nothing.
-	for _, line := range zone[1:] {
-		seedLabel := strings.TrimSuffix(strings.ToLower(line), ".com")
-		if ms := det.DetectLabel(seedLabel); len(ms) != 0 {
-			t.Fatalf("seed-style DetectLabel(%q) unexpectedly matched: %v", seedLabel, ms)
-		}
 	}
 
 	// The real pipeline, verbatim from cmdDetect.
@@ -503,7 +493,7 @@ func TestDetectMultiTLDEndToEnd(t *testing.T) {
 		}
 	}()
 	var matches []Match
-	for m := range det.DetectStreamBytes(labels, 2, pool) {
+	for m := range det.DetectStream(labels, 2, pool, BackendPostings) {
 		matches = append(matches, m)
 	}
 	SortMatches(matches)
@@ -537,7 +527,7 @@ func TestDetectLabelBytesDoesNotRetain(t *testing.T) {
 	det := fw.NewDetector([]string{"google"})
 	ace, _ := ToASCII("gооgle")
 	buf := []byte(ace)
-	matches := det.DetectLabelBytes(buf)
+	matches := det.DetectDomainBytesBackend(buf, BackendPostings)
 	if len(matches) != 1 {
 		t.Fatalf("matches = %v", matches)
 	}
