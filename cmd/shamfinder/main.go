@@ -181,16 +181,19 @@ func newFramework(fast bool, db string) (*shamfinder.Framework, error) {
 // explicit -refs overrides any embedded detector; -db is baked into the
 // snapshot at compile time and the flag is ignored.
 func loadEngine(snapPath, refsPath string, fast bool, db string, needDetector bool) (*shamfinder.Framework, *shamfinder.Detector, error) {
+	var refs []string
+	if refsPath != "" {
+		var err error
+		if refs, err = loadRefs(refsPath); err != nil {
+			return nil, nil, fmt.Errorf("loading refs: %w", err)
+		}
+	}
 	if snapPath != "" {
 		fw, det, err := shamfinder.LoadSnapshot(snapPath)
 		if err != nil {
 			return nil, nil, fmt.Errorf("loading snapshot %s: %w", snapPath, err)
 		}
-		if refsPath != "" {
-			refs, err := loadRefs(refsPath)
-			if err != nil {
-				return nil, nil, fmt.Errorf("loading refs: %w", err)
-			}
+		if refs != nil {
 			det = fw.NewDetector(refs)
 		}
 		if needDetector && det == nil {
@@ -206,11 +209,7 @@ func loadEngine(snapPath, refsPath string, fast bool, db string, needDetector bo
 		return nil, nil, err
 	}
 	var det *shamfinder.Detector
-	if refsPath != "" {
-		refs, err := loadRefs(refsPath)
-		if err != nil {
-			return nil, nil, fmt.Errorf("loading refs: %w", err)
-		}
+	if refs != nil {
 		det = fw.NewDetector(refs)
 	}
 	return fw, det, nil
@@ -221,9 +220,14 @@ func loadEngine(snapPath, refsPath string, fast bool, db string, needDetector bo
 // internal/reflist, so a list hot-loaded over HTTP parses exactly as
 // it does here. Each domain contributes its registrable label —
 // suffix-aware, so amazon.co.uk indexes "amazon", not "amazon.co" —
-// on any TLD.
+// on any TLD. A list that parses to nothing is an error, as it is for
+// serve: detecting against no references would report a clean zone.
 func loadRefs(path string) ([]string, error) {
-	return reflist.Load(path)
+	refs, err := reflist.Load(path)
+	if err == nil && len(refs) == 0 {
+		err = fmt.Errorf("reference list %s is empty", path)
+	}
+	return refs, err
 }
 
 // cmdCompile builds the databases once and persists the compiled
@@ -235,17 +239,20 @@ func cmdCompile(args []string) error {
 	db := fs.String("db", "both", "homoglyph database: uc, simchar or both")
 	fast := fs.Bool("fastfont", false, "skip CJK/Hangul font generation")
 	fs.Parse(args)
+	var refs []string
+	if *refsPath != "" {
+		var err error
+		if refs, err = loadRefs(*refsPath); err != nil {
+			return fmt.Errorf("loading refs: %w", err)
+		}
+	}
 	fw, err := newFramework(*fast, *db)
 	if err != nil {
 		return err
 	}
 	var det *shamfinder.Detector
 	nrefs := 0
-	if *refsPath != "" {
-		refs, err := loadRefs(*refsPath)
-		if err != nil {
-			return fmt.Errorf("loading refs: %w", err)
-		}
+	if refs != nil {
 		det = fw.NewDetector(refs)
 		nrefs = len(det.References())
 	}

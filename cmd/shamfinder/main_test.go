@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -23,6 +24,30 @@ func TestLoadRefsRoutesThroughReflist(t *testing.T) {
 	want := []string{"google", "amazon"}
 	if !reflect.DeepEqual(refs, want) {
 		t.Fatalf("refs = %v, want %v", refs, want)
+	}
+}
+
+// TestEmptyReferenceListRejected: a reference list that parses to no
+// labels must fail detect and compile loudly, as it fails serve —
+// detecting against nothing would report every zone as clean.
+func TestEmptyReferenceListRejected(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string]string{"empty.txt": "", "comments.txt": "# only a note\n\n"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := "reference list " + path + " is empty"
+		if _, _, err := loadEngine("", path, true, "both", true); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("loadEngine(%s) err = %v, want %q", name, err, want)
+		}
+		out := filepath.Join(dir, name+".snap")
+		if err := cmdCompile([]string{"-fastfont", "-refs", path, "-o", out}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("compile -refs %s err = %v, want %q", name, err, want)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("compile -refs %s wrote %s", name, out)
+		}
 	}
 }
 

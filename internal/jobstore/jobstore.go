@@ -404,19 +404,33 @@ func (s *Store) PrepareResume(id string) (_ map[string]triage.Record, retErr err
 			retErr = fmt.Errorf("jobstore: closing record log: %w", cerr)
 		}
 	}()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("jobstore: %w", err)
-	}
-	if end := completeLineEnd(fileBytesReader{f}, fi.Size()); end < fi.Size() {
-		if err := f.Truncate(end); err != nil {
-			return nil, fmt.Errorf("jobstore: trimming torn record: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return nil, fmt.Errorf("jobstore: syncing trimmed record log: %w", err)
-		}
+	if err := trimTornTail(f); err != nil {
+		return nil, err
 	}
 	return triage.LoadCheckpoint(path)
+}
+
+// trimTornTail truncates a partial last record a crash left in the log
+// f. A failed read returns its error and leaves the log untouched.
+func trimTornTail(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("jobstore: %w", err)
+	}
+	end, err := snapshot.CompleteLineEnd(f, 0, fi.Size())
+	if err != nil {
+		return fmt.Errorf("jobstore: reading record log: %w", err)
+	}
+	if end == fi.Size() {
+		return nil
+	}
+	if err := f.Truncate(end); err != nil {
+		return fmt.Errorf("jobstore: trimming torn record: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("jobstore: syncing trimmed record log: %w", err)
+	}
+	return nil
 }
 
 // LoadRecords reads a job's full record log (terminal jobs answering a
@@ -444,32 +458,4 @@ func (s *Store) OpenRecordsAppend(id string) (*os.File, error) {
 		return nil, fmt.Errorf("jobstore: opening record log: %w", err)
 	}
 	return f, nil
-}
-
-type fileBytesReader struct{ f *os.File }
-
-func (r fileBytesReader) ReadAt(p []byte, off int64) (int, error) { return r.f.ReadAt(p, off) }
-
-// completeLineEnd returns the end offset of the last newline-terminated
-// line in [0, limit) — the jobstore's torn-tail trim, same discipline
-// as the zone watcher's deltas journal.
-func completeLineEnd(r fileBytesReader, limit int64) int64 {
-	const chunk = 64 << 10
-	for end := limit; end > 0; {
-		start := end - chunk
-		if start < 0 {
-			start = 0
-		}
-		buf := make([]byte, end-start)
-		if _, err := r.ReadAt(buf, start); err != nil {
-			return 0
-		}
-		for i := len(buf) - 1; i >= 0; i-- {
-			if buf[i] == '\n' {
-				return start + int64(i) + 1
-			}
-		}
-		end = start
-	}
-	return 0
 }

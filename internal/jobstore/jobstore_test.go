@@ -244,6 +244,37 @@ func TestPrepareResumeTrimsTornTail(t *testing.T) {
 	}
 }
 
+// TestTrimTornTailKeepsLogOnReadError: PrepareResume's trim must pass a
+// read error up and leave the record log as it was — truncating on a
+// failed read would throw away every completed record.
+func TestTrimTornTailKeepsLogOnReadError(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.NewID()
+	path := s.RecordsPath(id)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const log = "{\"fqdn\":\"a.example\"}\n{\"fqdn\":\"b.exam"
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A write-only handle can stat and truncate but not read.
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := trimTornTail(f); err == nil || !strings.Contains(err.Error(), "reading record log") {
+		t.Fatalf("trimTornTail on an unreadable log = %v, want a read error", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != log {
+		t.Fatalf("record log after a failed trim = %q, %v; want it untouched", data, err)
+	}
+}
+
 func TestRemoveAndMaxJournalTo(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

@@ -6,14 +6,17 @@ import (
 	"hash/crc32"
 )
 
-// The generic SHAMSNAP-family envelope: a caller-chosen 8-byte magic, a
-// version word, an opaque payload, and a trailing CRC-32 over everything
-// before it. The seen-set and watch checkpoint hand-roll this shape with
-// fixed binary payloads; artifacts whose payload wants to stay evolvable
-// (the survey job manifest carries JSON) share these two helpers instead
-// of growing a third bespoke codec. The envelope guarantees the family
-// contract — corruption anywhere is detected and refused loudly — while
-// leaving the payload encoding to the caller.
+// The envelope is the one container every durable artifact shares —
+// SHAMSNAP snapshots, SHAMSEEN seen-sets, SHAMCKPT watch checkpoints
+// and SHAMJOBM job manifests:
+//
+//	magic [8]byte | version u32 | payload | crc32 u32
+//
+// with integers little-endian and the CRC-32 (IEEE) covering everything
+// before it. The envelope guarantees the family contract — corruption
+// anywhere is detected and refused loudly — while leaving the payload
+// encoding to each artifact's codec, which validates only its own
+// payload once OpenEnvelope has vouched for the bytes.
 
 const envelopeMagicLen = 8
 

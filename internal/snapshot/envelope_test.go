@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -50,4 +51,20 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzOpenEnvelope: any input is either rejected or re-seals to exactly
+// the bytes it was opened from. The seed corpus under testdata/fuzz
+// holds envelopes written by the codec; `go test -fuzz=FuzzOpenEnvelope`
+// explores further.
+func FuzzOpenEnvelope(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := OpenEnvelope(data, "SHAMJOBM", 1)
+		if err != nil {
+			return
+		}
+		if resealed := SealEnvelope("SHAMJOBM", 1, payload); !bytes.Equal(resealed, data) {
+			t.Fatalf("OpenEnvelope(%q) accepted bytes that re-seal to %q", data, resealed)
+		}
+	})
 }

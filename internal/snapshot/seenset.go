@@ -3,17 +3,16 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 )
 
 // The seen-set artifact: the zone watcher's durable memory of every
-// FQDN fingerprint it has ever observed, persisted in the SHAMSNAP
-// codec family — magic, version, length-prefixed bulk array, trailing
-// CRC-32, written via temp-file + rename. The payload is one sorted
-// array of 64-bit hashes, so loading is a checksum pass plus a single
-// bulk decode (no per-entry parsing, no map build): a 10M-domain set
-// loads in milliseconds and answers membership by binary search.
+// FQDN fingerprint it has ever observed, persisted as a SHAMSEEN
+// envelope (see envelope.go) and written via temp-file + rename. The
+// payload is a u64 entry count and one sorted array of 64-bit hashes,
+// so loading is a checksum pass plus a single bulk decode (no
+// per-entry parsing, no map build): a 10M-domain set loads in
+// milliseconds and answers membership by binary search.
 
 // SeenMagic identifies a seen-set file.
 const SeenMagic = "SHAMSEEN"
@@ -21,51 +20,40 @@ const SeenMagic = "SHAMSEEN"
 // SeenVersion is the current seen-set format version.
 const SeenVersion = 1
 
-const seenHeaderSize = len(SeenMagic) + 4 + 8 // magic + version u32 + count u64
-
 // MarshalSeenSet serializes the fingerprints. They must be sorted
 // ascending and deduplicated — the reader validates and rejects
 // otherwise, because an unsorted set would silently break the binary
 // search and re-emit the whole zone as "new".
 func MarshalSeenSet(hashes []uint64) ([]byte, error) {
-	buf := make([]byte, 0, seenHeaderSize+8*len(hashes)+4)
-	buf = append(buf, SeenMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, SeenVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(hashes)))
+	payload := make([]byte, 0, 8+8*len(hashes))
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(hashes)))
 	var prev uint64
 	for i, h := range hashes {
 		if i > 0 && h <= prev {
 			return nil, fmt.Errorf("snapshot: seen-set not sorted/unique at index %d", i)
 		}
 		prev = h
-		buf = binary.LittleEndian.AppendUint64(buf, h)
+		payload = binary.LittleEndian.AppendUint64(payload, h)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+	return SealEnvelope(SeenMagic, SeenVersion, payload), nil
 }
 
-// UnmarshalSeenSet validates magic, version, length and checksum, then
-// decodes the sorted fingerprint array. Corruption anywhere — a
-// flipped bit, a truncated tail, an out-of-order entry — fails loudly:
-// a silently shrunken seen-set would re-emit already-reported domains,
-// the one mistake a monitoring pipeline must never make.
+// UnmarshalSeenSet opens the envelope, then decodes the sorted
+// fingerprint array. Corruption anywhere — a flipped bit, a truncated
+// tail, an out-of-order entry — fails loudly: a silently shrunken
+// seen-set would re-emit already-reported domains, the one mistake a
+// monitoring pipeline must never make.
 func UnmarshalSeenSet(data []byte) ([]uint64, error) {
-	if len(data) < seenHeaderSize+4 {
-		return nil, fmt.Errorf("%w: seen-set of %d bytes", ErrTruncated, len(data))
+	payload, err := OpenEnvelope(data, SeenMagic, SeenVersion)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(SeenMagic)]) != SeenMagic {
-		return nil, fmt.Errorf("snapshot: not a seen-set file")
+	if len(payload) < 8 {
+		return nil, fmt.Errorf("%w: seen-set payload of %d bytes", ErrTruncated, len(payload))
 	}
-	version := binary.LittleEndian.Uint32(data[len(SeenMagic):])
-	if version != SeenVersion {
-		return nil, fmt.Errorf("%w: seen-set v%d, this build reads v%d", ErrVersion, version, SeenVersion)
-	}
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != sum {
-		return nil, fmt.Errorf("%w: seen-set crc %08x, stored %08x", ErrChecksum, got, sum)
-	}
-	n := binary.LittleEndian.Uint64(data[len(SeenMagic)+4:])
-	payload := data[seenHeaderSize : len(data)-4]
-	if uint64(len(payload)) != 8*n {
+	n := binary.LittleEndian.Uint64(payload)
+	payload = payload[8:]
+	if len(payload)%8 != 0 || uint64(len(payload)/8) != n {
 		return nil, fmt.Errorf("%w: seen-set claims %d entries with %d payload bytes", ErrTruncated, n, len(payload))
 	}
 	hashes := make([]uint64, n)

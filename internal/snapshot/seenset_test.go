@@ -1,9 +1,9 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,7 +67,7 @@ func TestSeenSetRejectsCorruption(t *testing.T) {
 
 	// Flip one payload bit: CRC must catch it.
 	bad := append([]byte(nil), data...)
-	bad[seenHeaderSize+3] ^= 0x10
+	bad[envelopeMagicLen+4+8+3] ^= 0x10 // inside the first entry, past the count
 	if _, err := UnmarshalSeenSet(bad); !errors.Is(err, ErrChecksum) {
 		t.Errorf("bit flip: err = %v, want ErrChecksum", err)
 	}
@@ -87,12 +87,11 @@ func TestSeenSetRejectsCorruption(t *testing.T) {
 	// Resealed damage: out-of-order payload behind a valid CRC must
 	// still be rejected — CRC protects against accidents, the sort
 	// invariant protects the binary search.
-	resealed := []byte(SeenMagic)
-	resealed = append(resealed, data[len(SeenMagic):len(SeenMagic)+4]...) // version
-	resealed = appendU64(resealed, 2)
-	resealed = appendU64(resealed, 30)
-	resealed = appendU64(resealed, 10)
-	resealed = appendCRC(resealed)
+	var payload []byte
+	payload = appendU64(payload, 2)
+	payload = appendU64(payload, 30)
+	payload = appendU64(payload, 10)
+	resealed := SealEnvelope(SeenMagic, SeenVersion, payload)
 	if _, err := UnmarshalSeenSet(resealed); err == nil {
 		t.Error("resealed out-of-order seen-set accepted")
 	}
@@ -127,6 +126,19 @@ func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-func appendCRC(b []byte) []byte {
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+// FuzzUnmarshalSeenSet: any input — taken raw, and sealed as a SHAMSEEN
+// payload so the entry decoder sees it past the checksum — is either
+// rejected or re-marshals byte-identically.
+func FuzzUnmarshalSeenSet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, SealEnvelope(SeenMagic, SeenVersion, data)} {
+			hashes, err := UnmarshalSeenSet(in)
+			if err != nil {
+				continue
+			}
+			if out, err := MarshalSeenSet(hashes); err != nil || !bytes.Equal(out, in) {
+				t.Fatalf("UnmarshalSeenSet(%q) = %v, re-marshals to (%q, %v)", in, hashes, out, err)
+			}
+		}
+	})
 }

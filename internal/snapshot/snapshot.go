@@ -15,20 +15,23 @@
 // future index layouts can bump Version without silently misreading old
 // files.
 //
-// Layout (all integers little-endian):
+// Every artifact this package persists — snapshots here, seen-sets,
+// watch checkpoints and job manifests elsewhere — shares one container,
+// the envelope (see envelope.go): 8-byte magic, version u32, payload,
+// and a CRC-32 (IEEE) over everything before it. A snapshot's payload
+// (all integers little-endian) is
 //
-//	magic "SHAMSNAP" | version u32 | flags u32 | sections... | crc32 u32
+//	flags u32 | sections...
 //
-// where the CRC-32 (IEEE) covers everything before it. Sections appear
-// in fixed order, gated by flag bits: UC entries, SimChar pairs, the
-// homoglyph index, and the optional detector.
+// where sections appear in fixed order, gated by flag bits: UC entries,
+// SimChar pairs, the homoglyph index, and the optional detector.
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -67,9 +70,6 @@ var (
 	ErrTruncated = errors.New("snapshot: truncated")
 )
 
-const headerSize = len(Magic) + 8 // magic + version + flags
-const minSize = headerSize + 4    // + trailing crc
-
 // Marshal serializes the database and (when non-nil) a detector built
 // over it.
 func Marshal(db *homoglyph.DB, det *core.Detector) []byte {
@@ -84,8 +84,6 @@ func Marshal(db *homoglyph.DB, det *core.Detector) []byte {
 		flags |= flagDetector
 	}
 	e := &enc{}
-	e.raw([]byte(Magic))
-	e.u32(Version)
 	e.u32(flags)
 	if uc := db.UC(); uc != nil {
 		writeUC(e, uc)
@@ -97,33 +95,21 @@ func Marshal(db *homoglyph.DB, det *core.Detector) []byte {
 	if det != nil {
 		writeDetector(e, det.Snapshot())
 	}
-	e.u32(crc32.ChecksumIEEE(e.buf))
-	return e.buf
+	return SealEnvelope(Magic, Version, e.buf)
 }
 
 // Unmarshal reconstructs the database and the embedded detector (nil if
-// none was serialized). It validates magic, version, and checksum before
-// touching any section, and every slice header against the remaining
-// byte count, so corrupt or truncated input fails cleanly instead of
-// panicking or over-allocating.
+// none was serialized). It opens the envelope — magic, version and
+// checksum — before touching any section, and validates every slice
+// header against the remaining byte count, so corrupt or truncated
+// input fails cleanly instead of panicking or over-allocating.
 func Unmarshal(data []byte) (*homoglyph.DB, *core.Detector, error) {
-	if len(data) < minSize {
-		return nil, nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+	payload, err := OpenEnvelope(data, Magic, Version)
+	if err != nil {
+		return nil, nil, err
 	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, nil, ErrMagic
-	}
-	version := binary.LittleEndian.Uint32(data[len(Magic):])
-	if version != Version {
-		return nil, nil, fmt.Errorf("%w: file has v%d, this build reads v%d", ErrVersion, version, Version)
-	}
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(data[:len(data)-4]); got != sum {
-		return nil, nil, fmt.Errorf("%w: crc %08x, stored %08x", ErrChecksum, got, sum)
-	}
-	flags := binary.LittleEndian.Uint32(data[len(Magic)+4:])
-
-	d := &dec{data: data[:len(data)-4], off: headerSize}
+	d := &dec{data: payload}
+	flags := d.u32()
 	var uc *confusables.DB
 	var sim *simchar.DB
 	if flags&flagUC != 0 {
@@ -156,21 +142,6 @@ func Unmarshal(data []byte) (*homoglyph.DB, *core.Detector, error) {
 		}
 	}
 	return db, det, nil
-}
-
-// Write serializes to w.
-func Write(w io.Writer, db *homoglyph.DB, det *core.Detector) error {
-	_, err := w.Write(Marshal(db, det))
-	return err
-}
-
-// Read deserializes from r (reading it fully).
-func Read(r io.Reader) (*homoglyph.DB, *core.Detector, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return Unmarshal(data)
 }
 
 // WriteFile writes the snapshot to path atomically: the bytes land in a
@@ -219,6 +190,28 @@ func WriteFileAtomic(path string, data []byte) error {
 		return err
 	}
 	return nil
+}
+
+// CompleteLineEnd returns the end offset of the last newline-terminated
+// line in r's bytes [floor, limit), or floor when there is none — the
+// torn-tail trim every append-only journal (the zone watcher's deltas,
+// a survey job's record log) runs before it trusts its tail, since a
+// crash mid-append can leave a partial last line. A read error is
+// returned as is: trimming on a failed read would destroy the journal.
+func CompleteLineEnd(r io.ReaderAt, floor, limit int64) (int64, error) {
+	const chunk = 64 << 10
+	for end := limit; end > floor; {
+		start := max(end-chunk, floor)
+		buf := make([]byte, end-start)
+		if _, err := r.ReadAt(buf, start); err != nil {
+			return 0, err
+		}
+		if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
+			return start + int64(i) + 1, nil
+		}
+		end = start
+	}
+	return floor, nil
 }
 
 // ReadFile loads a snapshot from path — the one-file cold start.

@@ -197,6 +197,10 @@ func TestRejectsBadMagic(t *testing.T) {
 
 // reseal recomputes the trailing checksum after a deliberate mutation,
 // so version/structure checks are exercised rather than the crc.
+// snapHeaderSize is the envelope header (magic + version) plus the
+// snapshot's flags word: the offset of the first section.
+const snapHeaderSize = envelopeMagicLen + 4 + 4
+
 func reseal(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
 }
@@ -245,7 +249,7 @@ func TestRejectsTruncation(t *testing.T) {
 	det := core.NewDetector(db, testRefs)
 	clean := Marshal(db, det)
 	rng := stats.NewRNG(0x7bc)
-	cuts := []int{0, 1, len(Magic), headerSize, headerSize + 1, len(clean) - 5, len(clean) - 1}
+	cuts := []int{0, 1, len(Magic), snapHeaderSize, snapHeaderSize + 1, len(clean) - 5, len(clean) - 1}
 	for i := 0; i < 60; i++ {
 		cuts = append(cuts, rng.Intn(len(clean)))
 	}
@@ -267,7 +271,7 @@ func TestRejectsResealedStructuralDamage(t *testing.T) {
 	rejected := 0
 	for trial := 0; trial < 400; trial++ {
 		data := append([]byte(nil), clean...)
-		pos := headerSize + rng.Intn(len(data)-headerSize-4)
+		pos := snapHeaderSize + rng.Intn(len(data)-snapHeaderSize-4)
 		data[pos] ^= byte(1 + rng.Intn(255))
 		reseal(data)
 		func() {
@@ -288,13 +292,13 @@ func TestRejectsResealedStructuralDamage(t *testing.T) {
 	}
 }
 
-func TestReadWriteRoundTrip(t *testing.T) {
+func TestFileRoundTripWithoutDetector(t *testing.T) {
 	db := builtDB(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, db, nil); err != nil {
+	path := t.TempDir() + "/test.snap"
+	if err := WriteFile(path, db, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, det, err := Read(&buf)
+	loaded, det, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,4 +367,66 @@ func TestNilComponents(t *testing.T) {
 			}
 		})
 	}
+}
+
+// failingReaderAt fails every read, as a journal on a dying disk would.
+type failingReaderAt struct{ err error }
+
+func (r failingReaderAt) ReadAt([]byte, int64) (int, error) { return 0, r.err }
+
+func TestCompleteLineEnd(t *testing.T) {
+	const chunk = 64 << 10
+	// A 64 KiB chunk boundary sits at limit-chunk; put a newline on each
+	// side of it in otherwise newline-free journals.
+	lastOfEarlierChunk := bytes.Repeat([]byte{'x'}, 2*chunk)
+	lastOfEarlierChunk[chunk-1] = '\n'
+	firstOfLastChunk := bytes.Repeat([]byte{'x'}, 2*chunk)
+	firstOfLastChunk[chunk] = '\n'
+	for _, tc := range []struct {
+		name         string
+		data         []byte
+		floor, limit int64
+		want         int64
+	}{
+		{"complete", []byte("a\nb\n"), 0, 4, 4},
+		{"torn tail", []byte("a\nb\nc"), 0, 5, 4},
+		{"no newline", []byte("abc"), 0, 3, 0},
+		{"no newline above floor", []byte("a\nbcd"), 2, 5, 2},
+		{"newline below floor ignored", []byte("ab\ncd"), 4, 5, 4},
+		{"floor > 0", []byte("a\nb\nc\nd"), 2, 7, 6},
+		{"limit == floor", []byte("a\nb\n"), 2, 2, 2},
+		{"limit inside the data", []byte("a\nb\nc\n"), 0, 5, 4},
+		{"newline ends the earlier chunk", lastOfEarlierChunk, 0, 2 * chunk, chunk},
+		{"newline starts the last chunk", firstOfLastChunk, 0, 2 * chunk, chunk + 1},
+		{"chunk boundary at the floor", lastOfEarlierChunk, chunk, 2 * chunk, chunk},
+	} {
+		got, err := CompleteLineEnd(bytes.NewReader(tc.data), tc.floor, tc.limit)
+		if err != nil || got != tc.want {
+			t.Errorf("%s: CompleteLineEnd = (%d, %v), want %d", tc.name, got, err, tc.want)
+		}
+	}
+
+	// A failed read is an error, never floor: trimming to floor would
+	// destroy every complete line the read could not see.
+	boom := errors.New("disk on fire")
+	if got, err := CompleteLineEnd(failingReaderAt{boom}, 3, 10); !errors.Is(err, boom) {
+		t.Errorf("failing reader: CompleteLineEnd = (%d, %v), want %v", got, err, boom)
+	}
+	// limit == floor reads nothing, so it cannot fail.
+	if got, err := CompleteLineEnd(failingReaderAt{boom}, 5, 5); err != nil || got != 5 {
+		t.Errorf("empty range: CompleteLineEnd = (%d, %v), want 5", got, err)
+	}
+}
+
+// FuzzUnmarshal: arbitrary input — taken raw, and sealed as a SHAMSNAP
+// payload so the section decoders see it past the checksum — never
+// panics, and every rejection is an error rather than a nil database.
+func FuzzUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, SealEnvelope(Magic, Version, data)} {
+			if db, _, err := Unmarshal(in); err == nil && db == nil {
+				t.Fatalf("Unmarshal(%q) returned neither a database nor an error", in)
+			}
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/snapshot"
 	"repro/internal/triage"
 )
 
@@ -207,7 +208,7 @@ func (b *SurveyBatcher) pollLocked() error {
 		// truncating and byte-identically rewriting. Equal: nothing new.
 		return nil
 	}
-	end, err := completeLineEnd(f, b.cursor, size)
+	end, err := snapshot.CompleteLineEnd(f, b.cursor, size)
 	if err != nil {
 		return err
 	}

@@ -23,10 +23,10 @@ import (
 const (
 	ckptMagic   = "SHAMCKPT"
 	ckptVersion = 1
-	// magic + version u32 + complete u8 + zoneSize i64 + zoneOff i64 +
-	// prefixCRC u32 + scanStartOut i64 + outOff i64 + emitted u64
-	ckptBodySize = len(ckptMagic) + 4 + 1 + 8 + 8 + 4 + 8 + 8 + 8
-	ckptFileSize = ckptBodySize + 4 // + trailing CRC
+	// The SHAMCKPT envelope's payload: complete u8 + zoneSize i64 +
+	// zoneOff i64 + prefixCRC u32 + scanStartOut i64 + outOff i64 +
+	// emitted u64.
+	ckptPayloadSize = 1 + 8 + 8 + 4 + 8 + 8 + 8
 )
 
 type checkpoint struct {
@@ -52,9 +52,7 @@ type checkpoint struct {
 }
 
 func (c checkpoint) marshal() []byte {
-	buf := make([]byte, 0, ckptFileSize)
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
+	buf := make([]byte, 0, ckptPayloadSize)
 	if c.Complete {
 		buf = append(buf, 1)
 	} else {
@@ -66,38 +64,28 @@ func (c checkpoint) marshal() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.ScanStartOut))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.OutOff))
 	buf = binary.LittleEndian.AppendUint64(buf, c.Emitted)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return snapshot.SealEnvelope(ckptMagic, ckptVersion, buf)
 }
 
 func unmarshalCheckpoint(data []byte) (checkpoint, error) {
 	var c checkpoint
-	if len(data) != ckptFileSize {
-		return c, fmt.Errorf("zonewatch: checkpoint of %d bytes, want %d", len(data), ckptFileSize)
+	p, err := snapshot.OpenEnvelope(data, ckptMagic, ckptVersion)
+	if err != nil {
+		return c, fmt.Errorf("zonewatch: checkpoint: %w", err)
 	}
-	if string(data[:len(ckptMagic)]) != ckptMagic {
-		return c, fmt.Errorf("zonewatch: not a checkpoint file")
+	if len(p) != ckptPayloadSize {
+		return c, fmt.Errorf("zonewatch: checkpoint payload of %d bytes, want %d", len(p), ckptPayloadSize)
 	}
-	sum := binary.LittleEndian.Uint32(data[ckptBodySize:])
-	if got := crc32.ChecksumIEEE(data[:ckptBodySize]); got != sum {
-		return c, fmt.Errorf("zonewatch: checkpoint crc %08x, stored %08x", got, sum)
+	if p[0] > 1 {
+		return c, fmt.Errorf("zonewatch: checkpoint complete flag %d is not 0 or 1", p[0])
 	}
-	if v := binary.LittleEndian.Uint32(data[len(ckptMagic):]); v != ckptVersion {
-		return c, fmt.Errorf("zonewatch: checkpoint v%d, this build reads v%d", v, ckptVersion)
-	}
-	p := len(ckptMagic) + 4
-	c.Complete = data[p] == 1
-	p++
-	c.ZoneSize = int64(binary.LittleEndian.Uint64(data[p:]))
-	p += 8
-	c.ZoneOff = int64(binary.LittleEndian.Uint64(data[p:]))
-	p += 8
-	c.PrefixCRC = binary.LittleEndian.Uint32(data[p:])
-	p += 4
-	c.ScanStartOut = int64(binary.LittleEndian.Uint64(data[p:]))
-	p += 8
-	c.OutOff = int64(binary.LittleEndian.Uint64(data[p:]))
-	p += 8
-	c.Emitted = binary.LittleEndian.Uint64(data[p:])
+	c.Complete = p[0] == 1
+	c.ZoneSize = int64(binary.LittleEndian.Uint64(p[1:]))
+	c.ZoneOff = int64(binary.LittleEndian.Uint64(p[9:]))
+	c.PrefixCRC = binary.LittleEndian.Uint32(p[17:])
+	c.ScanStartOut = int64(binary.LittleEndian.Uint64(p[21:]))
+	c.OutOff = int64(binary.LittleEndian.Uint64(p[29:]))
+	c.Emitted = binary.LittleEndian.Uint64(p[37:])
 	if c.ZoneOff < 0 || c.ZoneSize < 0 || c.OutOff < 0 || c.ScanStartOut < 0 || c.ScanStartOut > c.OutOff {
 		return c, fmt.Errorf("zonewatch: checkpoint offsets inconsistent")
 	}

@@ -202,7 +202,7 @@ func (w *Watcher) scanLocked(ctx context.Context) (st ScanStats, retErr error) {
 	case haveCkpt && !ckpt.Complete:
 		// Lines past the last checkpoint were emitted too; keep every
 		// complete one and its fingerprint, drop only a torn tail.
-		end, err := completeLineEnd(df, ckpt.ScanStartOut, deltasSize)
+		end, err := snapshot.CompleteLineEnd(df, ckpt.ScanStartOut, deltasSize)
 		if err != nil {
 			return st, fmt.Errorf("trim deltas: %w", err)
 		}
@@ -219,7 +219,7 @@ func (w *Watcher) scanLocked(ctx context.Context) (st ScanStats, retErr error) {
 		scanStartOut, outOff = deltasSize, deltasSize
 	default:
 		// First run, or lost/corrupt checkpoint: trust only the journal.
-		end, err := completeLineEnd(df, 0, deltasSize)
+		end, err := snapshot.CompleteLineEnd(df, 0, deltasSize)
 		if err != nil {
 			return st, fmt.Errorf("trim deltas: %w", err)
 		}
@@ -407,29 +407,6 @@ func (w *Watcher) ingestDeltas(df *os.File, from, to int64) error {
 			return err
 		}
 	}
-}
-
-// completeLineEnd returns the offset of the end of the last
-// newline-terminated line in [0, limit), never below floor — used to
-// drop a partial trailing line a crash may have left in the deltas
-// file.
-func completeLineEnd(df *os.File, floor, limit int64) (int64, error) {
-	const chunk = 64 << 10
-	for end := limit; end > floor; {
-		start := end - chunk
-		if start < floor {
-			start = floor
-		}
-		buf := make([]byte, end-start)
-		if _, err := df.ReadAt(buf, start); err != nil {
-			return 0, err
-		}
-		if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
-			return start + int64(i) + 1, nil
-		}
-		end = start
-	}
-	return floor, nil
 }
 
 // firstField returns the first whitespace-delimited field of a zone

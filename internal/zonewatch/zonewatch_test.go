@@ -176,6 +176,23 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzUnmarshalCheckpoint: any input — taken raw, and sealed as a
+// SHAMCKPT payload so the field decoder sees it past the checksum — is
+// either rejected or re-marshals byte-identically.
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, snapshot.SealEnvelope(ckptMagic, ckptVersion, data)} {
+			c, err := unmarshalCheckpoint(in)
+			if err != nil {
+				continue
+			}
+			if out := c.marshal(); !bytes.Equal(out, in) {
+				t.Fatalf("unmarshalCheckpoint(%q) = %+v, re-marshals to %q", in, c, out)
+			}
+		}
+	})
+}
+
 func TestQueueDropsOldestWhenFull(t *testing.T) {
 	q := newSubmitQueue(3)
 	for i := 0; i < 5; i++ {

@@ -176,19 +176,14 @@ func NewFromFont(font *hexfont.Font, cfg Config) (*Framework, error) {
 	}, nil
 }
 
-// WriteSnapshot serializes the framework's fully compiled artifacts —
-// and, when det is non-nil, that detector's skeleton index — as a
+// SaveSnapshot writes the framework's fully compiled artifacts — and,
+// when det is non-nil, that detector's skeleton index — to path as a
 // versioned, checksummed binary snapshot. Loading one skips the font
 // rasterization, the Section 3.3 Δ scan, and the index compilation
 // entirely, collapsing seconds of cold start into milliseconds; see
 // LoadSnapshot. The glyph source itself is not serialized (snapshots
 // carry compiled results, not inputs), so a loaded framework's Font()
 // is nil.
-func (f *Framework) WriteSnapshot(w io.Writer, det *Detector) error {
-	return snapshot.Write(w, f.db, detInner(det))
-}
-
-// SaveSnapshot is WriteSnapshot to a file path.
 func (f *Framework) SaveSnapshot(path string, det *Detector) error {
 	return snapshot.WriteFile(path, f.db, detInner(det))
 }
@@ -200,23 +195,13 @@ func detInner(det *Detector) *core.Detector {
 	return det.inner
 }
 
-// ReadSnapshot reconstructs a framework (and the embedded detector, nil
-// if none was compiled in) from a snapshot stream. Detection results
-// are byte-for-byte identical to the freshly built framework the
-// snapshot was taken from.
-func ReadSnapshot(r io.Reader) (*Framework, *Detector, error) {
-	db, det, err := snapshot.Read(r)
-	return loadSnapshot(db, det, err)
-}
-
-// LoadSnapshot is ReadSnapshot from a file path — the one-file cold
-// start for workers, serverless handlers, and short-lived CLI runs.
+// LoadSnapshot reconstructs a framework (and the embedded detector, nil
+// if none was compiled in) from the snapshot file at path — the
+// one-file cold start for workers, serverless handlers, and short-lived
+// CLI runs. Detection results are byte-for-byte identical to the
+// freshly built framework the snapshot was taken from.
 func LoadSnapshot(path string) (*Framework, *Detector, error) {
 	db, det, err := snapshot.ReadFile(path)
-	return loadSnapshot(db, det, err)
-}
-
-func loadSnapshot(db *homoglyph.DB, det *core.Detector, err error) (*Framework, *Detector, error) {
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,6 +2,7 @@ package shamfinder
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -242,13 +243,13 @@ func TestSnapshotFacadeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadSnapshotStream(t *testing.T) {
+func TestSnapshotFileWithoutDetector(t *testing.T) {
 	fw := framework(t)
-	var buf bytes.Buffer
-	if err := fw.WriteSnapshot(&buf, nil); err != nil {
+	path := filepath.Join(t.TempDir(), "db.snap")
+	if err := fw.SaveSnapshot(path, nil); err != nil {
 		t.Fatal(err)
 	}
-	lfw, det, err := ReadSnapshot(&buf)
+	lfw, det, err := LoadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
