@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -627,6 +628,34 @@ func benchZoneLines(b *testing.B, det *core.Detector, n int, suffixes []string, 
 	return lines
 }
 
+// hyphenZoneLines reshapes benchZoneLines' corpus toward a real zone:
+// one ACE line in 40 is kept (under 1% of the result), and of the plain
+// lines 15% gain one '-' and 1% a "--" mid-label, past the third byte
+// so that no "xn" label start becomes an ACE prefix.
+func hyphenZoneLines(base [][]byte) [][]byte {
+	rng := stats.NewRNG(0x2d)
+	out := make([][]byte, 0, len(base))
+	for _, line := range base {
+		if punycode.HasACEPrefix(line) {
+			if rng.Intn(40) == 0 {
+				out = append(out, line)
+			}
+			continue
+		}
+		dot := bytes.IndexByte(line, '.')
+		var ins string
+		switch r := rng.Intn(100); {
+		case r < 1:
+			ins = "--"
+		case r < 16:
+			ins = "-"
+		}
+		at := dot/2 + 1
+		out = append(out, slices.Concat(line[:at], []byte(ins), line[at:]))
+	}
+	return out
+}
+
 // BenchmarkIngestion measures the detect feeder path — raw zone line to
 // normalized FQDN to verdict, including label splitting and punycode
 // decode for ACE labels — on the miss path. Both pooled variants must
@@ -634,8 +663,13 @@ func benchZoneLines(b *testing.B, det *core.Detector, n int, suffixes []string, 
 // PR-2-comparable pure-.com corpus, "pooled-multitld" mixes .com, .net,
 // a co.uk-style multi-label suffix, an IDN TLD and www. subdomains to
 // prove TLD-awareness costs neither allocations nor more than a few
-// ns/line. The seed variant reproduces the Text/TrimSpace/ToLower/
-// TrimSuffix per-line allocations the rewrite removed.
+// ns/line. "pooled-hyphens" is zone-shaped (under 1% ACE lines, about
+// 15% of names with one '-', a few with a non-ACE "a--b") and reports
+// exact-share, the share of lines the gate's word-at-a-time pre-check
+// passes on to its exact byte loop: the pre-check's speed rests on "--"
+// being rare outside ACE labels. The seed variant reproduces the
+// Text/TrimSpace/ToLower/TrimSuffix per-line allocations the rewrite
+// removed.
 func BenchmarkIngestion(b *testing.B) {
 	det, _ := benchDetector(b, homoglyph.SourceUC|homoglyph.SourceSimChar)
 	lines := benchZoneLines(b, det, 4096, []string{".com"}, false)
@@ -659,6 +693,19 @@ func BenchmarkIngestion(b *testing.B) {
 	b.Run("pooled", pooled(lines))
 	b.Run("pooled-multitld", pooled(benchZoneLines(b, det, 4096,
 		[]string{".com", ".net", ".co.uk", ".xn--p1ai"}, true)))
+	hyphens := hyphenZoneLines(lines)
+	exact := 0
+	for _, line := range hyphens {
+		// The pre-check's pass rule: too short for a word load, a byte
+		// >= 0x80, or "--" (no line here holds "-,").
+		if len(line) < 8 || bytes.Contains(line, []byte("--")) || !punycode.IsASCII(string(line)) {
+			exact++
+		}
+	}
+	b.Run("pooled-hyphens", func(b *testing.B) {
+		pooled(hyphens)(b)
+		b.ReportMetric(float64(exact)/float64(len(hyphens)), "exact-share")
+	})
 	b.Run("seed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package dnswire
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,8 @@ func TestCanonicalName(t *testing.T) {
 		{"", "."},
 		{".", "."},
 		{"a.b.c", "a.b.c."},
+		{"A\x80B", "a\x80b."}, // bytes that are not UTF-8 pass through
+		{"Éx.COM", "Éx.com."}, // ASCII-only case folding (RFC 4343)
 	}
 	for _, c := range cases {
 		if got := CanonicalName(c.in); got != c.want {
@@ -392,4 +395,28 @@ func TestRecordString(t *testing.T) {
 	if got := r.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
+}
+
+// FuzzUnpack: Unpack never panics, and any message it accepts packs and
+// unpacks back to the same Message. The seed corpus under testdata/fuzz
+// holds messages written by Pack; `go test -fuzz=FuzzUnpack` explores
+// further.
+func FuzzUnpack(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Message
+		if err := m.Unpack(data); err != nil {
+			return
+		}
+		buf, err := m.Pack(nil)
+		if err != nil {
+			t.Fatalf("Unpack(%q) accepted a message Pack rejects: %v\n%s", data, err, &m)
+		}
+		var again Message
+		if err := again.Unpack(buf); err != nil {
+			t.Fatalf("Unpack of Pack(%q) = %q failed: %v", data, buf, err)
+		}
+		if !reflect.DeepEqual(m, again) {
+			t.Fatalf("Unpack(%q) round trip changed the message:\n%s\nbecame\n%s", data, &m, &again)
+		}
+	})
 }

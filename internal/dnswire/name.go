@@ -1,6 +1,9 @@
 package dnswire
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+)
 
 // maxNameOctets is the RFC 1035 limit on the wire form of a name.
 const maxNameOctets = 255
@@ -8,15 +11,27 @@ const maxNameOctets = 255
 // maxLabelOctets is the RFC 1035 limit on one label.
 const maxLabelOctets = 63
 
-// CanonicalName lowercases s and ensures it ends with a single trailing
-// dot, the canonical form used throughout the zone store. The root name
-// is ".".
+// CanonicalName lowercases the ASCII letters of s and ensures it ends
+// with a single trailing dot, the canonical form used throughout the
+// zone store. The root name is ".". Other bytes pass through unchanged:
+// DNS compares names case-insensitively in ASCII only (RFC 4343), and a
+// Unicode fold would rewrite bytes that are not valid UTF-8.
 func CanonicalName(s string) string {
-	s = strings.ToLower(strings.TrimSuffix(s, "."))
+	s = strings.TrimSuffix(s, ".")
 	if s == "" {
 		return "."
 	}
-	return s + "."
+	var sb strings.Builder
+	sb.Grow(len(s) + 1)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		sb.WriteByte(c)
+	}
+	sb.WriteByte('.')
+	return sb.String()
 }
 
 // SplitLabels splits a canonical name into its labels, excluding the
@@ -121,6 +136,9 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			total += n + 1
 			if total > maxNameOctets {
 				return "", 0, ErrNameTooLong
+			}
+			if bytes.IndexByte(msg[off+1:off+1+n], '.') >= 0 {
+				return "", 0, ErrDotInLabel
 			}
 			sb.Write(toLowerAppend(msg[off+1 : off+1+n]))
 			sb.WriteByte('.')

@@ -323,6 +323,9 @@ func unpackRData(typ Type, msg []byte, rdStart int, rdata []byte) (RData, error)
 		}
 		return MX{Preference: readUint16(rdata, 0), Host: host}, nil
 	case TypeTXT:
+		if len(rdata) == 0 { // RFC 1035 §3.3.14: one or more strings
+			return nil, fmt.Errorf("dnswire: TXT RDATA is empty")
+		}
 		var ss []string
 		for i := 0; i < len(rdata); {
 			n := int(rdata[i])

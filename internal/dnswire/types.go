@@ -130,6 +130,9 @@ var (
 	ErrPointerLoop      = errors.New("dnswire: compression pointer loop")
 	ErrTrailingBytes    = errors.New("dnswire: trailing bytes after message")
 	ErrTooManyRecords   = errors.New("dnswire: record count exceeds message size")
+	// ErrDotInLabel rejects a wire label holding a '.' byte: the dotted
+	// text form of a name has no escapes, so it cannot represent one.
+	ErrDotInLabel = errors.New("dnswire: label contains a dot")
 )
 
 // Header is the fixed 12-octet DNS message header (RFC 1035 §4.1.1).

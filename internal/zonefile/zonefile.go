@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -233,14 +234,15 @@ func parseTTL(s string) (uint32, error) {
 		mult, s = 604800, s[:len(s)-1]
 	}
 	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
+	if err != nil || v*uint64(mult) > math.MaxUint32 {
 		return 0, fmt.Errorf("bad TTL %q", s)
 	}
 	return uint32(v) * mult, nil
 }
 
 // absolute resolves a possibly-relative name against the zone origin.
-// "@" means the origin itself.
+// "@" means the origin itself. A quoted string or a name with an empty
+// label is rejected: neither can be written back as a name.
 func (z *Zone) absolute(name string) (string, error) {
 	if name == "@" {
 		if z.Origin == "" {
@@ -248,13 +250,19 @@ func (z *Zone) absolute(name string) (string, error) {
 		}
 		return z.Origin, nil
 	}
+	if strings.HasPrefix(name, "\"") {
+		return "", fmt.Errorf("quoted string %q where a name belongs", name[1:])
+	}
+	if name != "." && (strings.HasPrefix(name, ".") || strings.Contains(name, "..")) {
+		return "", fmt.Errorf("name %q has an empty label", name)
+	}
 	if strings.HasSuffix(name, ".") {
 		return dnswire.CanonicalName(name), nil
 	}
 	if z.Origin == "" {
 		return "", fmt.Errorf("relative name %q with no $ORIGIN", name)
 	}
-	return dnswire.CanonicalName(name + "." + z.Origin), nil
+	return dnswire.CanonicalName(name + "." + strings.TrimSuffix(z.Origin, ".")), nil
 }
 
 // parseRecord interprets the token list of one logical record line.
@@ -277,6 +285,9 @@ func (z *Zone) parseRecord(tokens []string, lastOwner string) (dnswire.Record, s
 		owner, err = z.absolute(tokens[0])
 		if err != nil {
 			return rec, "", err
+		}
+		if strings.HasPrefix(owner, "$") {
+			return rec, "", fmt.Errorf("owner %q would be written as a directive", owner)
 		}
 		tokens = tokens[1:]
 	}
@@ -439,11 +450,13 @@ func (z *Zone) relativize(name string) string {
 	if name == z.Origin {
 		return "@"
 	}
-	if strings.HasSuffix(name, "."+z.Origin) {
-		return strings.TrimSuffix(name, "."+z.Origin)
+	if rel, ok := strings.CutSuffix(name, "."+z.Origin); ok && rel != "@" {
+		return rel
 	}
 	return name
 }
+
+var txtEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
 
 func (z *Zone) presentRData(d dnswire.RData) string {
 	switch r := d.(type) {
@@ -453,6 +466,15 @@ func (z *Zone) presentRData(d dnswire.RData) string {
 		return z.relativize(r.Target)
 	case dnswire.MX:
 		return fmt.Sprintf("%d %s", r.Preference, z.relativize(r.Host))
+	case dnswire.TXT:
+		// Master-file quoting: tokenize undoes a backslash before any
+		// byte, so only '"' and '\' need one. Go's %q (TXT.String)
+		// would write escapes such as \t that read back as plain letters.
+		quoted := make([]string, len(r.Strings))
+		for i, s := range r.Strings {
+			quoted[i] = `"` + txtEscaper.Replace(s) + `"`
+		}
+		return strings.Join(quoted, " ")
 	default:
 		return d.String()
 	}

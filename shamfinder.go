@@ -224,8 +224,9 @@ func LoadSnapshot(path string) (*Framework, *Detector, error) {
 // dot, a bare ACE label, or any non-ASCII byte. The position test
 // matters in IDN-TLD zones (.xn--p1ai), where the TLD would otherwise
 // qualify every plain line: those reject here, before the pooled-buffer
-// copy and worker handoff, with zero work beyond one byte scan. The
-// returned domain aliases line's storage.
+// copy and worker handoff. A line with no "--" and no non-ASCII byte
+// rejects after a word-at-a-time scan, 8 bytes per load. The returned
+// domain aliases line's storage.
 //
 // The rules live in internal/domain so the HTTP serving layer
 // (internal/service) applies the exact same normalization to incoming

@@ -334,6 +334,43 @@ func naiveScannable(s string) bool {
 	return false
 }
 
+// TestNormalizeZoneLineWordBoundaries drives the gate's word-at-a-time
+// pre-check across every alignment: each probe sits at every offset of
+// lines 1 to 24 bytes long, on a dot-free and a dotted background, and
+// NormalizeZoneLine must agree with the naive reference. The probes are
+// the pre-check's two signals ("--", ACE prefixes at a label start and
+// mid-label, a byte >= 0x80), its near misses (a lone '-', and "-,",
+// which the SWAR hyphen test flags falsely) and the trailing root dot.
+func TestNormalizeZoneLineWordBoundaries(t *testing.T) {
+	probes := []string{
+		"--", "xn--", "XN--", ".xn--", ".XN--", "axn--", "aXN--",
+		"-", "-,", ",-", "-,-", "\x80", "\xff", ".",
+	}
+	backgrounds := []func(i int) byte{
+		func(int) byte { return 'a' },
+		func(i int) byte { return ".ab"[i%3] },
+	}
+	buf := make([]byte, 24)
+	for n := 1; n <= 24; n++ {
+		for _, p := range probes {
+			for at := 0; at+len(p) <= n; at++ {
+				for _, bg := range backgrounds {
+					for i := range n {
+						buf[i] = bg(i)
+					}
+					copy(buf[at:], p)
+					line := string(buf[:n])
+					got, ok := NormalizeZoneLine(buf[:n])
+					want, wantOK := naiveNormalizeZoneLine(line)
+					if ok != wantOK || (ok && string(got) != want) {
+						t.Errorf("NormalizeZoneLine(%q) = %q, %v; naive = %q, %v", line, got, ok, want, wantOK)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzNormalizeZoneLine: the in-place fast path must agree with the
 // naive reference on arbitrary bytes — including non-UTF-8 garbage,
 // interior dots, and whitespace runs. `go test` runs the seed corpus;
@@ -345,6 +382,21 @@ func FuzzNormalizeZoneLine(f *testing.F) {
 		"xn--", "a.b.xn--c", "xn--a.com extra", "\x80xn--a.com", "XN--A",
 	} {
 		f.Add(s)
+	}
+	// "--" across the word-load boundaries at byte offsets 7|8 and
+	// 15|16, in lines that end inside, on and just past each word.
+	for _, n := range []int{7, 8, 9, 16, 17} {
+		for _, at := range []int{5, 6, 7, 14, 15} {
+			if at+2 <= n {
+				b := []byte(strings.Repeat("a", n))
+				copy(b[at:], "--")
+				f.Add(string(b))
+				if at >= 3 && at+3 < n { // "xn--" left of a dot: a keep
+					copy(b[at-3:], ".xn--.")
+					f.Add(string(b))
+				}
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		buf := []byte(line)
