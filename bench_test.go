@@ -628,10 +628,11 @@ func benchZoneLines(b *testing.B, det *core.Detector, n int, suffixes []string, 
 	return lines
 }
 
-// hyphenZoneLines reshapes benchZoneLines' corpus toward a real zone:
-// one ACE line in 40 is kept (under 1% of the result), and of the plain
-// lines 15% gain one '-' and 1% a "--" mid-label, past the third byte
-// so that no "xn" label start becomes an ACE prefix.
+// hyphenZoneLines reshapes benchZoneLines' corpus: one ACE line in 40
+// is kept (under 1% of the result), and of the plain lines 15% gain one
+// '-' and 1% a "--" mid-label, past the third byte so that no "xn"
+// label start becomes an ACE prefix. The hyphen shares are assumed, not
+// measured from a real zone.
 func hyphenZoneLines(base [][]byte) [][]byte {
 	rng := stats.NewRNG(0x2d)
 	out := make([][]byte, 0, len(base))
@@ -663,13 +664,16 @@ func hyphenZoneLines(base [][]byte) [][]byte {
 // PR-2-comparable pure-.com corpus, "pooled-multitld" mixes .com, .net,
 // a co.uk-style multi-label suffix, an IDN TLD and www. subdomains to
 // prove TLD-awareness costs neither allocations nor more than a few
-// ns/line. "pooled-hyphens" is zone-shaped (under 1% ACE lines, about
-// 15% of names with one '-', a few with a non-ACE "a--b") and reports
-// exact-share, the share of lines the gate's word-at-a-time pre-check
-// passes on to its exact byte loop: the pre-check's speed rests on "--"
-// being rare outside ACE labels. The seed variant reproduces the
-// Text/TrimSpace/ToLower/TrimSuffix per-line allocations the rewrite
-// removed.
+// ns/line. "pooled-acetld" puts every line under the ACE TLD .xn--p1ai,
+// so every line holds "--" and the gate's word-at-a-time pre-check
+// rejects none of them: it records what the pre-check costs where it
+// cannot help. "pooled-hyphens" has under 1% ACE lines and assumed
+// hyphen shares (about 15% of names with one '-', a few with a non-ACE
+// "a--b"; not measured from a real zone) and reports exact-share, the
+// share of lines the pre-check passes on to its exact byte loop: the
+// pre-check's speed rests on "--" being rare anywhere on the line. The
+// seed variant reproduces the Text/TrimSpace/ToLower/TrimSuffix
+// per-line allocations the rewrite removed.
 func BenchmarkIngestion(b *testing.B) {
 	det, _ := benchDetector(b, homoglyph.SourceUC|homoglyph.SourceSimChar)
 	lines := benchZoneLines(b, det, 4096, []string{".com"}, false)
@@ -693,11 +697,16 @@ func BenchmarkIngestion(b *testing.B) {
 	b.Run("pooled", pooled(lines))
 	b.Run("pooled-multitld", pooled(benchZoneLines(b, det, 4096,
 		[]string{".com", ".net", ".co.uk", ".xn--p1ai"}, true)))
+	b.Run("pooled-acetld", pooled(benchZoneLines(b, det, 4096, []string{".xn--p1ai"}, false)))
 	hyphens := hyphenZoneLines(lines)
 	exact := 0
 	for _, line := range hyphens {
 		// The pre-check's pass rule: too short for a word load, a byte
-		// >= 0x80, or "--" (no line here holds "-,").
+		// >= 0x80, or "--". Its SWAR test also passes some lines holding
+		// "-,", which this count would miss, so none may appear.
+		if bytes.Contains(line, []byte("-,")) {
+			b.Fatalf("line %q holds \"-,\"; exact-share would undercount", line)
+		}
 		if len(line) < 8 || bytes.Contains(line, []byte("--")) || !punycode.IsASCII(string(line)) {
 			exact++
 		}

@@ -1,10 +1,13 @@
 package dnsserver
 
 import (
+	"errors"
+	"net"
 	"net/netip"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dnsclient"
 	"repro/internal/dnswire"
@@ -271,5 +274,56 @@ func TestServerDoubleStartAndClose(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Error("second Close errored:", err)
+	}
+}
+
+// TestServerFormErrOnDottedLabel pins the answer to a query whose wire
+// label holds a '.' byte ("example.com" as one label under "com"), which
+// dnswire.Unpack rejects with ErrDotInLabel: the server replies FORMERR
+// under the query's ID, echoes no question, and does not count it as a
+// query.
+func TestServerFormErrOnDottedLabel(t *testing.T) {
+	srv := startServer(t, testStore(t))
+	pkt := []byte{
+		0xbe, 0xef, // ID
+		0x01, 0x00, // RD
+		0, 1, 0, 0, 0, 0, 0, 0, // QDCOUNT 1
+		11, 'e', 'x', 'a', 'm', 'p', 'l', 'e', '.', 'c', 'o', 'm',
+		3, 'c', 'o', 'm', 0,
+		0, 1, 0, 1, // A, IN
+	}
+	var q dnswire.Message
+	if err := q.Unpack(pkt); !errors.Is(err, dnswire.ErrDotInLabel) {
+		t.Fatalf("Unpack = %v, want ErrDotInLabel", err)
+	}
+	conn, err := net.Dial("udp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(pkt); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp dnswire.Message
+	if err := resp.Unpack(buf[:n]); err != nil {
+		t.Fatal(err)
+	}
+	h := resp.Header
+	if h.ID != 0xbeef || !h.Response || h.RCode != dnswire.RCodeFormatError {
+		t.Errorf("header = %+v, want ID 0xbeef, response, FORMERR", h)
+	}
+	if len(resp.Questions) != 0 || len(resp.Answers) != 0 {
+		t.Errorf("response carries %d questions, %d answers; want none", len(resp.Questions), len(resp.Answers))
+	}
+	if got := srv.Queries(); got != 0 {
+		t.Errorf("Queries() = %d, want 0", got)
 	}
 }

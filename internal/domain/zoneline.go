@@ -19,8 +19,9 @@ import (
 // dot, a bare ACE label, or any non-ASCII byte. The position test
 // matters in IDN-TLD zones (.xn--p1ai), where the TLD would otherwise
 // qualify every plain line: those reject here, before the pooled-buffer
-// copy and worker handoff. A line with no "--" and no non-ASCII byte —
-// almost every line of a zone — rejects after a word-at-a-time scan
+// copy and worker handoff, but only after the byte loop. A line with no
+// "--" and no non-ASCII byte — almost every line of a zone whose TLD is
+// not ACE — rejects sooner, after a word-at-a-time scan
 // (mayHoldCandidate) that reads 8 bytes per load. The returned domain
 // aliases line's storage.
 //
@@ -121,9 +122,11 @@ const (
 // false is a final reject. That is exact, not a heuristic: the gate
 // keeps only non-ASCII bytes and ACE labels, and every ACE prefix
 // ("xn--" in any case) contains "--". RFC 5891's R-LDH rule reserves
-// "--" at positions 3–4 for A-labels, so in a real zone the pair is rare
-// beyond the ACE lines themselves. True may be a false positive (a
-// non-ACE "a--b", or the "-," noted below); the exact gate settles it.
+// "--" at positions 3–4 for A-labels, so the pair is rare beyond the
+// ACE labels themselves. An ACE TLD is one of them: under .xn--p1ai
+// every line passes, and this scan only adds its cost. True may be a
+// false positive (such a TLD, a non-ACE "a--b", or the "-," noted
+// below); the exact gate settles it.
 //
 // Lines of 8 bytes or more are read as little-endian words: the full
 // words, then one overlapping load for the tail. The hyphen test is the
