@@ -48,8 +48,12 @@ func (d CharDiff) String() string {
 //
 // The detector materializes a matched name as one string: FQDN, IDN and
 // TLD are substrings of it, and Unicode is its tail (a second matching
-// label of the same name carries its own Unicode string). Keeping any
-// one of the four fields keeps that whole string alive.
+// label of the same name carries its own Unicode string). The strings,
+// the Diffs and a call's result slice are carved from append-only slabs
+// in the detector's pooled scratch, which are never rewritten. Keeping
+// a match keeps alive the slabs it was carved from, each about 1 KiB of
+// text or 32 diffs; keeping a result slice also keeps its 2 KiB slab of
+// 18 matches.
 type Match struct {
 	IDN       string // ASCII (xn--) form of the matched label, as seen in the zone
 	Unicode   string // decoded label
@@ -57,7 +61,7 @@ type Match struct {
 	FQDN      string // full domain the label was matched in (equals IDN for bare-label input)
 	TLD       string // public suffix of FQDN ("com", "co.uk", "xn--p1ai"); "" for bare labels
 	Backend   Backend
-	Diffs     []CharDiff // per-character substitutions (posting backend only)
+	Diffs     []CharDiff // per-character substitutions of a verified match (postings or both); nil for skeleton-only
 }
 
 // Imitated returns the domain the match imitates: the reference label
@@ -72,13 +76,86 @@ func (m Match) Imitated() string {
 }
 
 // scratch holds the per-call working memory the detect paths reuse
-// across labels, keeping the steady-state path allocation-free except
-// for the matches themselves.
+// across labels, and the slabs every hit's output is carved from. A
+// label that matches nothing touches no slab and allocates nothing; a
+// hit allocates only when it fills a slab.
+//
+// The slabs are append-only. Every piece is carved with cap == len, and
+// a full slab is replaced by a new one, never reset or rewritten, so
+// what a call returns stays immutable and independent of later calls.
 type scratch struct {
 	runes []rune
 	skel  []byte
-	diffs []CharDiff // a candidate's diffs, copied out only when it verifies
-	text  []byte     // a matched name and its label's Unicode form
+	diffs []CharDiff // a candidate's diffs, carved out only when it verifies
+	uni   []byte     // a matched label's UTF-8 Unicode form, staged for the text slab
+
+	text      strings.Builder // matched names and their labels' Unicode forms
+	diffSlab  []CharDiff      // verified matches' Diffs
+	matchSlab []Match         // a call's first match, as a cap-1 result slice
+}
+
+// Slab sizes: a new slab holds at least this many bytes of match text,
+// diffs, or matches.
+const (
+	textSlab  = 1 << 10
+	diffSlab  = 32
+	matchSlab = 16
+)
+
+// carveText writes prefix and the UTF-8 form of runes to the text slab
+// and returns them as one string. The runes are encoded in scratch
+// first, so the string's exact length is reserved and it never
+// straddles two slabs.
+func carveText[S punycode.ByteSeq](sc *scratch, prefix S, runes []rune) string {
+	uni := sc.uni[:0]
+	for _, r := range runes {
+		uni = utf8.AppendRune(uni, r)
+	}
+	sc.uni = uni
+	b := &sc.text
+	if n := len(prefix) + len(uni); b.Cap()-b.Len() < n {
+		b.Reset() // strings already returned keep the old slab
+		b.Grow(max(textSlab, n))
+	}
+	start := b.Len()
+	switch p := any(prefix).(type) {
+	case string:
+		b.WriteString(p)
+	case []byte:
+		b.Write(p)
+	}
+	b.Write(uni)
+	return b.String()[start:]
+}
+
+// carveDiffs copies the verified candidate's diffs into the diff slab.
+func (sc *scratch) carveDiffs() []CharDiff {
+	n := len(sc.diffs)
+	if cap(sc.diffSlab)-len(sc.diffSlab) < n {
+		sc.diffSlab = make([]CharDiff, 0, max(diffSlab, n))
+	}
+	start := len(sc.diffSlab)
+	sc.diffSlab = append(sc.diffSlab, sc.diffs...)
+	end := len(sc.diffSlab)
+	return sc.diffSlab[start:end:end]
+}
+
+// nextMatch extends out by one zero match. A call's first match (out
+// == nil) takes a cap-1 result slice from the match slab; a later one
+// grows out as append does.
+func (sc *scratch) nextMatch(out []Match) []Match {
+	if out != nil {
+		return append(out, Match{})
+	}
+	if len(sc.matchSlab) == cap(sc.matchSlab) {
+		// Grow, unlike make, rounds the capacity up to fill the
+		// allocator's size class: 18 matches in 2 KiB on 64-bit
+		// platforms, where 16 were asked for.
+		sc.matchSlab = slices.Grow([]Match(nil), matchSlab)
+	}
+	n := len(sc.matchSlab)
+	sc.matchSlab = sc.matchSlab[:n+1]
+	return sc.matchSlab[n : n+1 : n+1]
 }
 
 // Detector holds the reference list, its skeleton index, and the
@@ -164,8 +241,8 @@ func (d *Detector) References() []string {
 
 // matchAgainst implements the inner loop of Algorithm 1 for one
 // (reference, IDN) pair of equal rune length. The diffs collect in
-// scratch and are copied out once, on success, so a candidate that
-// fails verification allocates nothing.
+// scratch and are carved into the diff slab once, on success, so a
+// candidate that fails verification allocates nothing.
 func (d *Detector) matchAgainst(sc *scratch, ref []rune, idn []rune) ([]CharDiff, bool) {
 	sc.diffs = sc.diffs[:0]
 	for i := range ref {
@@ -183,7 +260,7 @@ func (d *Detector) matchAgainst(sc *scratch, ref []rune, idn []rune) ([]CharDiff
 	if len(sc.diffs) == 0 {
 		return nil, false
 	}
-	return slices.Clone(sc.diffs), true
+	return sc.carveDiffs(), true
 }
 
 // detectLabel scans idnLabel as one label, dots and all, on borrowed
@@ -372,7 +449,6 @@ func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq
 	}
 	runes := sc.runes
 	labelStart := len(out)
-	var m Match // the label's forms, filled in by its first match
 	if be&BackendPostings != 0 {
 		for _, id := range ids {
 			ref := d.refRunes(id)
@@ -380,11 +456,9 @@ func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq
 				continue
 			}
 			if diffs, ok := d.matchAgainst(sc, ref, runes); ok {
-				if len(out) == labelStart {
-					m = labelMatch(sc, fq, name, lo, hi, runes)
-				}
+				out = labelMatch(sc, out, labelStart, fq, name, lo, hi, runes)
+				m := &out[len(out)-1]
 				m.Reference, m.Backend, m.Diffs = d.refs[id], be&BackendBoth, diffs
-				out = append(out, m)
 			}
 		}
 	}
@@ -404,11 +478,9 @@ func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq
 			if runesEqualString(runes, ref) {
 				continue
 			}
-			if len(out) == labelStart {
-				m = labelMatch(sc, fq, name, lo, hi, runes)
-			}
-			m.Reference, m.Backend, m.Diffs = ref, BackendSkeleton, nil
-			out = append(out, m)
+			out = labelMatch(sc, out, labelStart, fq, name, lo, hi, runes)
+			m := &out[len(out)-1]
+			m.Reference, m.Backend = ref, BackendSkeleton
 		}
 	}
 	return out
@@ -432,26 +504,31 @@ func probe[S punycode.ByteSeq](x *skelIndex, sc *scratch, label S) []int32 {
 	return x.refs[string(skel)]
 }
 
-// labelMatch returns the forms of the matched label name[lo:hi], which
-// decodes to runes, as a Match with no reference yet. The name's first
-// matched label copies the name and the label's UTF-8 Unicode form into
-// one string and keeps the name part in *fq: FQDN and IDN are
-// substrings of it, and Unicode is its tail. A later label of the same
-// name copies only its own Unicode form.
-func labelMatch[S punycode.ByteSeq](sc *scratch, fq *string, name S, lo, hi int, runes []rune) Match {
-	var uni string
-	if *fq == "" {
-		text := append(sc.text[:0], name...)
-		for _, r := range runes {
-			text = utf8.AppendRune(text, r)
-		}
-		sc.text = text
-		s := string(text)
-		*fq, uni = s[:len(name)], s[len(name):]
-	} else {
-		uni = string(runes)
+// labelMatch appends a match of the label name[lo:hi], which decodes
+// to runes, to out and fills in the label's forms; the caller sets the
+// rest in place. The label's matches start at out[labelStart]. Its
+// first match carves the forms into the text slab: the name's first
+// matched label writes the name and the label's UTF-8 Unicode form as
+// one string and keeps the name part in *fq, so FQDN and IDN are
+// substrings of it and Unicode is its tail; a later label of the same
+// name writes only its own Unicode form. The label's later matches
+// share the first one's strings.
+func labelMatch[S punycode.ByteSeq](sc *scratch, out []Match, labelStart int, fq *string, name S, lo, hi int, runes []rune) []Match {
+	out = sc.nextMatch(out)
+	m := &out[len(out)-1]
+	if len(out)-1 > labelStart {
+		first := &out[labelStart]
+		m.IDN, m.Unicode, m.FQDN = first.IDN, first.Unicode, first.FQDN
+		return out
 	}
-	return Match{IDN: (*fq)[lo:hi], Unicode: uni, FQDN: *fq}
+	if *fq == "" {
+		s := carveText(sc, name, runes)
+		*fq, m.Unicode = s[:len(name)], s[len(name):]
+	} else {
+		m.Unicode = carveText(sc, "", runes)
+	}
+	m.IDN, m.FQDN = (*fq)[lo:hi], *fq
+	return out
 }
 
 // DetectLabelLinear is the seed engine: a linear scan over every

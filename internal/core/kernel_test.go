@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -395,9 +396,12 @@ func TestMatchMaterialization(t *testing.T) {
 	})
 }
 
-// TestHitAllocBudget pins the hit path's allocations on the byte entry
-// points: the returned slice, one string for the name with its label's
-// Unicode form, and — for a verified match — one copy of its diffs.
+// TestHitAllocBudget pins the hit path's amortized allocations on the
+// byte entry points. A hit carves its result slice, its strings and its
+// diffs from the scratch slabs, so it allocates only when it fills one;
+// the budget is a quarter of an allocation per hit of each kind.
+// testing.AllocsPerRun truncates its average to an integer, so the
+// count comes from runtime.MemStats over many hits.
 func TestHitAllocBudget(t *testing.T) {
 	if lint.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -411,10 +415,140 @@ func TestHitAllocBudget(t *testing.T) {
 	if ms := d.DetectDomainBytesBackend(skeletal, BackendSkeleton); len(ms) != 1 || ms[0].Diffs != nil {
 		t.Fatalf("skeleton hit = %+v", ms)
 	}
-	if n := testing.AllocsPerRun(100, func() { d.DetectDomainBytesBackend(verified, BackendPostings) }); n > 3 {
-		t.Errorf("verified 2-diff hit: %v allocations, budget 3", n)
+	const hits, budget = 20000, 0.25
+	for _, c := range []struct {
+		kind string
+		name []byte
+		be   Backend
+	}{{"verified 2-diff hit", verified, BackendPostings}, {"skeleton-only hit", skeletal, BackendSkeleton}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range hits {
+			d.DetectDomainBytesBackend(c.name, c.be)
+		}
+		runtime.ReadMemStats(&after)
+		if n := float64(after.Mallocs-before.Mallocs) / hits; n > budget {
+			t.Errorf("%s: %.3f allocations per hit, budget %v", c.kind, n, budget)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { d.DetectDomainBytesBackend(skeletal, BackendSkeleton) }); n > 2 {
-		t.Errorf("skeleton-only hit: %v allocations, budget 2", n)
+}
+
+// TestSlabIsolation pins that results carved from the scratch slabs are
+// independent: across enough hits to replace every slab many times,
+// appending to a returned match slice or to a match's Diffs changes no
+// other result, and every stored string keeps its bytes. The stream
+// half runs the same check on matches from concurrent workers, so the
+// race detector sees any slab shared across calls.
+func TestSlabIsolation(t *testing.T) {
+	d := NewDetector(testDB(t), []string{"google", "amazon", "microsoft"})
+	goo, ama := ace(t, "gооgle"), ace(t, "amazоn")
+	// Hit i: a verified 2-diff hit, a skeleton-only hit (rn→m), or a
+	// two-label name with a verified match in each label.
+	name := func(i int) string {
+		n := strconv.Itoa(i)
+		switch i % 3 {
+		case 0:
+			return "s" + n + "." + goo + ".com"
+		case 1:
+			return "rnicrosoft.s" + n + ".com"
+		}
+		return goo + "." + ama + ".s" + n + ".com"
 	}
+	// frozen is a match's content, deep-copied so that no byte of it
+	// comes from a slab.
+	type frozen struct {
+		fqdn, idn, uni, tld, ref string
+		diffs                    []CharDiff
+	}
+	freeze := func(m Match) frozen {
+		return frozen{strings.Clone(m.FQDN), strings.Clone(m.IDN), strings.Clone(m.Unicode), strings.Clone(m.TLD),
+			m.Reference, slices.Clone(m.Diffs)}
+	}
+	same := func(m Match, w frozen) bool {
+		return m.FQDN == w.fqdn && m.IDN == w.idn && m.Unicode == w.uni && m.TLD == w.tld &&
+			m.Reference == w.ref && slices.Equal(m.Diffs, w.diffs)
+	}
+	junk := CharDiff{Pos: -1, Got: 'x', Want: 'y'}
+	const n = 10000
+
+	t.Run("sequential", func(t *testing.T) {
+		results := make([][]Match, n)
+		wants := make([][]frozen, n)
+		var textBytes, diffs, matches int
+		for i := range results {
+			ms := d.DetectDomainBytesBackend([]byte(name(i)), BackendBoth)
+			if want := 1 + i%3/2; len(ms) != want {
+				t.Fatalf("%s: %d matches, want %d", name(i), len(ms), want)
+			}
+			results[i] = ms
+			for _, m := range ms {
+				wants[i] = append(wants[i], freeze(m))
+				textBytes += len(m.FQDN) + len(m.Unicode)
+				diffs += len(m.Diffs)
+			}
+			matches++ // one slab slot per call; a second match grows out of it
+		}
+		if textBytes < 4*textSlab || diffs < 4*diffSlab || matches < 4*matchSlab {
+			t.Fatalf("%d text bytes, %d diffs, %d result slices: too few to replace every slab several times", textBytes, diffs, matches)
+		}
+		for i, ms := range results {
+			if len(ms) == 1 && cap(ms) != 1 {
+				t.Fatalf("%s: one match with cap %d", name(i), cap(ms))
+			}
+			// Appending writes past the result's end, where another
+			// result would sit if the slab had handed out spare cap.
+			grown := append(ms, Match{FQDN: "junk"})
+			grown[len(ms)].IDN = "junk"
+			for _, m := range ms {
+				if cap(m.Diffs) != len(m.Diffs) {
+					t.Fatalf("%s: Diffs cap %d, len %d", name(i), cap(m.Diffs), len(m.Diffs))
+				}
+				if m.Diffs != nil {
+					grown := append(m.Diffs, junk)
+					grown[len(m.Diffs)].Pos = -2
+				}
+			}
+		}
+		for i, ms := range results {
+			for j, m := range ms {
+				if !same(m, wants[i][j]) {
+					t.Fatalf("%s match %d changed: %+v, want %+v", name(i), j, m, wants[i][j])
+				}
+			}
+		}
+	})
+
+	t.Run("stream", func(t *testing.T) {
+		in := make(chan *[]byte)
+		go func() {
+			for i := range n {
+				b := []byte(name(i))
+				in <- &b
+			}
+			close(in)
+		}()
+		var got []Match
+		var wants []frozen
+		for m := range d.DetectStream(in, 4, nil, BackendBoth) {
+			got = append(got, m)
+			wants = append(wants, freeze(m))
+		}
+		if want := n + n/3; len(got) != want {
+			t.Fatalf("%d stream matches, want %d", len(got), want)
+		}
+		for _, m := range got {
+			if m.Diffs != nil {
+				grown := append(m.Diffs, junk)
+				grown[len(m.Diffs)].Pos = -2
+			}
+		}
+		for i, m := range got {
+			if !same(m, wants[i]) {
+				t.Fatalf("stream match %d changed: %+v, want %+v", i, m, wants[i])
+			}
+			if !strings.HasPrefix(m.FQDN, m.IDN) && !strings.Contains(m.FQDN, "."+m.IDN+".") || !strings.HasSuffix(m.FQDN, "."+m.TLD) {
+				t.Fatalf("stream match %d: IDN %q or TLD %q not in FQDN %q", i, m.IDN, m.TLD, m.FQDN)
+			}
+		}
+	})
 }
