@@ -659,19 +659,19 @@ func hyphenZoneLines(base [][]byte) [][]byte {
 
 // BenchmarkIngestion measures the detect feeder path — raw zone line to
 // normalized FQDN to verdict, including label splitting and punycode
-// decode for ACE labels — on the miss path. Both pooled variants must
-// run at 0 allocs/op (CI watches the -benchmem column): "pooled" is the
-// PR-2-comparable pure-.com corpus, "pooled-multitld" mixes .com, .net,
+// decode for ACE labels — on the miss path. Every pooled variant must
+// run at 0 allocs/op (CI gates the four rows' -benchmem column):
+// "pooled" is the pure-.com corpus, "pooled-multitld" mixes .com, .net,
 // a co.uk-style multi-label suffix, an IDN TLD and www. subdomains to
 // prove TLD-awareness costs neither allocations nor more than a few
-// ns/line. "pooled-acetld" puts every line under the ACE TLD .xn--p1ai,
-// so every line holds "--" and the gate's word-at-a-time pre-check
-// rejects none of them: it records what the pre-check costs where it
-// cannot help. "pooled-hyphens" has under 1% ACE lines and assumed
-// hyphen shares (about 15% of names with one '-', a few with a non-ACE
-// "a--b"; not measured from a real zone) and reports exact-share, the
-// share of lines the pre-check passes on to its exact byte loop: the
-// pre-check's speed rests on "--" being rare anywhere on the line. The
+// ns/line. "pooled-acetld" puts every line under the ACE TLD
+// .xn--p1ai, so every line holds "--" and passes the raw pre-check:
+// its plain lines rest on the left-of-TLD check, which ignores the
+// TLD's "--". "pooled-hyphens" has under 1% ACE lines and
+// assumed hyphen shares (about 15% of names with one '-', a few with a
+// non-ACE "a--b"; not measured from a real zone) and reports
+// exact-share, the share of lines the pre-checks pass on to the exact
+// byte loop: their speed rests on "--" being rare left of the TLD. The
 // seed variant reproduces the Text/TrimSpace/ToLower/TrimSuffix
 // per-line allocations the rewrite removed.
 func BenchmarkIngestion(b *testing.B) {

@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"repro/internal/punycode"
@@ -16,17 +17,34 @@ import (
 //
 // It reports false for blank lines and lines with no scannable
 // homograph candidate: a candidate is an ACE label left of the final
-// dot, a bare ACE label, or any non-ASCII byte. The position test
-// matters in IDN-TLD zones (.xn--p1ai), where the TLD would otherwise
-// qualify every plain line: those reject here, before the pooled-buffer
-// copy and worker handoff, but only after the byte loop. A line with no
-// "--" and no non-ASCII byte — almost every line of a zone whose TLD is
-// not ACE — rejects sooner, after a word-at-a-time scan
-// (mayHoldCandidate) that reads 8 bytes per load. The returned domain
-// aliases line's storage.
+// dot, a bare ACE label, or any non-ASCII byte. Three checks decide, in
+// order:
+//
+//  1. mayHoldCandidate on the raw, untrimmed line: a line with no byte
+//     >= 0x80 and no "--" is rejected untouched. That is almost every
+//     line of a zone whose TLD is not ACE. Running it before the trim is
+//     exact: the trim removes only ASCII whitespace and one '.', neither
+//     of which is a byte >= 0x80 or a '-', so the trimmed line holds a
+//     high byte or "--" exactly when the raw line does. Its fast path,
+//     three overlapping word loads for lines of 8 to 22 bytes, is
+//     written out here so that nearly every zone line pays no call.
+//  2. After the trim, mayHoldCandidateLeftOfTLD repeats the "--" test
+//     on the part left of the last dot, so that under an ACE TLD
+//     (.xn--p1ai) the TLD's own "--" no longer passes every plain line.
+//  3. scannableZoneName, the exact early-exit byte loop, settles every
+//     line the two word-at-a-time checks pass.
+//
+// The returned domain aliases line's storage.
 //
 //shamlint:noalloc
 func NormalizeZoneLine(line []byte) ([]byte, bool) {
+	if n := len(line); n > 22 {
+		if !mayHoldCandidate(line) {
+			return nil, false
+		}
+	} else if n >= 8 && candidateBits(line, 0)|candidateBits(line, (n-8)/2)|candidateBits(line, n-8) == 0 {
+		return nil, false
+	}
 	start, end := 0, len(line)
 	for start < end && asciiSpace(line[start]) {
 		start++
@@ -38,7 +56,7 @@ func NormalizeZoneLine(line []byte) ([]byte, bool) {
 		end-- // zone files write FQDNs with the root dot
 	}
 	line = line[start:end]
-	if len(line) == 0 || !mayHoldCandidate(line) || !scannableZoneName(line) {
+	if len(line) == 0 || !mayHoldCandidateLeftOfTLD(line) || !scannableZoneName(line) {
 		return nil, false
 	}
 	for i, c := range line {
@@ -123,45 +141,82 @@ const (
 // keeps only non-ASCII bytes and ACE labels, and every ACE prefix
 // ("xn--" in any case) contains "--". RFC 5891's R-LDH rule reserves
 // "--" at positions 3–4 for A-labels, so the pair is rare beyond the
-// ACE labels themselves. An ACE TLD is one of them: under .xn--p1ai
-// every line passes, and this scan only adds its cost. True may be a
-// false positive (such a TLD, a non-ACE "a--b", or the "-," noted
-// below); the exact gate settles it.
+// ACE labels themselves. True may be a false positive (an ACE TLD, a
+// non-ACE "a--b", or the "-," noted at hyphenPairs); the later checks
+// settle it. Lines shorter than 8 bytes pass: they are too short for a
+// word load, and the exact gate decides them.
 //
-// Lines of 8 bytes or more are read as little-endian words: the full
-// words, then one overlapping load for the tail. The hyphen test is the
-// SWAR zero-byte test on w ^ 0x2d…2d, ANDed with itself shifted one
-// byte. Its borrow can also flag a ',' (0x2c) just above a '-', which
-// only sends "-," on to the exact gate. A pair split across two full
-// words is caught by carrying the top byte's flag into the next word.
-// The tail load overlaps the last full word, so it holds the pair that
-// straddles their boundary and needs no carry.
+// The line is read as overlapping little-endian words, and consecutive
+// loads share at least one byte, so every adjacent byte pair lies
+// inside one load and no flag is carried from word to word. A line of
+// 8 to 22 bytes, nearly every line of a zone, takes three loads at 0,
+// (n-8)/2 and n-8: the middle one starts at most 7 bytes after the
+// first and ends at most 7 bytes before the last, so they overlap. That
+// offset needs no branch, where min(7, n-8) compiles to one that line
+// lengths spread evenly over 9–20 bytes mispredict. Longer lines take
+// loads at 0, 7, 14, ... while a whole word fits, then one at n-8.
+// NormalizeZoneLine writes the three-load case out inline with the
+// unmasked candidateBits. That is the same test: with end = n, the
+// masks of candidatesBefore drop only the pair bit of the top byte of
+// the load at n-8, which hyphenPairs never sets (its shift brings in
+// zeros).
 func mayHoldCandidate(line []byte) bool {
-	n := len(line)
-	if n < 8 {
-		return true // too short for a word load: the exact gate decides
-	}
-	var hit, carry uint64
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		w := binary.LittleEndian.Uint64(line[i:])
-		z := hyphenBytes(w)
-		hit |= w&swarHigh | z&(z>>8) | z&(carry<<7)
-		carry = z >> 63
-	}
-	if i < n {
-		w := binary.LittleEndian.Uint64(line[n-8:])
-		z := hyphenBytes(w)
-		hit |= w&swarHigh | z&(z>>8)
-	}
-	return hit != 0
+	return len(line) < 8 || candidatesBefore(line, len(line)) != 0
 }
 
-// hyphenBytes sets the high bit of every byte of w that is '-' (and of
-// a ',' just above one; see mayHoldCandidate).
-func hyphenBytes(w uint64) uint64 {
+// mayHoldCandidateLeftOfTLD is mayHoldCandidate for a trimmed name with
+// the "--" test confined to the part left of its last dot. The exact
+// gate scans the final label only when the name has no dot, so a "--"
+// there (an ACE TLD such as .xn--p1ai) cannot make a dotted name
+// scannable; a byte >= 0x80 still counts anywhere, since the gate keeps
+// it in any position. A dotless name, or one under 8 bytes, passes.
+func mayHoldCandidateLeftOfTLD(line []byte) bool {
+	d := bytes.LastIndexByte(line, '.')
+	return len(line) < 8 || d < 0 || candidatesBefore(line, d) != 0
+}
+
+// candidateBits loads the word at line[i:] and sets the high bit of each
+// of its bytes that is >= 0x80 or starts a "--" pair.
+func candidateBits(line []byte, i int) uint64 {
+	w := binary.LittleEndian.Uint64(line[i:])
+	return (w | hyphenPairs(w)) & swarHigh
+}
+
+// candidatesBefore is candidateBits over a whole line of n >= 8 bytes,
+// read in mayHoldCandidate's overlapping loads, keeping a "--" pair
+// only when it ends before byte end; a byte >= 0x80 counts anywhere.
+func candidatesBefore(line []byte, end int) uint64 {
+	n := len(line)
+	if n <= 22 {
+		return candidateBitsBefore(line, 0, end) | candidateBitsBefore(line, (n-8)/2, end) | candidateBitsBefore(line, n-8, end)
+	}
+	hit := candidateBitsBefore(line, n-8, end)
+	for i := 0; i+8 <= n; i += 7 {
+		hit |= candidateBitsBefore(line, i, end)
+	}
+	return hit
+}
+
+// candidateBitsBefore is candidateBits with the pairs that do not end
+// before byte end masked off. The pair starting at byte i+j ends at
+// i+j+1 <= end-1, so the load at i keeps the pair bits of its low
+// end-1-i bytes. A shift of 64 or more is 0 in Go, so the mask is all
+// ones once end-1-i >= 8.
+func candidateBitsBefore(line []byte, i, end int) uint64 {
+	w := binary.LittleEndian.Uint64(line[i:])
+	return (w | hyphenPairs(w)&(1<<(8*max(end-1-i, 0))-1)) & swarHigh
+}
+
+// hyphenPairs sets bit 7 of byte j of w when bytes j and j+1 are both
+// '-'; its other bits are noise for the caller to mask off with
+// swarHigh. It is the SWAR zero-byte test on w ^ 0x2d…2d, unmasked, ANDed
+// with itself shifted one byte, so bit 15 of byte j lands on bit 7. The
+// test's borrow can also flag a ',' (0x2c) just above a '-', so "-,"
+// passes as a pair too; that only sends the line on to the exact gate.
+func hyphenPairs(w uint64) uint64 {
 	x := w ^ swarHyphen
-	return (x - swarOnes) &^ x & swarHigh
+	y := (x - swarOnes) &^ x
+	return y & (y >> 8)
 }
 
 func asciiSpace(c byte) bool {

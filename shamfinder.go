@@ -221,12 +221,13 @@ func LoadSnapshot(path string) (*Framework, *Detector, error) {
 //
 // It reports false for blank lines and lines with no scannable
 // homograph candidate: a candidate is an ACE label left of the final
-// dot, a bare ACE label, or any non-ASCII byte. The position test
+// dot, a bare ACE label, or any non-ASCII byte. A line with no "--"
+// and no non-ASCII byte rejects before it is trimmed, after three
+// overlapping 8-byte loads for a typical zone line. The position test
 // matters in IDN-TLD zones (.xn--p1ai), where the TLD would otherwise
-// qualify every plain line: those reject here, before the pooled-buffer
-// copy and worker handoff. A line with no "--" and no non-ASCII byte
-// rejects after a word-at-a-time scan, 8 bytes per load. The returned
-// domain aliases line's storage.
+// qualify every plain line: a word-at-a-time test of the part left of
+// the last dot rejects those, before the pooled-buffer copy and worker
+// handoff. The returned domain aliases line's storage.
 //
 // The rules live in internal/domain so the HTTP serving layer
 // (internal/service) applies the exact same normalization to incoming

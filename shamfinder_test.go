@@ -335,23 +335,32 @@ func naiveScannable(s string) bool {
 }
 
 // TestNormalizeZoneLineWordBoundaries drives the gate's word-at-a-time
-// pre-check across every alignment: each probe sits at every offset of
-// lines 1 to 24 bytes long, on a dot-free and a dotted background, and
-// NormalizeZoneLine must agree with the naive reference. The probes are
-// the pre-check's two signals ("--", ACE prefixes at a label start and
-// mid-label, a byte >= 0x80), its near misses (a lone '-', and "-,",
-// which the SWAR hyphen test flags falsely) and the trailing root dot.
+// pre-checks across every alignment: each probe sits at every offset of
+// lines 1 to 48 bytes long (past the 22-byte edge of the three-load
+// fast path and two stride-7 steps beyond it), on a dot-free and a
+// dotted background, and NormalizeZoneLine must agree with the naive
+// reference. The probes are the pre-check's two signals ("--", ACE
+// prefixes at a label start and mid-label, a byte >= 0x80), its near
+// misses (a lone '-', and "-,", which the SWAR hyphen test flags
+// falsely), the trailing root dot, and multi-label names under the ACE
+// TLD .xn--p1ai, whose "--" the left-of-TLD check must ignore. Because
+// the first pre-check reads the raw line, every line is also tried
+// inside whitespace padding, with a CRLF ending and with a root dot.
 func TestNormalizeZoneLineWordBoundaries(t *testing.T) {
 	probes := []string{
 		"--", "xn--", "XN--", ".xn--", ".XN--", "axn--", "aXN--",
 		"-", "-,", ",-", "-,-", "\x80", "\xff", ".",
 	}
+	for _, p := range []string{"a--b.xn--p1ai", "xn--a.xn--p1ai", "a.xn--b.xn--p1ai", "plain.sub.xn--p1ai", "xn--p1ai"} {
+		probes = append(probes, p, p+".")
+	}
 	backgrounds := []func(i int) byte{
 		func(int) byte { return 'a' },
 		func(i int) byte { return ".ab"[i%3] },
 	}
-	buf := make([]byte, 24)
-	for n := 1; n <= 24; n++ {
+	pads := [][2]string{{"", ""}, {"  ", "\t "}, {"\t", "\r\n"}, {"", "."}, {" \t", ".\r\n"}}
+	buf := make([]byte, 48)
+	for n := 1; n <= 48; n++ {
 		for _, p := range probes {
 			for at := 0; at+len(p) <= n; at++ {
 				for _, bg := range backgrounds {
@@ -359,11 +368,13 @@ func TestNormalizeZoneLineWordBoundaries(t *testing.T) {
 						buf[i] = bg(i)
 					}
 					copy(buf[at:], p)
-					line := string(buf[:n])
-					got, ok := NormalizeZoneLine(buf[:n])
-					want, wantOK := naiveNormalizeZoneLine(line)
-					if ok != wantOK || (ok && string(got) != want) {
-						t.Errorf("NormalizeZoneLine(%q) = %q, %v; naive = %q, %v", line, got, ok, want, wantOK)
+					for _, pad := range pads {
+						line := pad[0] + string(buf[:n]) + pad[1]
+						got, ok := NormalizeZoneLine([]byte(line))
+						want, wantOK := naiveNormalizeZoneLine(line)
+						if ok != wantOK || (ok && string(got) != want) {
+							t.Errorf("NormalizeZoneLine(%q) = %q, %v; naive = %q, %v", line, got, ok, want, wantOK)
+						}
 					}
 				}
 			}
@@ -383,10 +394,18 @@ func FuzzNormalizeZoneLine(f *testing.F) {
 	} {
 		f.Add(s)
 	}
-	// "--" across the word-load boundaries at byte offsets 7|8 and
-	// 15|16, in lines that end inside, on and just past each word.
-	for _, n := range []int{7, 8, 9, 16, 17} {
-		for _, at := range []int{5, 6, 7, 14, 15} {
+	// Multi-label names under an ACE TLD, bare and with a root dot,
+	// plain and padded: the left-of-TLD check must ignore the TLD's "--".
+	for _, s := range []string{"a--b.xn--p1ai", "xn--a.xn--p1ai", "a.xn--b.xn--p1ai", "plain.sub.xn--p1ai", "xn--p1ai"} {
+		f.Add(s)
+		f.Add(s + ".")
+		f.Add(" \t" + s + ".\r\n")
+	}
+	// "--" on and around word-load edges, in lines that end inside, on
+	// and just past the three-load fast path's 22-byte edge and the
+	// stride-7 loads beyond it.
+	for _, n := range []int{7, 8, 9, 15, 16, 17, 21, 22, 23, 29, 30} {
+		for _, at := range []int{5, 6, 7, 13, 14, 15, 20, 21, 27} {
 			if at+2 <= n {
 				b := []byte(strings.Repeat("a", n))
 				copy(b[at:], "--")
