@@ -47,7 +47,6 @@ import (
 	"repro"
 	"repro/internal/blacklist"
 	"repro/internal/dnsclient"
-	"repro/internal/reflist"
 	"repro/internal/service"
 	"repro/internal/triage"
 	"repro/internal/webclassify"
@@ -168,66 +167,17 @@ func buildConfig(fast bool, db string) (shamfinder.Config, error) {
 	return cfg, nil
 }
 
-func newFramework(fast bool, db string) (*shamfinder.Framework, error) {
-	cfg, err := buildConfig(fast, db)
-	if err != nil {
-		return nil, err
-	}
-	return shamfinder.New(cfg)
-}
-
-// loadEngine resolves the framework and detector from a snapshot file
-// (milliseconds) or a fresh build (seconds). With -snapshot, an
-// explicit -refs overrides any embedded detector; -db is baked into the
-// snapshot at compile time and the flag is ignored.
-func loadEngine(snapPath, refsPath string, fast bool, db string, needDetector bool) (*shamfinder.Framework, *shamfinder.Detector, error) {
-	var refs []string
-	if refsPath != "" {
-		var err error
-		if refs, err = loadRefs(refsPath); err != nil {
-			return nil, nil, fmt.Errorf("loading refs: %w", err)
-		}
-	}
-	if snapPath != "" {
-		fw, det, err := shamfinder.LoadSnapshot(snapPath)
+// builder defers the framework build until shamfinder.Resolve finds
+// no snapshot: with -snapshot the database is baked in, and -db and
+// -fastfont are ignored.
+func builder(fast bool, db string) func() (*shamfinder.Framework, error) {
+	return func() (*shamfinder.Framework, error) {
+		cfg, err := buildConfig(fast, db)
 		if err != nil {
-			return nil, nil, fmt.Errorf("loading snapshot %s: %w", snapPath, err)
+			return nil, err
 		}
-		if refs != nil {
-			det = fw.NewDetector(refs)
-		}
-		if needDetector && det == nil {
-			return nil, nil, fmt.Errorf("snapshot %s embeds no detector; pass -refs or recompile with -refs", snapPath)
-		}
-		return fw, det, nil
+		return shamfinder.New(cfg)
 	}
-	if needDetector && refsPath == "" {
-		return nil, nil, fmt.Errorf("need -refs FILE or -snapshot FILE")
-	}
-	fw, err := newFramework(fast, db)
-	if err != nil {
-		return nil, nil, err
-	}
-	var det *shamfinder.Detector
-	if refs != nil {
-		det = fw.NewDetector(refs)
-	}
-	return fw, det, nil
-}
-
-// loadRefs reads reference labels from a plain list or rank CSV —
-// shared with the serving layer's /v1/reload endpoint through
-// internal/reflist, so a list hot-loaded over HTTP parses exactly as
-// it does here. Each domain contributes its registrable label —
-// suffix-aware, so amazon.co.uk indexes "amazon", not "amazon.co" —
-// on any TLD. A list that parses to nothing is an error, as it is for
-// serve: detecting against no references would report a clean zone.
-func loadRefs(path string) ([]string, error) {
-	refs, err := reflist.Load(path)
-	if err == nil && len(refs) == 0 {
-		err = fmt.Errorf("reference list %s is empty", path)
-	}
-	return refs, err
 }
 
 // cmdCompile builds the databases once and persists the compiled
@@ -239,21 +189,13 @@ func cmdCompile(args []string) error {
 	db := fs.String("db", "both", "homoglyph database: uc, simchar or both")
 	fast := fs.Bool("fastfont", false, "skip CJK/Hangul font generation")
 	fs.Parse(args)
-	var refs []string
-	if *refsPath != "" {
-		var err error
-		if refs, err = loadRefs(*refsPath); err != nil {
-			return fmt.Errorf("loading refs: %w", err)
-		}
-	}
-	fw, err := newFramework(*fast, *db)
+	// A detector is embedded exactly when a list is named.
+	fw, det, err := shamfinder.Resolve("", *refsPath, builder(*fast, *db), *refsPath != "")
 	if err != nil {
 		return err
 	}
-	var det *shamfinder.Detector
 	nrefs := 0
-	if refs != nil {
-		det = fw.NewDetector(refs)
+	if det != nil {
 		nrefs = len(det.References())
 	}
 	if err := fw.SaveSnapshot(*out, det); err != nil {
@@ -331,7 +273,7 @@ func cmdDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	_, det, err := loadEngine(*snapPath, *refsPath, *fast, *db, true)
+	_, det, err := shamfinder.Resolve(*snapPath, *refsPath, builder(*fast, *db), true)
 	if err != nil {
 		return err
 	}
@@ -492,14 +434,14 @@ func cmdSurvey(args []string) error {
 		// A snapshot or refs file is optional here; when given it still
 		// supplies the homoglyph DB for brand-redirect reversion.
 		if *snapPath != "" || *refsPath != "" {
-			if fw, _, err = loadEngine(*snapPath, *refsPath, *fast, *db, false); err != nil {
+			if fw, _, err = shamfinder.Resolve(*snapPath, *refsPath, builder(*fast, *db), false); err != nil {
 				return err
 			}
 		}
 	} else {
 		var det *shamfinder.Detector
 		var err error
-		if fw, det, err = loadEngine(*snapPath, *refsPath, *fast, *db, true); err != nil {
+		if fw, det, err = shamfinder.Resolve(*snapPath, *refsPath, builder(*fast, *db), true); err != nil {
 			return err
 		}
 		var in io.Reader = os.Stdin
@@ -751,7 +693,7 @@ func cmdExplain(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("explain: need one DOMAIN (plus -refs FILE or -snapshot FILE)")
 	}
-	fw, det, err := loadEngine(*snapPath, *refsPath, *fast, "both", true)
+	fw, det, err := shamfinder.Resolve(*snapPath, *refsPath, builder(*fast, "both"), true)
 	if err != nil {
 		return err
 	}
@@ -774,7 +716,7 @@ func cmdRevert(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("revert: need one DOMAIN")
 	}
-	fw, _, err := loadEngine(*snapPath, "", *fast, "both", false)
+	fw, _, err := shamfinder.Resolve(*snapPath, "", builder(*fast, "both"), false)
 	if err != nil {
 		return err
 	}
@@ -806,7 +748,7 @@ func cmdGlyphs(args []string) error {
 	if len(runes) != 1 {
 		return fmt.Errorf("glyphs: %q is not a single character", fs.Arg(0))
 	}
-	fw, _, err := loadEngine(*snapPath, "", *fast, "both", false)
+	fw, _, err := shamfinder.Resolve(*snapPath, "", builder(*fast, "both"), false)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestLoadRefsRoutesThroughReflist pins the CLI to the shared loader:
@@ -17,10 +19,11 @@ func TestLoadRefsRoutesThroughReflist(t *testing.T) {
 	if err := os.WriteFile(path, []byte("google.com\namazon.co.uk\n# note\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	refs, err := loadRefs(path)
+	_, det, err := shamfinder.Resolve("", path, builder(true, "both"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refs := det.References()
 	want := []string{"google", "amazon"}
 	if !reflect.DeepEqual(refs, want) {
 		t.Fatalf("refs = %v, want %v", refs, want)
@@ -38,8 +41,8 @@ func TestEmptyReferenceListRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := "reference list " + path + " is empty"
-		if _, _, err := loadEngine("", path, true, "both", true); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("loadEngine(%s) err = %v, want %q", name, err, want)
+		if _, _, err := shamfinder.Resolve("", path, builder(true, "both"), true); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Resolve(%s) err = %v, want %q", name, err, want)
 		}
 		out := filepath.Join(dir, name+".snap")
 		if err := cmdCompile([]string{"-fastfont", "-refs", path, "-o", out}); err == nil || !strings.Contains(err.Error(), want) {

@@ -152,7 +152,7 @@ func TestUppercaseNonASCIIReference(t *testing.T) {
 }
 
 // TestACEReferenceIndexesDecoded: a reference given in ACE form
-// ("xn--bcher-kva", as loadRefs now emits for IDN brands like
+// ("xn--bcher-kva", as reflist.Load now emits for IDN brands like
 // xn--80ak6aa92e.xn--p1ai) must index on its decoded runes — the
 // literal ASCII spelling could never match a homograph, silently
 // no-op'ing IDN brand protection.

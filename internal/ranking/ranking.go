@@ -99,7 +99,8 @@ func (l *List) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ParseCSV reads a "rank,domain" CSV. Rows must be rank-ordered.
+// ParseCSV reads a "rank,domain" CSV. Rows must be rank-ordered;
+// blank lines and #-comments are skipped.
 func ParseCSV(r io.Reader) (*List, error) {
 	sc := bufio.NewScanner(r)
 	var domains []string
@@ -107,7 +108,7 @@ func ParseCSV(r io.Reader) (*List, error) {
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
 		rank, domain, ok := strings.Cut(text, ",")

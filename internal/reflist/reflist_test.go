@@ -135,3 +135,24 @@ func TestReadInlineList(t *testing.T) {
 		t.Fatalf("refs = %v, want %v", refs, want)
 	}
 }
+
+// TestLoadLeadingComment is the format-detection regression: the
+// sniff used to count #-comments, so a plain list headed by a comment
+// with a comma went to the CSV parser and failed, and a rank CSV
+// headed by a comment without one loaded as inert "1,google" labels.
+func TestLoadLeadingComment(t *testing.T) {
+	for name, content := range map[string]string{
+		"plain list, comment with comma": "# brands, top 10\ngoogle.com\npaypal.com\n",
+		"rank CSV, comment without":      "# ranked list\n1,google.com\n2,paypal.com\n",
+		"rank CSV, comments between":     "\n# ranked list\n1,google.com\n# second\n2,paypal.com\n",
+	} {
+		refs, err := Load(writeTemp(t, content))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if want := []string{"google", "paypal"}; !reflect.DeepEqual(refs, want) {
+			t.Errorf("%s: refs = %q, want %q", name, refs, want)
+		}
+	}
+}

@@ -37,7 +37,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -46,8 +45,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/homoglyph"
 	"repro/internal/reflist"
-	"repro/internal/snapshot"
 	"repro/internal/triage"
 	"repro/internal/zonewatch"
 )
@@ -289,6 +288,20 @@ func scan(det *core.Detector, buf *[]byte, name string, be core.Backend) []core.
 	return det.DetectDomainBytesBackend(fqdn, be)
 }
 
+// scanAll scans names against det through one pooled buffer and
+// returns their matches sorted — the loop behind /v1/detect,
+// /v1/explain and survey submission.
+func (s *Server) scanAll(det *core.Detector, names []string, be core.Backend) []core.Match {
+	buf := s.bufs.Get().(*[]byte)
+	var matches []core.Match
+	for _, name := range names {
+		matches = append(matches, scan(det, buf, name, be)...)
+	}
+	s.putBuf(buf)
+	core.SortMatches(matches)
+	return matches
+}
+
 // requestBackend resolves a request's backend name against the server
 // default; an unknown name is the caller's error.
 func (s *Server) requestBackend(name string) (core.Backend, error) {
@@ -330,13 +343,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	// One engine load for the whole request: every name in the batch is
 	// answered by the same epoch, even if a reload lands mid-loop.
 	det, epoch := s.engine.Current()
-	buf := s.bufs.Get().(*[]byte)
-	var matches []core.Match
-	for _, name := range names {
-		matches = append(matches, scan(det, buf, name, be)...)
-	}
-	s.putBuf(buf)
-	core.SortMatches(matches)
+	matches := s.scanAll(det, names, be)
 	s.met.domains.Add(uint64(len(names)))
 	s.met.matches.Add(uint64(len(matches)))
 	writeJSON(w, http.StatusOK, detectResponse{
@@ -361,10 +368,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	det, epoch := s.engine.Current()
-	buf := s.bufs.Get().(*[]byte)
-	matches := scan(det, buf, name, be)
-	s.putBuf(buf)
-	core.SortMatches(matches)
+	matches := s.scanAll(det, []string{name}, be)
 	s.met.domains.Add(1)
 	s.met.matches.Add(uint64(len(matches)))
 	warnings := make([]string, len(matches))
@@ -379,11 +383,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReload swaps new state under live traffic. The three sources,
-// in precedence order: a compiled snapshot file (the 20 ms path — the
-// artifact `shamfinder compile` writes), a reference list file
-// (rebuild off the current homoglyph DB), or an inline reference
-// array. Reloads serialize among themselves; queries never wait.
+// handleReload swaps new state under live traffic. reflist.Resolve
+// picks the detector from the request's snapshot, refs and references
+// by the rule startup applies, over the current homoglyph DB when no
+// snapshot is named: a snapshot reload is the 20 ms path, a list
+// reload rebuilds off the live DB. Reloads serialize among themselves;
+// queries never wait.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req reloadRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -393,74 +398,19 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	epoch, refs, source, err := s.reload(req)
+	res, err := reflist.Resolve(req.Snapshot, req.Refs, req.References,
+		func() (*homoglyph.DB, error) { return s.engine.DB(), nil }, true)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
+	// Report THIS detector's count: reading it back from the engine
+	// after a concurrent -watch swap could pair epoch N with another
+	// epoch's reference count.
+	epoch, refs := s.engine.Swap(res.Detector), res.Detector.NumReferences()
 	s.noteSwap()
-	s.logf("reload: epoch %d, %d references (%s)", epoch, refs, source)
-	writeJSON(w, http.StatusOK, reloadResponse{Epoch: epoch, References: refs, Source: source})
-}
-
-func (s *Server) reload(req reloadRequest) (epoch uint64, refs int, source string, err error) {
-	switch {
-	case req.Snapshot != "":
-		db, det, rerr := snapshot.ReadFile(req.Snapshot)
-		if rerr != nil {
-			return 0, 0, "", fmt.Errorf("loading snapshot: %w", rerr)
-		}
-		// An explicit reference list overrides the snapshot's embedded
-		// detector — the same precedence `serve -snapshot -refs` (and
-		// the CLI's loadEngine) applies at startup, so the operator who
-		// POSTs both gets the list they named, not silently the stale
-		// embedded set.
-		refList := reflist.Labels(req.References)
-		source := "snapshot:" + req.Snapshot
-		if req.Refs != "" {
-			if refList, rerr = reflist.Load(req.Refs); rerr != nil {
-				return 0, 0, "", fmt.Errorf("loading refs: %w", rerr)
-			}
-			if len(refList) == 0 {
-				return 0, 0, "", fmt.Errorf("reference list %s is empty", req.Refs)
-			}
-			source += " refs:" + req.Refs
-		} else if len(refList) > 0 {
-			source += " inline"
-		} else if len(req.References) > 0 {
-			return 0, 0, "", errors.New("references reduce to no registrable labels")
-		}
-		if len(refList) > 0 {
-			det = core.NewDetector(db, refList)
-		}
-		if det == nil {
-			return 0, 0, "", errors.New("snapshot embeds no detector; recompile with -refs or include refs/references")
-		}
-		return s.engine.Swap(det), det.NumReferences(), source, nil
-	case req.Refs != "":
-		refList, rerr := reflist.Load(req.Refs)
-		if rerr != nil {
-			return 0, 0, "", fmt.Errorf("loading refs: %w", rerr)
-		}
-		if len(refList) == 0 {
-			return 0, 0, "", fmt.Errorf("reference list %s is empty", req.Refs)
-		}
-		// Build-then-swap so the response reports THIS detector's count:
-		// a concurrent -watch swap between an engine-level rebuild and a
-		// later Detector() read could pair epoch N with another epoch's
-		// reference count.
-		det := core.NewDetector(s.engine.DB(), refList)
-		return s.engine.Swap(det), det.NumReferences(), "refs:" + req.Refs, nil
-	case len(req.References) > 0:
-		refList := reflist.Labels(req.References)
-		if len(refList) == 0 {
-			return 0, 0, "", errors.New("references reduce to no registrable labels")
-		}
-		det := core.NewDetector(s.engine.DB(), refList)
-		return s.engine.Swap(det), det.NumReferences(), "inline", nil
-	default:
-		return 0, 0, "", errors.New(`need "snapshot", "refs" or "references"`)
-	}
+	s.logf("reload: epoch %d, %d references (%s)", epoch, refs, res.Source)
+	writeJSON(w, http.StatusOK, reloadResponse{Epoch: epoch, References: refs, Source: res.Source})
 }
 
 // noteSwap records a successful swap for /metrics.

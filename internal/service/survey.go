@@ -473,16 +473,7 @@ func (s *Server) handleSurveySubmit(w http.ResponseWriter, r *http.Request) {
 	det, epoch := s.engine.Current()
 	var inputs []triage.Input
 	if req.Detect == nil || *req.Detect {
-		buf := s.bufs.Get().(*[]byte)
-		var matches []core.Match
-		for _, name := range req.FQDNs {
-			if ms := scan(det, buf, name, be); len(ms) > 0 {
-				matches = append(matches, ms...)
-			}
-		}
-		s.putBuf(buf)
-		core.SortMatches(matches)
-		inputs = triage.InputsFromMatches(matches)
+		inputs = triage.InputsFromMatches(s.scanAll(det, req.FQDNs, be))
 	} else {
 		seen := make(map[string]bool, len(req.FQDNs))
 		for _, name := range req.FQDNs {

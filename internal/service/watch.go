@@ -8,9 +8,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/reflist"
 	"repro/internal/resilience"
-	"repro/internal/snapshot"
 )
 
 // Serve runs the server on ln until ctx is cancelled, then shuts down
@@ -61,9 +60,10 @@ type WatchConfig struct {
 	Loaded time.Time
 	// OverrideRefs, when non-empty, pins the reference list: each new
 	// artifact contributes its homoglyph database, and the detector is
-	// rebuilt over it from these references — the serve-time `-refs`
-	// override must survive snapshot rollovers, not silently give way
-	// to the artifact's embedded set on the first nightly recompile.
+	// rebuilt over it from these references, passed to reflist.Resolve
+	// as inline references — the serve-time `-refs` override must
+	// survive snapshot rollovers, not silently give way to the
+	// artifact's embedded set on the first nightly recompile.
 	OverrideRefs []string
 }
 
@@ -130,21 +130,16 @@ func (s *Server) WatchSnapshot(ctx context.Context, cfg WatchConfig) {
 		}
 		if mt := st.ModTime(); !mt.Equal(last) {
 			last = mt
-			db, det, err := snapshot.ReadFile(cfg.Path)
+			// Stat succeeded, so the path is set and Resolve never asks
+			// for a fresh DB.
+			res, err := reflist.Resolve(cfg.Path, "", cfg.OverrideRefs, nil, true)
 			if err != nil {
 				s.logf("watch: reloading %s failed, keeping epoch %d: %v", cfg.Path, s.engine.Epoch(), err)
 				continue
 			}
-			if len(cfg.OverrideRefs) > 0 {
-				det = core.NewDetector(db, cfg.OverrideRefs)
-			}
-			if det == nil {
-				s.logf("watch: %s embeds no detector, keeping epoch %d", cfg.Path, s.engine.Epoch())
-				continue
-			}
-			epoch := s.engine.Swap(det)
+			epoch := s.engine.Swap(res.Detector)
 			s.noteSwap()
-			s.logf("watch: %s changed, swapped to epoch %d (%d references)", cfg.Path, epoch, det.NumReferences())
+			s.logf("watch: %s changed, swapped to epoch %d (%d references)", cfg.Path, epoch, res.Detector.NumReferences())
 		}
 	}
 }

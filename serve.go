@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/homoglyph"
 	"repro/internal/jobstore"
 	"repro/internal/reflist"
 	"repro/internal/service"
@@ -62,15 +63,18 @@ type ServeOptions struct {
 	Addr string
 	// SnapshotPath cold-starts the engine from a compiled snapshot
 	// (milliseconds) instead of building the font + SimChar + UC
-	// pipeline. The snapshot must embed a detector unless RefsPath or
-	// References supplies one.
+	// pipeline. Its embedded detector serves only when neither
+	// RefsPath nor References names a list; a snapshot without one
+	// then fails. The rule is internal/reflist.Resolve, shared by the
+	// CLI and /v1/reload.
 	SnapshotPath string
 	// RefsPath loads the reference list (plain list or rank CSV) the
-	// detector protects. With SnapshotPath it overrides any embedded
-	// detector.
+	// detector protects. It wins over References and over a
+	// snapshot's embedded detector; a list that reduces to no labels
+	// is an error.
 	RefsPath string
-	// References is an inline reference list; used when RefsPath is
-	// empty.
+	// References is an inline reference list, reduced like file lines;
+	// used when RefsPath is empty.
 	References []string
 	// Watch > 0 polls SnapshotPath's mtime at that interval and
 	// hot-swaps the engine when the file changes — zero-downtime
@@ -188,58 +192,27 @@ func Serve(ctx context.Context, opt ServeOptions) error {
 	return srv.Serve(ctx, ln)
 }
 
-// buildEngine resolves the serving engine from the fast path (compiled
-// snapshot) or the full build, honouring the same precedence the CLI's
-// loadEngine uses: an explicit reference list overrides a snapshot's
-// embedded detector. It also returns that explicit list (nil when the
-// embedded detector is serving) so the snapshot watcher can pin it
-// across artifact rollovers.
+// buildEngine resolves the serving engine through reflist.Resolve,
+// building the framework from opt.Build when no snapshot is named. It
+// also returns the named reference list (nil when the snapshot's
+// embedded detector serves) so the snapshot watcher can pin it across
+// artifact rollovers.
 func buildEngine(opt ServeOptions, logf func(string, ...any)) (*Engine, []string, error) {
-	var refs []string
-	if opt.RefsPath != "" {
-		var err error
-		if refs, err = reflist.Load(opt.RefsPath); err != nil {
-			return nil, nil, fmt.Errorf("shamfinder: loading refs: %w", err)
+	start := time.Now()
+	res, err := reflist.Resolve(opt.SnapshotPath, opt.RefsPath, opt.References, func() (*homoglyph.DB, error) {
+		buildStart := time.Now()
+		fw, err := New(opt.Build)
+		if err != nil {
+			return nil, err
 		}
-		// An explicitly named list that parses to nothing must fail
-		// loudly here, like /v1/reload does — silently serving a
-		// snapshot's embedded detector instead would leave the operator
-		// believing the new list is live.
-		if len(refs) == 0 {
-			return nil, nil, fmt.Errorf("shamfinder: reference list %s is empty", opt.RefsPath)
-		}
-	} else if len(opt.References) > 0 {
-		// Inline references reduce exactly like file lines (lowercase,
-		// registrable label), so "paypal.com" protects "paypal" on
-		// every input path.
-		refs = reflist.Labels(opt.References)
-		if len(refs) == 0 {
-			return nil, nil, fmt.Errorf("shamfinder: inline references reduce to no registrable labels")
-		}
+		logf("built framework in %v", time.Since(buildStart).Round(time.Millisecond))
+		return fw.db, nil
+	}, true)
+	if err != nil {
+		return nil, nil, fmt.Errorf("shamfinder: %w", err)
 	}
 	if opt.SnapshotPath != "" {
-		start := time.Now()
-		fw, det, err := LoadSnapshot(opt.SnapshotPath)
-		if err != nil {
-			return nil, nil, fmt.Errorf("shamfinder: loading snapshot %s: %w", opt.SnapshotPath, err)
-		}
-		if len(refs) > 0 {
-			det = fw.NewDetector(refs)
-		}
-		if det == nil {
-			return nil, nil, fmt.Errorf("shamfinder: snapshot %s embeds no detector; pass refs or recompile with -refs", opt.SnapshotPath)
-		}
 		logf("cold start from %s in %v", opt.SnapshotPath, time.Since(start).Round(time.Millisecond))
-		return EngineFor(det), refs, nil
 	}
-	if len(refs) == 0 {
-		return nil, nil, fmt.Errorf("shamfinder: serving needs a reference list (refs path, inline references, or a snapshot with an embedded detector)")
-	}
-	start := time.Now()
-	fw, err := New(opt.Build)
-	if err != nil {
-		return nil, nil, err
-	}
-	logf("built framework in %v", time.Since(start).Round(time.Millisecond))
-	return fw.NewEngine(refs), refs, nil
+	return EngineFor(&Detector{inner: res.Detector}), res.Refs, nil
 }

@@ -36,6 +36,7 @@ import (
 	"repro/internal/hexfont"
 	"repro/internal/homoglyph"
 	"repro/internal/punycode"
+	"repro/internal/reflist"
 	"repro/internal/simchar"
 	"repro/internal/snapshot"
 	"repro/internal/ucd"
@@ -210,6 +211,35 @@ func LoadSnapshot(path string) (*Framework, *Detector, error) {
 		return fw, nil, nil
 	}
 	return fw, &Detector{inner: det}, nil
+}
+
+// Resolve returns the framework and detector named by a snapshot path
+// and a reference list path, under the rule every surface shares
+// (internal/reflist.Resolve): the list wins over the snapshot's
+// embedded detector, and a list that reduces to no labels is an error.
+// build supplies the framework when snapshotPath is empty and is
+// called only then, after the list has loaded. With need unset no
+// detector is compiled and the returned one is nil.
+func Resolve(snapshotPath, refsPath string, build func() (*Framework, error), need bool) (*Framework, *Detector, error) {
+	var fw *Framework
+	res, err := reflist.Resolve(snapshotPath, refsPath, nil, func() (*homoglyph.DB, error) {
+		var err error
+		if fw, err = build(); err != nil {
+			return nil, err
+		}
+		return fw.db, nil
+	}, need)
+	if err != nil {
+		return nil, nil, err
+	}
+	if fw == nil {
+		fw = &Framework{db: res.DB}
+	}
+	var det *Detector
+	if res.Detector != nil {
+		det = &Detector{inner: res.Detector}
+	}
+	return fw, det, nil
 }
 
 // NormalizeZoneLine prepares one domain-list line for detection, in
