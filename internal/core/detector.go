@@ -178,47 +178,47 @@ type Detector struct {
 func NewDetector(db *homoglyph.DB, references []string) *Detector {
 	d := &Detector{db: db}
 	d.scratch.New = func() any { return &scratch{} }
-	seen := make(map[string]bool, len(references))
-	for _, ref := range references {
-		// punycode.Fold is the same normalization the decode path applies
-		// to incoming labels, so an uppercase (even non-ASCII) reference
-		// and its lowercase spelling index identically.
-		ref = punycode.FoldString(strings.TrimSpace(ref))
-		// An ACE reference ("xn--bcher-kva") must index on its decoded
-		// runes — incoming labels are compared in Unicode form, so the
-		// literal ASCII spelling could never match any homograph. A
-		// label that fails to decode stays literal (inert, as before).
-		if punycode.IsACE(ref) {
-			if uni, err := punycode.ToUnicodeLabel(ref); err == nil {
-				ref = uni
-			}
-		}
-		if ref == "" || seen[ref] {
-			continue
-		}
-		seen[ref] = true
-		d.refs = append(d.refs, ref)
-	}
-	d.buildArena()
-	d.skel = buildSkelIndex(d)
+	d.skel = newSkelIndex(db)
+	d.skel.compileGate(d.skel.indexRefs(d, references))
 	return d
 }
 
+// normalizeRef returns the form a reference is indexed under, "" for
+// one that indexes nothing.
+func normalizeRef(ref string) string {
+	// punycode.Fold is the same normalization the decode path applies
+	// to incoming labels, so an uppercase (even non-ASCII) reference
+	// and its lowercase spelling index identically.
+	ref = punycode.FoldString(strings.TrimSpace(ref))
+	// An ACE reference ("xn--bcher-kva") must index on its decoded
+	// runes — incoming labels are compared in Unicode form, so the
+	// literal ASCII spelling could never match any homograph. A label
+	// that fails to decode stays literal (inert, as before).
+	if punycode.IsACE(ref) {
+		if uni, err := punycode.ToUnicodeLabel(ref); err == nil {
+			ref = uni
+		}
+	}
+	return ref
+}
+
 // buildArena decodes every reference into one rune arena, sized up
-// front so the whole reference list costs two allocations.
+// front by the references' byte length, which bounds their rune count,
+// so the whole reference list costs two allocations.
 func (d *Detector) buildArena() {
 	n := 0
 	for _, ref := range d.refs {
-		n += utf8.RuneCountInString(ref)
+		n += len(ref)
 	}
-	d.arena = make([]rune, 0, n)
-	d.offs = make([]int32, 1, len(d.refs)+1)
+	arena := make([]rune, 0, n)
+	offs := make([]int32, 1, len(d.refs)+1)
 	for _, ref := range d.refs {
 		for _, r := range ref {
-			d.arena = append(d.arena, r)
+			arena = append(arena, r)
 		}
-		d.offs = append(d.offs, int32(len(d.arena)))
+		offs = append(offs, int32(len(arena)))
 	}
+	d.arena, d.offs = arena, offs
 }
 
 // refRunes returns reference id's runes, a read-only view of the arena.

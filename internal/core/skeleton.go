@@ -84,7 +84,11 @@ func newFoldTable(rep map[rune]rune, seq map[rune][]rune) foldTable {
 		keys = append(keys, r)
 	}
 	slices.Sort(keys)
-	f := foldTable{ends: make([]uint32, 1, len(keys)+1)}
+	f := foldTable{
+		ends: make([]uint32, 1, len(keys)+1),
+		pool: make([]byte, 0, 2*len(keys)),
+	}
+	f.reserve(keys, 0x80)
 	for _, r := range keys {
 		if r < 0 || r > utf8.MaxRune {
 			continue
@@ -118,6 +122,20 @@ func (f *foldTable) entry(r rune) uint32 {
 		}
 	}
 	return f.outside
+}
+
+// reserve sizes the directory and pages for the blocks of the runes of
+// sorted (ascending) in [lo, utf8.MaxRune], so that giving those blocks
+// pages allocates nothing.
+func (f *foldTable) reserve(sorted []rune, lo rune) {
+	blocks, last := 0, rune(-1)
+	for _, r := range sorted {
+		if r >= lo && r <= utf8.MaxRune && r>>8 != last {
+			blocks, last = blocks+1, r>>8
+		}
+	}
+	f.dir = make([]uint16, last+1)
+	f.pages = make([]uint32, 0, blocks<<8)
 }
 
 // page returns the 256 entries of block hi, adding a page of identity
@@ -181,9 +199,14 @@ func (s *runeSet) addString(str string) {
 	if len(set) < 2 {
 		set = append(set, make([]uint64, 2-len(set))...)
 	}
+	lo, hi := set[0], set[1] // ASCII, in registers
 	for i := 0; i < len(str); {
 		if c := str[i]; c < 0x80 { // most key runes: no decode, no growth
-			set[c>>6] |= 1 << (c & 63)
+			if bit := uint64(1) << (c & 63); c < 64 {
+				lo |= bit
+			} else {
+				hi |= bit
+			}
 			i++
 			continue
 		}
@@ -194,6 +217,7 @@ func (s *runeSet) addString(str string) {
 		set[r>>6] |= 1 << (r & 63)
 		i += n
 	}
+	set[0], set[1] = lo, hi
 	*s = set
 }
 
@@ -203,100 +227,209 @@ func (s runeSet) has(r rune) bool {
 	return i < uint32(len(s)) && s[i]&(1<<(uint32(r)&63)) != 0
 }
 
-// buildSkelIndex compiles the skeleton index for the detector's
-// homoglyph view and reference list.
-func buildSkelIndex(d *Detector) *skelIndex {
-	db := d.db
+// newSkelIndex compiles the per-rune mapping of db's view: rep, seq
+// and the fold table. indexRefs and compileGate complete it.
+func newSkelIndex(db *homoglyph.DB) *skelIndex {
 	chars := db.Chars().Runes()
+	x := &skelIndex{rep: representatives(db, chars)}
+	x.seq = expansions(db, chars, x.rep)
+	x.fold = newFoldTable(x.rep, x.seq)
+	return x
+}
 
-	// Union-find over the pairwise graph, path-halving on find.
-	parent := make(map[rune]rune, len(chars))
-	var find func(rune) rune
-	find = func(r rune) rune {
-		p, ok := parent[r]
-		if !ok || p == r {
-			return r
-		}
-		root := find(p)
-		parent[r] = root
-		return root
+// representatives maps each rune of chars (ascending) to the
+// representative of its connected component of the pairwise graph, the
+// component's smallest rune of chars, leaving out the runes that are
+// their own.
+//
+// The union-find runs over dense ids: chars[i] is id i, and a partner
+// outside chars takes the next free id when first seen. A union hangs
+// the larger root under the smaller, so every root is its component's
+// smallest id, and a partner outside chars, numbered after all of them,
+// is never a representative.
+func representatives(db *homoglyph.DB, chars []rune) map[rune]rune {
+	parent := make([]int32, len(chars))
+	for i := range parent {
+		parent[i] = int32(i)
 	}
-	union := func(a, b rune) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
+	find := func(i int32) int32 {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]] // path halving
+			i = parent[i]
+		}
+		return i
+	}
+	// id returns the slot that holds r's id+1, 0 until r has one. A
+	// rune's slot is an entry of a fold table's pages, used here as a
+	// dense rune-indexed array; a value outside the rune space, which a
+	// loaded database can hold, gets a map entry instead.
+	var ids foldTable
+	ids.reserve(chars, 0)
+	var odd map[rune]*uint32
+	id := func(r rune) *uint32 {
+		if uint32(r) <= utf8.MaxRune {
+			return &ids.page(int(r >> 8))[r&0xff]
+		}
+		if odd[r] == nil {
+			if odd == nil {
+				odd = make(map[rune]*uint32)
+			}
+			odd[r] = new(uint32)
+		}
+		return odd[r]
+	}
+	for i, r := range chars {
+		*id(r) = uint32(i) + 1
+	}
+	var partners []rune
+	for i, r := range chars {
+		partners = db.HomoglyphsAppend(partners[:0], r)
+		for _, p := range partners {
+			pid := id(p)
+			if *pid == 0 { // a partner outside chars
+				parent = append(parent, int32(len(parent)))
+				*pid = uint32(len(parent))
+			}
+			a, b := find(int32(i)), find(int32(*pid-1))
+			if a > b {
+				a, b = b, a
+			}
+			parent[b] = a
 		}
 	}
-	for _, r := range chars {
-		for _, p := range db.Homoglyphs(r) {
-			union(r, p)
+	n := 0
+	for i := range chars {
+		if find(int32(i)) != int32(i) {
+			n++
 		}
 	}
+	rep := make(map[rune]rune, n)
+	for i, r := range chars {
+		if root := find(int32(i)); root != int32(i) {
+			rep[r] = chars[root]
+		}
+	}
+	return rep
+}
 
-	// Representative = smallest rune of the component.
-	minOf := make(map[rune]rune, len(chars))
-	for _, r := range chars {
-		root := find(r)
-		if m, ok := minOf[root]; !ok || r < m {
-			minOf[root] = r
-		}
+// expansions returns the multi-rune skeletons of chars.
+//
+// Sequence expansion is decided per COMPONENT, by its representative:
+// if the rep's full UC prototype is multi-rune, every member of the
+// component skeletonizes to that sequence (each sequence rune itself
+// resolved recursively). Deciding by member instead would let a
+// SimChar-only partner of 'w' keep skeleton 'w' while 'w' itself went
+// to "vv", silently dropping pairwise matches from the candidates.
+func expansions(db *homoglyph.DB, chars []rune, rep map[rune]rune) map[rune][]rune {
+	seq := make(map[rune][]rune)
+	uc := db.UC()
+	if db.Use()&homoglyph.SourceUC == 0 || uc == nil {
+		return seq
 	}
-	x := &skelIndex{
-		rep:  make(map[rune]rune),
-		seq:  make(map[rune][]rune),
-		refs: make(map[string][]int32),
-	}
-	for _, r := range chars {
-		if m := minOf[find(r)]; m != r {
-			x.rep[r] = m
-		}
-	}
-
-	// Sequence expansion is decided per COMPONENT, by its representative:
-	// if the rep's full UC prototype is multi-rune, every member of the
-	// component skeletonizes to that sequence (each sequence rune itself
-	// resolved recursively). Deciding by member instead would let a
-	// SimChar-only partner of 'w' keep skeleton 'w' while 'w' itself went
-	// to "vv", silently dropping pairwise matches from the candidates.
-	var uc ucExpander
-	if db.Use()&homoglyph.SourceUC != 0 {
-		if c := db.UC(); c != nil {
-			uc = c
-		}
-	}
+	// protos[depth] holds the prototype walked at that depth, so the
+	// recursion reuses one buffer per level.
+	var protos [8][]rune
 	var expand func(r rune, depth int, dst []rune) []rune
 	expand = func(r rune, depth int, dst []rune) []rune {
-		rep := r
-		if m, ok := x.rep[r]; ok {
-			rep = m
+		if m, ok := rep[r]; ok {
+			r = m
 		}
-		if uc != nil && depth < 8 {
-			if s := uc.SkeletonAppend(nil, rep); len(s) > 1 {
+		if depth < len(protos) {
+			protos[depth] = uc.SkeletonAppend(protos[depth][:0], r)
+			if s := protos[depth]; len(s) > 1 {
 				for _, t := range s {
 					dst = expand(t, depth+1, dst)
 				}
 				return dst
 			}
 		}
-		return append(dst, rep)
+		return append(dst, r)
 	}
+	var out, pool []rune // pool holds the sequences back to back
 	for _, r := range chars {
-		if s := expand(r, 0, nil); len(s) > 1 {
-			x.seq[r] = s
+		if out = expand(r, 0, out[:0]); len(out) > 1 {
+			pool = append(pool, out...)
+			seq[r] = pool[len(pool)-len(out) : len(pool) : len(pool)]
 		}
 	}
+	return seq
+}
 
-	x.fold = newFoldTable(x.rep, x.seq)
-	var key []byte
-	var keyRunes runeSet
-	for id := range d.refs {
-		key = x.appendLabel(key[:0], d.refRunes(int32(id)))
-		k := string(key)
-		keyRunes.addString(k)
-		x.refs[k] = append(x.refs[k], int32(id))
+// indexRefs normalizes the references, keeps the first of each as
+// d.refs with its runes in the arena, and maps every kept reference's
+// skeleton to its ids. It returns the runes of the skeletons, for the
+// gate.
+//
+// The skeletons are written back to back into one buffer that becomes
+// one string, so each key is a substring of it, and the id lists are
+// cap-limited subslices of one array, so a list is copied only when a
+// second reference shares its skeleton. Equal references have equal
+// skeletons, so the key map is also the dedupe set: a reference is a
+// repeat when its key's list already holds it.
+func (x *skelIndex) indexRefs(d *Detector, references []string) runeSet {
+	n := 0
+	for _, ref := range references {
+		n += len(ref)
 	}
-	x.compileGate(keyRunes)
-	return x
+	// Every normalized reference, its runes and its skeleton, repeats
+	// included; offs and ends close each one's runes and skeleton. The
+	// bytes bound the runes; a skeleton can outgrow its reference
+	// ('m' → "rn"), hence the slack.
+	norm := make([]string, 0, len(references))
+	arena := make([]rune, 0, n)
+	offs := make([]int32, 1, len(references)+1)
+	buf := make([]byte, 0, n+n/2)
+	ends := make([]int, 1, len(references)+1)
+	for _, ref := range references {
+		if ref = normalizeRef(ref); ref == "" {
+			continue
+		}
+		start := len(arena)
+		for _, r := range ref {
+			arena = append(arena, r)
+		}
+		buf = x.appendLabel(buf, arena[start:])
+		norm = append(norm, ref)
+		offs = append(offs, int32(len(arena)))
+		ends = append(ends, len(buf))
+	}
+	keys := string(buf)
+	var keyRunes runeSet
+	keyRunes.addString(keys)
+
+	x.refs = make(map[string][]int32, len(norm))
+	ids := make([]int32, len(norm))
+	d.refs = norm[:0] // the kept references, compacted in place
+	for i, ref := range norm {
+		k := keys[ends[i]:ends[i+1]]
+		list, collides := x.refs[k]
+		if collides && d.holds(list, ref) {
+			continue
+		}
+		id := int32(len(d.refs))
+		d.refs = append(d.refs, ref)
+		ids[id] = id
+		if collides {
+			x.refs[k] = append(list, id)
+		} else {
+			x.refs[k] = ids[id : id+1 : id+1]
+		}
+	}
+	d.arena, d.offs = arena, offs
+	if len(d.refs) < len(norm) {
+		d.buildArena() // a repeat was dropped: lay out the kept ones alone
+	}
+	return keyRunes
+}
+
+// holds reports whether ref is the reference of one of ids.
+func (d *Detector) holds(ids []int32, ref string) bool {
+	for _, id := range ids {
+		if d.refs[id] == ref {
+			return true
+		}
+	}
+	return false
 }
 
 // compileGate sets the dead-rune gate from keyRunes, the runes of the
@@ -310,13 +443,6 @@ func (x *skelIndex) compileGate(keyRunes runeSet) {
 // of its skeleton occurs in some reference key.
 func (x *skelIndex) live(r rune) bool {
 	return x.fold.entry(r)&deadBit == 0
-}
-
-// ucExpander is the slice of confusables.DB the expansion needs; an
-// interface so the build works against any view without importing the
-// package for more than the type.
-type ucExpander interface {
-	SkeletonAppend(dst []rune, r rune) []rune
 }
 
 // appendLabel appends the UTF-8 skeleton of the label's runes to dst and

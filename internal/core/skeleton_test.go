@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/punycode"
@@ -280,6 +281,48 @@ func TestSkeletonSnapshotValidation(t *testing.T) {
 	s.SkelListIDs[1] = 0
 	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
 		t.Error("repeated skeleton id accepted")
+	}
+
+	// The key lists must be the ones the writer produces: keys
+	// strictly ascending, every reference under exactly one key, and
+	// that key its own skeleton under the loaded tables.
+	pair := NewDetector(db, []string{"google", "paypal"})
+	if s = pair.Snapshot(); len(s.SkelKeys) != 2 || !slices.Equal(s.SkelListLens, []int32{1, 1}) {
+		t.Fatalf("want two one-id skeleton lists, got keys %q lens %v", s.SkelKeys, s.SkelListLens)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Snapshot)
+	}{
+		{"duplicated key", func(s *Snapshot) { s.SkelKeys[1] = s.SkelKeys[0] }},
+		{"descending keys", func(s *Snapshot) {
+			s.SkelKeys[0], s.SkelKeys[1] = s.SkelKeys[1], s.SkelKeys[0]
+			s.SkelListIDs[0], s.SkelListIDs[1] = s.SkelListIDs[1], s.SkelListIDs[0]
+		}},
+		{"reference under two keys", func(s *Snapshot) { s.SkelListIDs[1] = s.SkelListIDs[0] }},
+		{"lists swapped between keys", func(s *Snapshot) {
+			s.SkelListIDs[0], s.SkelListIDs[1] = s.SkelListIDs[1], s.SkelListIDs[0]
+		}},
+		{"key with an empty id list", func(s *Snapshot) {
+			s.SkelKeys = append(s.SkelKeys, "zzz")
+			s.SkelListLens = append(s.SkelListLens, 0)
+		}},
+		{"descending rep runes", func(s *Snapshot) {
+			s.SkelRepRunes[0], s.SkelRepRunes[1] = s.SkelRepRunes[1], s.SkelRepRunes[0]
+			s.SkelReps[0], s.SkelReps[1] = s.SkelReps[1], s.SkelReps[0]
+		}},
+		{"repeated seq rune", func(s *Snapshot) { s.SkelSeqRunes[1] = s.SkelSeqRunes[0] }},
+	} {
+		s := pair.Snapshot()
+		tc.mutate(s)
+		if _, err := NewDetectorFromSnapshot(db, s); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	s = two.Snapshot() // google and gооgle share one key
+	s.SkelListLens[0], s.SkelListIDs = 1, s.SkelListIDs[:1]
+	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
+		t.Error("reference under no key accepted")
 	}
 
 	// References must be non-empty and unique for the same reason.

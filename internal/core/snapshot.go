@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -93,7 +94,7 @@ func NewDetectorFromSnapshot(db *homoglyph.DB, s *Snapshot) (*Detector, error) {
 		seen[ref] = true
 	}
 	d.buildArena()
-	skel, err := skelFromSnapshot(s, len(d.refs))
+	skel, err := skelFromSnapshot(s, d)
 	if err != nil {
 		return nil, err
 	}
@@ -101,10 +102,13 @@ func NewDetectorFromSnapshot(db *homoglyph.DB, s *Snapshot) (*Detector, error) {
 	return d, nil
 }
 
-// skelFromSnapshot rebuilds the skeleton index verbatim from its
-// flattened form — no union-find, no re-expansion — validating every
-// count and reference id so a crafted snapshot fails loudly.
-func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
+// skelFromSnapshot rebuilds d's skeleton index verbatim from its
+// flattened form — no union-find, no re-expansion — validating it so a
+// crafted snapshot fails loudly: every count and reference id, the
+// tables' ascending order, and the key lists, which must hold every
+// reference exactly once, under its own skeleton as the loaded tables
+// compute it.
+func skelFromSnapshot(s *Snapshot, d *Detector) (*skelIndex, error) {
 	if len(s.SkelReps) != len(s.SkelRepRunes) {
 		return nil, fmt.Errorf("core: snapshot skeleton rep table: %d runes, %d reps", len(s.SkelRepRunes), len(s.SkelReps))
 	}
@@ -113,6 +117,9 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 	}
 	if len(s.SkelListLens) != len(s.SkelKeys) {
 		return nil, fmt.Errorf("core: snapshot skeleton ref index: %d keys, %d lengths", len(s.SkelKeys), len(s.SkelListLens))
+	}
+	if !strictlyAscending(s.SkelRepRunes) || !strictlyAscending(s.SkelSeqRunes) || !strictlyAscending(s.SkelKeys) {
+		return nil, fmt.Errorf("core: snapshot skeleton tables not strictly ascending")
 	}
 	x := &skelIndex{
 		rep:  make(map[rune]rune, len(s.SkelRepRunes)),
@@ -134,13 +141,20 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 	if off != len(s.SkelSeqs) {
 		return nil, fmt.Errorf("core: snapshot skeleton seqs: %d trailing runes", len(s.SkelSeqs)-off)
 	}
+	x.fold = newFoldTable(x.rep, x.seq)
+	numRefs := len(d.refs)
+	var skel []byte
 	idOff := 0
 	var keyRunes runeSet
+	// The keys are distinct and each list ascends strictly, so a
+	// reference listed twice sits under two keys, and only one of them
+	// can be its skeleton. With every key checked against its ids' own
+	// skeletons, as many ids as references list each one exactly once.
 	for i, k := range s.SkelKeys {
 		keyRunes.addString(k)
 		l := int(s.SkelListLens[i])
-		if l < 0 || idOff+l > len(s.SkelListIDs) {
-			return nil, fmt.Errorf("core: snapshot skeleton key %d: truncated id list", i)
+		if l <= 0 || idOff+l > len(s.SkelListIDs) {
+			return nil, fmt.Errorf("core: snapshot skeleton key %d: bad id list length %d", i, l)
 		}
 		prev := int32(-1)
 		for _, id := range s.SkelListIDs[idOff : idOff+l] {
@@ -151,6 +165,9 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 				return nil, fmt.Errorf("core: snapshot skeleton key %d: reference ids not strictly ascending", i)
 			}
 			prev = id
+			if skel = x.appendLabel(skel[:0], d.refRunes(id)); string(skel) != k {
+				return nil, fmt.Errorf("core: snapshot skeleton key %d: reference %d has skeleton %q, not %q", i, id, skel, k)
+			}
 		}
 		x.refs[k] = s.SkelListIDs[idOff : idOff+l : idOff+l]
 		idOff += l
@@ -158,7 +175,19 @@ func skelFromSnapshot(s *Snapshot, numRefs int) (*skelIndex, error) {
 	if idOff != len(s.SkelListIDs) {
 		return nil, fmt.Errorf("core: snapshot skeleton ids: %d trailing entries", len(s.SkelListIDs)-idOff)
 	}
-	x.fold = newFoldTable(x.rep, x.seq)
+	if idOff != numRefs {
+		return nil, fmt.Errorf("core: snapshot skeleton index lists %d ids for %d references", idOff, numRefs)
+	}
 	x.compileGate(keyRunes)
 	return x, nil
+}
+
+// strictlyAscending reports whether s ascends with no repeats.
+func strictlyAscending[T cmp.Ordered](s []T) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			return false
+		}
+	}
+	return true
 }

@@ -230,13 +230,19 @@ func (db *DB) Homoglyphs(r rune) []rune {
 	if !ok {
 		return nil
 	}
-	out := make([]rune, 0, sp.end-sp.start)
+	return db.HomoglyphsAppend(make([]rune, 0, sp.end-sp.start), r)
+}
+
+// HomoglyphsAppend appends Homoglyphs(r) to dst and returns the
+// extended slice, so a walk over many runes can reuse one buffer.
+func (db *DB) HomoglyphsAppend(dst []rune, r rune) []rune {
+	sp := db.idx.spans[r]
 	for i := sp.start; i < sp.end; i++ {
 		if db.idx.masks[i]&db.use != 0 {
-			out = append(out, db.idx.partners[i])
+			dst = append(dst, db.idx.partners[i])
 		}
 	}
-	return out
+	return dst
 }
 
 // Canonical maps r to its most plausible original character: the UC

@@ -1,6 +1,7 @@
 package homoglyph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,48 @@ func TestHomoglyphsSorted(t *testing.T) {
 			if hs[i-1] >= hs[i] {
 				t.Fatalf("Homoglyphs(%c) not sorted: %U", r, hs)
 			}
+		}
+	}
+}
+
+func TestHomoglyphsAppend(t *testing.T) {
+	for _, db := range []*DB{testDB(), testDB().WithSources(SourceUC), testDB().WithSources(SourceSimChar)} {
+		buf := []rune{'!'}
+		for _, r := range []rune{'o', 'a', 'x', 'z', 0x0585, 0x4E00} {
+			buf = db.HomoglyphsAppend(buf[:1], r)
+			if want := db.Homoglyphs(r); buf[0] != '!' || !slices.Equal(buf[1:], want) {
+				t.Errorf("use %v: HomoglyphsAppend(%U) = %U, want ! then %U", db.Use(), r, buf, want)
+			}
+		}
+	}
+}
+
+// TestFromSnapshotRejectsUnsortedPartners: Confusable binary-searches a
+// row's partners, so a row out of order or holding a partner twice
+// would miss pairs silently; the loader must refuse it.
+func TestFromSnapshotRejectsUnsortedPartners(t *testing.T) {
+	uc, sim := testComponents()
+	clean := New(uc, sim, 0).Snapshot()
+	if _, err := FromSnapshot(clean, uc, sim); err != nil {
+		t.Fatalf("clean snapshot rejected: %v", err)
+	}
+	row := slices.Index(clean.Runes, 'o')
+	start := 0
+	for _, c := range clean.Counts[:row] {
+		start += int(c)
+	}
+	if clean.Counts[row] != 2 {
+		t.Fatalf("row o holds %d partners, want 2", clean.Counts[row])
+	}
+	for name, mutate := range map[string]func(p []rune){
+		"descending": func(p []rune) { p[start], p[start+1] = p[start+1], p[start] },
+		"repeated":   func(p []rune) { p[start+1] = p[start] },
+	} {
+		s := *clean
+		s.Partners = slices.Clone(clean.Partners)
+		mutate(s.Partners)
+		if _, err := FromSnapshot(&s, uc, sim); err == nil {
+			t.Errorf("%s partner row accepted", name)
 		}
 	}
 }

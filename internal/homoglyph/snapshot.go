@@ -82,6 +82,13 @@ func FromSnapshot(s *Snapshot, uc *confusables.DB, sim *simchar.DB) (*DB, error)
 		if c < 0 || int(off)+int(c) > len(s.Partners) {
 			return nil, fmt.Errorf("homoglyph: snapshot partner spans overflow at U+%04X", r)
 		}
+		// Confusable binary-searches the row, so a row out of order
+		// would miss pairs silently.
+		for j := off + 1; j < off+c; j++ {
+			if s.Partners[j] <= s.Partners[j-1] {
+				return nil, fmt.Errorf("homoglyph: snapshot partners of U+%04X not strictly ascending", r)
+			}
+		}
 		if _, dup := idx.spans[r]; dup {
 			return nil, fmt.Errorf("homoglyph: duplicate snapshot row for U+%04X", r)
 		}

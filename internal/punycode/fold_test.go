@@ -30,6 +30,9 @@ func TestFoldString(t *testing.T) {
 		{"", ""},
 		{"google", "google"},
 		{"GOOGLE", "google"},
+		{"paypaL", "paypal"}, // folded ASCII prefix, then a fold
+		{"bücHer", "bücher"},
+		{"ohm-Ω", "ohm-ω"},
 		{"BÜCHER", "bücher"},
 		{"bücher", "bücher"},
 		{"GОOGLE", "gоogle"}, // Cyrillic О folds too

@@ -73,10 +73,15 @@ func Fold(r rune) rune {
 // FoldString lowercases s rune-wise via Fold, returning s itself (no
 // allocation) when it is already folded.
 func FoldString(s string) string {
-	for i, r := range s {
+	start := 0
+	for start < len(s) && s[start] < 0x80 && (s[start] < 'A' || s[start] > 'Z') {
+		start++ // folded ASCII, no decode
+	}
+	for i, r := range s[start:] {
 		if Fold(r) != r {
 			// Fold the remainder into a fresh builder, keeping the
 			// already-folded prefix.
+			i += start
 			var sb strings.Builder
 			sb.Grow(len(s))
 			sb.WriteString(s[:i])

@@ -292,6 +292,78 @@ func TestRejectsResealedStructuralDamage(t *testing.T) {
 	}
 }
 
+// tinyDB is a UC-only database of two classes, {a, а} and {o, о, ο},
+// small enough to seed the fuzz corpus.
+func tinyDB() *homoglyph.DB {
+	uc := confusables.New()
+	uc.Add(0x0430, []rune{'a'}, "CYRILLIC SMALL LETTER A")
+	uc.Add(0x043E, []rune{'o'}, "CYRILLIC SMALL LETTER O")
+	uc.Add(0x03BF, []rune{'o'}, "GREEK SMALL LETTER OMICRON")
+	return homoglyph.New(uc, nil, homoglyph.SourceUC)
+}
+
+// marshalEdited is Marshal for a UC-only database and a detector, with
+// the flattened index and detector passed through edit functions before
+// they are written (a nil function edits nothing): a crafted table,
+// sealed under a valid checksum.
+func marshalEdited(db *homoglyph.DB, det *core.Detector, editIndex func(*homoglyph.Snapshot), editDet func(*core.Snapshot)) []byte {
+	e := &enc{}
+	e.u32(flagUC | flagDetector)
+	writeUC(e, db.UC())
+	idx, ds := db.Snapshot(), det.Snapshot()
+	if editIndex != nil {
+		editIndex(idx)
+	}
+	if editDet != nil {
+		editDet(ds)
+	}
+	writeIndex(e, idx)
+	writeDetector(e, ds)
+	return SealEnvelope(Magic, Version, e.buf)
+}
+
+// TestRejectsCraftedTables: files with a valid checksum whose tables
+// the writer never produces. A partner row out of order makes
+// Confusable's binary search miss pairs; a key list holding another
+// skeleton's reference makes detection miss it. Both must fail to load.
+// The second is the fuzz corpus seed lists-swapped-between-keys.
+func TestRejectsCraftedTables(t *testing.T) {
+	db := tinyDB()
+	det := core.NewDetector(db, []string{"google", "paypal"})
+	clean := marshalEdited(db, det, nil, nil)
+	if !bytes.Equal(clean, Marshal(db, det)) {
+		t.Fatal("marshalEdited without edits differs from Marshal")
+	}
+	if _, _, err := Unmarshal(clean); err != nil {
+		t.Fatalf("unedited file rejected: %v", err)
+	}
+	swapPartners := func(s *homoglyph.Snapshot) {
+		off := 0
+		for i, r := range s.Runes {
+			if r == 'o' {
+				s.Partners[off], s.Partners[off+1] = s.Partners[off+1], s.Partners[off]
+				return
+			}
+			off += int(s.Counts[i])
+		}
+		t.Fatal("no row for o")
+	}
+	swapLists := func(s *core.Snapshot) {
+		if len(s.SkelKeys) != 2 || len(s.SkelListIDs) != 2 {
+			t.Fatalf("want two one-id lists, got keys %q ids %v", s.SkelKeys, s.SkelListIDs)
+		}
+		s.SkelListIDs[0], s.SkelListIDs[1] = s.SkelListIDs[1], s.SkelListIDs[0]
+	}
+	for name, data := range map[string][]byte{
+		"partners descending":        marshalEdited(db, det, swapPartners, nil),
+		"lists swapped between keys": marshalEdited(db, det, nil, swapLists),
+	} {
+		if _, _, err := Unmarshal(data); err == nil {
+			t.Errorf("%s: crafted file loaded", name)
+		}
+	}
+}
+
 func TestFileRoundTripWithoutDetector(t *testing.T) {
 	db := builtDB(t)
 	path := t.TempDir() + "/test.snap"
