@@ -75,23 +75,35 @@ func (m Match) Imitated() string {
 	return m.Reference + "." + m.TLD
 }
 
-// scratch holds the per-call working memory the detect paths reuse
-// across labels, and the slabs every hit's output is carved from. A
-// label that matches nothing touches no slab and allocates nothing; a
-// hit allocates only when it fills a slab.
+// scratch holds the pooled working memory of a label with candidates,
+// and the slabs every hit's output is carved from. A label probes on
+// the stack (see detectLabelIn) and takes scratch from the pool only
+// once it has candidates, so a label that matches nothing neither
+// touches the pool nor allocates; a hit allocates only when it fills a
+// slab. The one exception is a label too long for the stack buffers,
+// which decodes into longRunes and longSkel.
 //
 // The slabs are append-only. Every piece is carved with cap == len, and
 // a full slab is replaced by a new one, never reset or rewritten, so
 // what a call returns stays immutable and independent of later calls.
 type scratch struct {
-	runes []rune
-	skel  []byte
 	diffs []CharDiff // a candidate's diffs, carved out only when it verifies
-	uni   []byte     // a matched label's UTF-8 Unicode form, staged for the text slab
+
+	longRunes []rune // a long label's runes
+	longSkel  []byte // a long label's skeleton
 
 	text      strings.Builder // matched names and their labels' Unicode forms
 	diffSlab  []CharDiff      // verified matches' Diffs
 	matchSlab []Match         // a call's first match, as a cap-1 result slice
+}
+
+// scratchFor returns *sc, taking it from the pool first if it is nil.
+// The caller puts it back once *sc is set.
+func (d *Detector) scratchFor(sc **scratch) *scratch {
+	if *sc == nil {
+		*sc = d.scratch.Get().(*scratch)
+	}
+	return *sc
 }
 
 // Slab sizes: a new slab holds at least this many bytes of match text,
@@ -103,17 +115,18 @@ const (
 )
 
 // carveText writes prefix and the UTF-8 form of runes to the text slab
-// and returns them as one string. The runes are encoded in scratch
+// and returns them as one string. The runes' UTF-8 length is counted
 // first, so the string's exact length is reserved and it never
-// straddles two slabs.
+// straddles two slabs. The runes are a decoded label's, all valid: the
+// decoder rejects surrogates and values past utf8.MaxRune, and a raw
+// label's invalid bytes decode to utf8.RuneError.
 func carveText[S punycode.ByteSeq](sc *scratch, prefix S, runes []rune) string {
-	uni := sc.uni[:0]
+	n := len(prefix)
 	for _, r := range runes {
-		uni = utf8.AppendRune(uni, r)
+		n += utf8.RuneLen(r)
 	}
-	sc.uni = uni
 	b := &sc.text
-	if n := len(prefix) + len(uni); b.Cap()-b.Len() < n {
+	if b.Cap()-b.Len() < n {
 		b.Reset() // strings already returned keep the old slab
 		b.Grow(max(textSlab, n))
 	}
@@ -124,7 +137,9 @@ func carveText[S punycode.ByteSeq](sc *scratch, prefix S, runes []rune) string {
 	case []byte:
 		b.Write(p)
 	}
-	b.Write(uni)
+	for _, r := range runes {
+		b.WriteRune(r)
+	}
 	return b.String()[start:]
 }
 
@@ -263,13 +278,16 @@ func (d *Detector) matchAgainst(sc *scratch, ref []rune, idn []rune) ([]CharDiff
 	return sc.carveDiffs(), true
 }
 
-// detectLabel scans idnLabel as one label, dots and all, on borrowed
-// scratch — Revert's lookup, which must not split its input.
+// detectLabel scans idnLabel as one label, dots and all — Revert's
+// lookup, which must not split its input.
 func detectLabel(d *Detector, idnLabel string, be Backend) []Match {
-	sc := d.scratch.Get().(*scratch)
-	defer d.scratch.Put(sc)
+	var sc *scratch
 	var fq string
-	return detectLabelIn(d, sc, nil, &fq, idnLabel, 0, len(idnLabel), be)
+	out := detectLabelIn(d, &sc, nil, &fq, idnLabel, 0, len(idnLabel), be)
+	if sc != nil {
+		d.scratch.Put(sc)
+	}
+	return out
 }
 
 // DetectDomainBackend checks a name under backend be and returns its
@@ -303,15 +321,16 @@ func (d *Detector) DetectDomainBytesBackend(fqdn []byte, be Backend) []Match {
 
 // detectDomain is the domain-level hot path, compiled for both
 // spellings; it appends the name's matches to out, so a batch worker
-// can pass its own slice down. A cheap scratch-free gate runs first:
+// can pass its own slice down. A cheap gate runs first:
 // the scannable labels all sit left of the final dot (the suffix is
 // never scanned), so a name with no candidate label before its last
 // dot — the shape of almost every line in an IDN-TLD zone such as
 // .xn--p1ai, where the ACE TLD alone gets plain lines past the feeder's
-// xn-- test — rejects on one short byte scan. Names that pass split
-// into label spans (scratch-backed, no allocation); the candidate
-// labels left of the public suffix are scanned, and the matches' TLD is
-// cut from the name only once one exists.
+// xn-- test — rejects on one short byte scan. The candidate labels
+// left of the public suffix of a name that passes are scanned in one
+// walk, the pooled scratch is taken only by the first label that has
+// candidates, and the matches' TLD is cut from the name only once one
+// exists.
 func detectDomain[S punycode.ByteSeq](d *Detector, out []Match, fqdn S, be Backend) []Match {
 	end := len(fqdn)
 	if end > 0 && fqdn[end-1] == '.' {
@@ -325,15 +344,17 @@ func detectDomain[S punycode.ByteSeq](d *Detector, out []Match, fqdn S, be Backe
 			break
 		}
 	}
-	// fq is the name's copy, set by its first match.
+	// fq is the name's copy, set by its first match; sc is taken from
+	// the pool by the first label with candidates.
 	var fq string
+	var sc *scratch
 	if firstDot < 0 { // bare label; a root-dot spelling keeps its dot in FQDN
-		if !candidateLabelFor(trimmed, be) {
-			return out
+		if candidateLabelFor(trimmed, be) {
+			out = detectLabelIn(d, &sc, out, &fq, fqdn, 0, end, be)
 		}
-		sc := d.scratch.Get().(*scratch)
-		out = detectLabelIn(d, sc, out, &fq, fqdn, 0, end, be)
-		d.scratch.Put(sc)
+		if sc != nil {
+			d.scratch.Put(sc)
+		}
 		return out
 	}
 
@@ -343,15 +364,12 @@ func detectDomain[S punycode.ByteSeq](d *Detector, out []Match, fqdn S, be Backe
 	// dotted name never is, and an interior label could only be excluded
 	// as the second half of a "co.uk"-style suffix — whose second-level
 	// entries are all plain ASCII, never candidates (an invariant the
-	// domain package pins with a test). Scratch is checked out lazily,
-	// so a line with no candidate label costs one byte scan and nothing
-	// else — the shape of almost every line an IDN TLD's xn-- sneaks
-	// past the feeder gate.
+	// domain package pins with a test). A line with no candidate label
+	// costs one byte scan and nothing else — the shape of almost every
+	// line an IDN TLD's xn-- sneaks past the feeder gate.
 	first := len(out)
-	var sc *scratch
 	if candidateLabelFor(trimmed[:firstDot], be) {
-		sc = d.scratch.Get().(*scratch)
-		out = detectLabelIn(d, sc, out, &fq, fqdn, 0, firstDot, be)
+		out = detectLabelIn(d, &sc, out, &fq, fqdn, 0, firstDot, be)
 	}
 	secondLastStart, lastStart := 0, firstDot+1
 	start := firstDot + 1
@@ -360,10 +378,7 @@ func detectDomain[S punycode.ByteSeq](d *Detector, out []Match, fqdn S, be Backe
 			continue
 		}
 		if candidateLabelFor(trimmed[start:i], be) {
-			if sc == nil {
-				sc = d.scratch.Get().(*scratch)
-			}
-			out = detectLabelIn(d, sc, out, &fq, fqdn, start, i, be)
+			out = detectLabelIn(d, &sc, out, &fq, fqdn, start, i, be)
 		}
 		secondLastStart, lastStart = lastStart, i+1
 		start = i + 1
@@ -415,39 +430,80 @@ func candidateLabelFor[S punycode.ByteSeq](label S, be Backend) bool {
 	return candidateLabel(label)
 }
 
+// Probe's stack buffers: stackRunes runes hold the decode of any label
+// of up to stackRunes bytes (an ACE label of at most 63 bytes decodes to
+// at most 59 runes, a raw one to no more runes than bytes), and
+// stackSkel bytes hold its skeleton at up to utf8.UTFMax bytes a rune.
+// A fold table whose skeletons grow further per rune lowers the label
+// length its detector probes on the stack (foldTable.stackLen).
+const (
+	stackRunes = 64
+	stackSkel  = stackRunes * utf8.UTFMax
+)
+
 // detectLabelIn is the shared per-label hot path, compiled for both
-// spellings, running on borrowed scratch. It scans the label
-// name[lo:hi] and appends its matches to out. It decodes the label
-// once and answers every backend from one skeleton probe, which yields
-// the candidate references in ascending id order. Pass 1 runs
-// Algorithm 1's pairwise check on the candidates whose rune length
-// equals the label's: each verified candidate is a postings match with
-// its Diffs, tagged both when the skeleton backend is also selected.
-// Pass 2, for the skeleton backend, appends the remaining non-identical
-// candidates. The miss path — decode and skeletonize behind the
-// dead-rune gate (see probe), at most one map probe, empty list —
-// allocates nothing: the map index uses the string(skel) conversion the
-// compiler performs without copying.
+// spellings. It scans the label name[lo:hi] and appends its matches to
+// out. It decodes the label once and answers every backend from one
+// skeleton probe, which yields the candidate references in ascending id
+// order (see verifyLabel).
 //
-// The label's first match materializes its strings (see labelMatch) and
-// the label's later matches share them. fq holds the name's copy once
-// any of its labels has matched, "" before.
+// The probe runs on stack buffers, and *sc, the pooled scratch, is
+// taken from the pool only once the label has candidates, so the miss
+// path — decode and skeletonize behind the dead-rune gate (see probe),
+// at most one map probe, empty list — allocates nothing and touches no
+// pool: the map index uses the string(skel) conversion the compiler
+// performs without copying. A label longer than the stack buffers can
+// provably hold takes the scratch first and probes in its buffers
+// (detectLongLabel).
 //
 // An ACE label longer than the DNS label limit is no candidate: no zone
 // can hold it, and its decode time grows with the square of its length
 // (every decoded code point is an insert), so an oversized label in a
 // request body would otherwise buy quadratic work. Raw UTF-8 labels
 // decode in linear time and are not capped.
-func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq *string, name S, lo, hi int, be Backend) []Match {
+func detectLabelIn[S punycode.ByteSeq](d *Detector, sc **scratch, out []Match, fq *string, name S, lo, hi int, be Backend) []Match {
 	idnLabel := name[lo:hi]
 	if len(idnLabel) > punycode.MaxLabelLength && punycode.HasACEPrefix(idnLabel) {
 		return out
 	}
-	ids := probe(d.skel, sc, idnLabel)
+	if len(idnLabel) > d.skel.fold.stackLen {
+		return detectLongLabel(d, d.scratchFor(sc), out, fq, name, lo, hi, be)
+	}
+	var runeBuf [stackRunes]rune
+	var skelBuf [stackSkel]byte
+	ids, runes, _ := probe(d.skel, runeBuf[:0], skelBuf[:0], idnLabel)
 	if len(ids) == 0 {
 		return out
 	}
-	runes := sc.runes
+	return verifyLabel(d, d.scratchFor(sc), out, fq, name, lo, hi, be, ids, runes)
+}
+
+// detectLongLabel is detectLabelIn for a label too long for the stack
+// buffers: it probes in sc's long-label buffers, which keep their
+// capacity for the next long label. It is a function of its own because
+// storing probe's results in sc makes them escape, and in detectLabelIn
+// that would move the stack buffers to the heap.
+func detectLongLabel[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq *string, name S, lo, hi int, be Backend) []Match {
+	ids, runes, skel := probe(d.skel, sc.longRunes[:0], sc.longSkel[:0], name[lo:hi])
+	sc.longRunes, sc.longSkel = runes, skel
+	if len(ids) == 0 {
+		return out
+	}
+	return verifyLabel(d, sc, out, fq, name, lo, hi, be, ids, runes)
+}
+
+// verifyLabel appends the matches of the label name[lo:hi], which
+// decodes to runes and whose skeleton probe found the candidates ids.
+// Pass 1 runs Algorithm 1's pairwise check on the candidates whose rune
+// length equals the label's: each verified candidate is a postings
+// match with its Diffs, tagged both when the skeleton backend is also
+// selected. Pass 2, for the skeleton backend, appends the remaining
+// non-identical candidates.
+//
+// The label's first match materializes its strings (see labelMatch) and
+// the label's later matches share them. fq holds the name's copy once
+// any of its labels has matched, "" before.
+func verifyLabel[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq *string, name S, lo, hi int, be Backend, ids []int32, runes []rune) []Match {
 	labelStart := len(out)
 	if be&BackendPostings != 0 {
 		for _, id := range ids {
@@ -486,22 +542,21 @@ func detectLabelIn[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq
 	return out
 }
 
-// probe decodes label into sc.runes and returns its candidate reference
-// ids, in ascending order, or nil on a miss. The dead-rune gate ends a
-// miss early: the decoder stops at the first dead code point it inserts,
-// and the fold at the first dead rune of the rest, before any map probe.
-func probe[S punycode.ByteSeq](x *skelIndex, sc *scratch, label S) []int32 {
-	runes, err := punycode.ToUnicodeLabelAppend(sc.runes[:0], label, x.keep)
-	sc.runes = runes
+// probe decodes label, folded, onto runes and its skeleton onto skel,
+// and returns its candidate reference ids, in ascending order, or nil
+// on a miss, with the extended buffers. The dead-rune gate ends a miss
+// early: the decoder stops at the first dead code point it inserts, and
+// the fold at the first dead rune of the rest, before any map probe.
+func probe[S punycode.ByteSeq](x *skelIndex, runes []rune, skel []byte, label S) ([]int32, []rune, []byte) {
+	runes, err := punycode.ToUnicodeLabelAppend(runes, label, x.keep)
 	if err != nil || len(runes) == 0 {
-		return nil
+		return nil, runes, skel
 	}
-	skel, live := x.appendLive(sc.skel[:0], runes)
-	sc.skel = skel
+	skel, live := x.appendLive(skel, runes)
 	if !live {
-		return nil
+		return nil, runes, skel
 	}
-	return x.refs[string(skel)]
+	return x.refs[string(skel)], runes, skel
 }
 
 // labelMatch appends a match of the label name[lo:hi], which decodes

@@ -7,8 +7,7 @@ import "repro/internal/punycode"
 // ungated decode, fold and map probe finds them. dead reports whether
 // the label decodes to a rune the gate calls dead.
 func (d *Detector) Candidates(label string) (gated, ungated []int32, dead bool) {
-	var sc scratch
-	gated = probe(d.skel, &sc, label)
+	gated, _, _ = probe(d.skel, nil, nil, label)
 	runes, err := punycode.ToUnicodeLabelAppend(nil, label, nil)
 	if err != nil || len(runes) == 0 {
 		return gated, nil, false

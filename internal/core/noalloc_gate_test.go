@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
@@ -15,6 +17,13 @@ import (
 // pass the dead-rune gate and pay the full decode, fold and map probe;
 // a dead-rune miss ("bücher": no reference holds b or ü) covers the
 // early exit.
+//
+// The edge inputs bound probe's stack buffers from both sides, under
+// every backend: a live raw UTF-8 miss longer than the stack buffers
+// (it probes in the pooled scratch), a 63-byte ACE miss (the longest
+// ACE label the detector scans), and the longest ACE label made of the
+// rune whose skeleton is longest, with its raw UTF-8 spelling. Each
+// must find the candidates an ungated probe finds.
 func TestNoallocGate(t *testing.T) {
 	det := NewDetector(testDB(t), []string{"google", "amazon"})
 	// "gооgel" with two Cyrillic о.
@@ -36,6 +45,32 @@ func TestNoallocGate(t *testing.T) {
 	if _, err := punycode.ToUnicodeLabelAppend(nil, "xn--bcher-kva", det.skel.keep); err != punycode.ErrRejected {
 		t.Fatalf("xn--bcher-kva: err = %v, want ErrRejected", err)
 	}
+
+	longRaw := strings.Repeat("gооgle", 12)
+	if len(longRaw) <= det.skel.fold.stackLen {
+		t.Fatalf("%d-byte raw label fits the %d-byte stack path", len(longRaw), det.skel.fold.stackLen)
+	}
+	var ace63 string
+	for n := 1; n < 64 && ace63 == ""; n++ {
+		if a := ace(t, strings.Repeat("googleamazon", 6)[:n]+"о"); len(a) == punycode.MaxLabelLength {
+			ace63 = a
+		}
+	}
+	if ace63 == "" {
+		t.Fatal("no 63-byte ACE label found")
+	}
+	wide, wideDet := widestSkeletonLabels(t)
+	edges := []struct {
+		det   *Detector
+		label []byte
+	}{{det, []byte(longRaw)}, {det, []byte(ace63)}, {wideDet, []byte(wide[0])}, {wideDet, []byte(wide[1])}}
+	for _, e := range edges {
+		gated, ungated, dead := e.det.Candidates(string(e.label))
+		if dead || len(ungated) != 0 || !slices.Equal(gated, ungated) {
+			t.Fatalf("%q: candidates %v, ungated %v, dead %v; want a live miss", e.label, gated, ungated, dead)
+		}
+	}
+
 	// Every input runs under each backend it covers; the bare ACE label
 	// is a dotless name.
 	postings := [][]byte{label, fqdn, dead}
@@ -52,6 +87,13 @@ func TestNoallocGate(t *testing.T) {
 				}
 			}
 		}
+		for _, e := range edges {
+			for _, be := range []Backend{BackendPostings, BackendSkeleton, BackendBoth} {
+				if ms := e.det.DetectDomainBytesBackend(e.label, be); len(ms) != 0 {
+					panic("unexpected match")
+				}
+			}
+		}
 	}
 	// Warm the scratch pool outside the measured region.
 	exercise()
@@ -59,4 +101,43 @@ func TestNoallocGate(t *testing.T) {
 	lint.CheckNoallocCoverage(t, ".", map[string]func(){
 		"(*Detector).DetectDomainBytesBackend": exercise,
 	})
+}
+
+// widestSkeletonLabels finds the folded rune whose skeleton is longest
+// and returns the longest ACE label made of it alone, its raw UTF-8
+// spelling, and a detector whose only extra reference is the rune
+// itself, so that the rune is live and the labels are live misses. It
+// checks that the ACE label's skeleton fits the stack buffers.
+func widestSkeletonLabels(t *testing.T) ([2]string, *Detector) {
+	t.Helper()
+	x := NewDetector(testDB(t), nil).skel
+	var widest rune
+	most := 0
+	for _, r := range append(sortedRuneKeys(x.rep), sortedRuneKeys(x.seq)...) {
+		if punycode.Fold(r) != r {
+			continue
+		}
+		if n := len(x.appendLabel(nil, []rune{r})); n > most {
+			widest, most = r, n
+		}
+	}
+	var label string
+	for k := 1; ; k++ {
+		enc, err := punycode.Encode(strings.Repeat(string(widest), k))
+		if err != nil || len(punycode.ACEPrefix+enc) > punycode.MaxLabelLength {
+			break
+		}
+		label = punycode.ACEPrefix + enc
+	}
+	d := NewDetector(testDB(t), []string{"google", "amazon", string(widest)})
+	uni, err := punycode.ToUnicodeLabel(label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runes := []rune(uni)
+	if skel := d.skel.appendLabel(nil, runes); len(label) > d.skel.fold.stackLen || len(skel) > stackSkel {
+		t.Fatalf("%q (%d bytes, %d-byte skeleton) does not fit the stack buffers", label, len(label), len(skel))
+	}
+	t.Logf("widest skeleton: U+%04X, %d bytes; %d-rune ACE label %q", widest, most, len(runes), label)
+	return [2]string{label, uni}, d
 }

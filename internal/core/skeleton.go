@@ -63,6 +63,11 @@ type foldTable struct {
 	ends    []uint32 // ends[0] = 0; entry k ends at ends[k]
 	pool    []byte
 	outside uint32 // the entry of a rune past the table
+	// stackLen is the longest label, in bytes, whose runes and skeleton
+	// provably fit probe's stack buffers: a label of n bytes decodes to
+	// at most n runes, and each rune's skeleton is at most the longest
+	// of utf8.UTFMax and the table's skeletons.
+	stackLen int
 }
 
 // deadBit flags a dead rune in a fold table entry; the rest of the
@@ -108,6 +113,11 @@ func newFoldTable(rep map[rune]rune, seq map[rune][]rune) foldTable {
 		}
 		f.page(int(r >> 8))[r&0xff] = k
 	}
+	growth := utf8.UTFMax
+	for k := 1; k < len(f.ends); k++ {
+		growth = max(growth, int(f.ends[k]-f.ends[k-1]))
+	}
+	f.stackLen = min(stackRunes, stackSkel/growth)
 	return f
 }
 
@@ -463,7 +473,8 @@ func (x *skelIndex) appendLabel(dst []byte, runes []rune) []byte {
 // appendLive is appendLabel behind the dead-rune gate: it stops at the
 // first dead rune and reports false, as that label can match no
 // reference. The gate costs one bit test on the entry the fold reads
-// anyway.
+// anyway. A one-byte skeleton and an ASCII rune that maps to itself,
+// nearly every rune of a zone label, append their byte directly.
 func (x *skelIndex) appendLive(dst []byte, runes []rune) ([]byte, bool) {
 	f := &x.fold
 	for _, r := range runes {
@@ -472,7 +483,15 @@ func (x *skelIndex) appendLive(dst []byte, runes []rune) ([]byte, bool) {
 			return dst, false
 		}
 		if k != 0 {
-			dst = append(dst, f.pool[f.ends[k-1]:f.ends[k]]...)
+			if lo, hi := f.ends[k-1], f.ends[k]; hi-lo == 1 {
+				dst = append(dst, f.pool[lo])
+			} else {
+				dst = append(dst, f.pool[lo:hi]...)
+			}
+			continue
+		}
+		if r < 0x80 {
+			dst = append(dst, byte(r))
 			continue
 		}
 		dst = utf8.AppendRune(dst, r)

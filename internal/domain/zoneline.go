@@ -59,11 +59,7 @@ func NormalizeZoneLine(line []byte) ([]byte, bool) {
 	if len(line) == 0 || !mayHoldCandidateLeftOfTLD(line) || !scannableZoneName(line) {
 		return nil, false
 	}
-	for i, c := range line {
-		if c >= 'A' && c <= 'Z' {
-			line[i] = c + 'a' - 'A'
-		}
-	}
+	lowerASCII(line)
 	return line, true
 }
 
@@ -91,12 +87,35 @@ func NormalizeZoneLineAll(line []byte) ([]byte, bool) {
 	if len(line) == 0 {
 		return nil, false
 	}
-	for i, c := range line {
-		if c >= 'A' && c <= 'Z' {
-			line[i] = c + 'a' - 'A'
+	lowerASCII(line)
+	return line, true
+}
+
+// lowerASCII lowercases the ASCII letters of line in place, a word at a
+// time: a word with no byte in 'A'–'Z' is left as it is, and one with
+// some has them all shifted at once. Past the last whole word, one load
+// at len(line)-8 covers the tail again, which is harmless as lowercasing
+// is idempotent. A line under 8 bytes takes the byte loop.
+func lowerASCII(line []byte) {
+	n := len(line)
+	if n < 8 {
+		for i, c := range line {
+			if c >= 'A' && c <= 'Z' {
+				line[i] = c + 'a' - 'A'
+			}
+		}
+		return
+	}
+	for i := 0; ; i += 8 {
+		i = min(i, n-8)
+		w := binary.LittleEndian.Uint64(line[i:])
+		if up := upperBits(w); up != 0 {
+			binary.LittleEndian.PutUint64(line[i:], w|up>>2) // bit 7 → bit 5, 'A' → 'a'
+		}
+		if i == n-8 {
+			return
 		}
 	}
-	return line, true
 }
 
 // scannableZoneName is NormalizeZoneLine's gate, one early-exit pass:
@@ -132,7 +151,20 @@ const (
 	swarOnes   = 0x0101010101010101
 	swarHigh   = 0x8080808080808080
 	swarHyphen = 0x2d2d2d2d2d2d2d2d
+	swarUpperA = 0x4141414141414141 // 'A'
+	swarPastZ  = 0x5b5b5b5b5b5b5b5b // '[', the byte after 'Z'
 )
+
+// upperBits sets bit 7 of each byte of w in 'A'–'Z' and clears the
+// rest. It is the SWAR range test: with bit 7 of every byte set first,
+// no byte of w|0x80…80 borrows from its neighbour when 'A' or '[' is
+// subtracted, so bit 7 of each difference says whether the byte's low
+// seven bits reach that bound. Masking by ^w drops the bytes >= 0x80,
+// whose low seven bits may look like a letter (0xC1 reads as 'A').
+func upperBits(w uint64) uint64 {
+	t := w | swarHigh
+	return (t - swarUpperA) &^ (t - swarPastZ) &^ w & swarHigh
+}
 
 // mayHoldCandidate is the word-at-a-time pre-check in front of
 // scannableZoneName. It reports whether line has a byte >= 0x80 or two

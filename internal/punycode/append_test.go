@@ -99,6 +99,52 @@ func seedToUnicodeLabel(label string) (string, error) {
 	return dec, nil
 }
 
+// foldedSeedLabel is ToUnicodeLabelAppend's contract spelled out over
+// seedDecode, independent of the decoder under test: a non-ACE label
+// folds rune by rune; an ACE label's tail decodes by seedDecode, must
+// decode to something (ErrEmptyLabel) that holds a non-ASCII code point
+// before folding (a fake-ACE label is ErrInvalid), and then folds rune
+// by rune.
+func foldedSeedLabel(label string) (string, error) {
+	if !HasACEPrefix(label) {
+		return foldRunes(label), nil
+	}
+	dec, err := seedDecode(label[len(ACEPrefix):])
+	switch {
+	case err != nil:
+		return "", err
+	case dec == "":
+		return "", ErrEmptyLabel
+	case IsASCII(dec):
+		return "", errFakeACE
+	}
+	return foldRunes(dec), nil
+}
+
+// foldRunes folds s one rune at a time.
+func foldRunes(s string) string {
+	var b strings.Builder
+	for _, r := range s {
+		b.WriteRune(Fold(r))
+	}
+	return b.String()
+}
+
+// checkFoldedLabel compares ToUnicodeLabelAppend, nil keep, in both
+// spellings, with foldedSeedLabel: the same value, and on rejection
+// the same error class.
+func checkFoldedLabel(t *testing.T, label string) {
+	t.Helper()
+	want, wantErr := foldedSeedLabel(label)
+	got, gotErr := ToUnicodeLabelAppend(nil, label, nil)
+	bgot, bErr := ToUnicodeLabelAppend(nil, []byte(label), nil)
+	if errClass(gotErr) != errClass(wantErr) || string(got) != want ||
+		errClass(bErr) != errClass(wantErr) || string(bgot) != want {
+		t.Fatalf("ToUnicodeLabelAppend(%q) = %q, %v ([]byte: %q, %v); folded seed = %q, %v",
+			label, string(got), gotErr, string(bgot), bErr, want, wantErr)
+	}
+}
+
 // errClass names the sentinel an error unwraps to: ErrOverflow,
 // ErrInvalid, or neither (nil for success).
 func errClass(err error) error {
@@ -243,9 +289,11 @@ func TestDecodeWeightOverflowUnreachable(t *testing.T) {
 }
 
 // checkLabel asserts the label-level append variant agrees with the
-// seed label conversion (which ToUnicodeLabel now wraps).
+// folded seed decode (checkFoldedLabel) and with ToUnicodeLabel, which
+// wraps it.
 func checkLabel(t *testing.T, label string) {
 	t.Helper()
+	checkFoldedLabel(t, label)
 	want, wantErr := ToUnicodeLabel(label)
 
 	got, gotErr := ToUnicodeLabelAppend(nil, label, nil)
@@ -277,6 +325,7 @@ func TestToUnicodeLabelAppendDifferential(t *testing.T) {
 		"xn---", "xn--!!!", "plain-ascii", "ünïcode", "ÜNÏCODE",
 		"xn--xn---epa", "xn--aa-!!", "xn--99999999",
 	}
+	fixed = append(fixed, foldSeeds...)
 	for _, l := range fixed {
 		checkLabel(t, l)
 	}
@@ -462,14 +511,37 @@ func TestToUnicodeLabelAppendKeep(t *testing.T) {
 	}
 }
 
-// FuzzToUnicodeLabelKeep runs checkKeep on arbitrary ACE and non-ACE
-// labels with a fuzzed keep seed.
+// foldSeeds are labels whose decode the fold must rewrite: ACE labels
+// in mixed case, and labels whose inserted code points are upper case
+// (U+00C4 Ä, U+0410 А), which the encoder keeps as they are.
+var foldSeeds = func() []string {
+	var out []string
+	for _, u := range []string{"Äpfel", "bÄr", "Аpple", "gАА", "ÄА", "KÄSE"} {
+		enc, err := Encode(u)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, ACEPrefix+enc, "XN--"+strings.ToUpper(enc), "Xn--"+enc, u)
+	}
+	return append(out, "xn--Bcher-KVA", "XN--ggle-55DA", "xn--GGLE-55da")
+}()
+
+// FuzzToUnicodeLabelKeep runs checkKeep, and the folded seed decode
+// oracle (checkFoldedLabel), on arbitrary ACE and non-ACE labels with a
+// fuzzed keep seed.
 func FuzzToUnicodeLabelKeep(f *testing.F) {
 	for _, s := range []string{"", "tda", "bcher-kva", "ggle-55da", "--", "a-b-c", "\x80", "99999999", "fiqs8s", "n3h"} {
 		f.Add(s, uint64(1))
 	}
+	for _, l := range foldSeeds {
+		if HasACEPrefix(l) {
+			f.Add(l[len(ACEPrefix):], uint64(2))
+		}
+	}
 	f.Fuzz(func(t *testing.T, input string, seed uint64) {
-		checkKeep(t, ACEPrefix+input, seed)
-		checkKeep(t, input, seed)
+		for _, l := range []string{ACEPrefix + input, input} {
+			checkKeep(t, l, seed)
+			checkFoldedLabel(t, l)
+		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ACEPrefix is the ASCII-compatible-encoding prefix that marks an IDN label
@@ -191,9 +192,11 @@ func ToUnicodeLabel(label string) (string, error) {
 // ToUnicodeLabelAppend appends the Unicode form of one label (ACE or not,
 // any ASCII case) to dst, returning the extended slice: the zero-copy,
 // zero-allocation core of ToUnicodeLabel that the detection engine feeds
-// reused buffers through. ASCII letters are lowercased; errors leave dst
-// truncated back to its original length and are preallocated, so even a
-// malformed line costs nothing in steady state.
+// reused buffers through. Every code point is folded (Fold) as it is
+// written, so labels and references meet on one normal form in one pass
+// over the output; errors leave dst truncated back to its original
+// length and are preallocated, so even a malformed line costs nothing in
+// steady state.
 //
 // keep, when not nil, lets a caller that only wants labels made of
 // certain code points stop an ACE decode early. The decoder offers it
@@ -209,37 +212,39 @@ func ToUnicodeLabel(label string) (string, error) {
 func ToUnicodeLabelAppend[S ByteSeq](dst []rune, label S, keep func(rune) bool) ([]rune, error) {
 	base := len(dst)
 	if !hasACEPrefix(label) {
-		// range string(label) is conversion-free for the []byte
-		// instantiation; folding decoded runes is equivalent to folding
-		// the raw bytes because A–Z never appear inside a multi-byte
-		// UTF-8 sequence.
-		for _, r := range string(label) {
+		// The runes are decoded as range over a string decodes them,
+		// but one at a time: the []byte instantiation converts at most
+		// utf8.UTFMax bytes per non-ASCII rune, which needs no
+		// allocation, where range string(label) copies a label longer
+		// than 32 bytes to the heap. Folding decoded runes is
+		// equivalent to folding the raw bytes because A–Z never appear
+		// inside a multi-byte UTF-8 sequence.
+		for i := 0; i < len(label); {
+			r, n := rune(label[i]), 1
+			if r >= utf8.RuneSelf {
+				r, n = utf8.DecodeRuneInString(string(label[i:min(i+utf8.UTFMax, len(label))]))
+			}
 			dst = append(dst, Fold(r))
+			i += n
 		}
 		return dst, nil
 	}
-	dst, err := decodeAppend(dst, label[len(ACEPrefix):], keep)
+	dst, err := decodeAppend(dst, label[len(ACEPrefix):], true, keep)
 	if err != nil {
 		return dst[:base], err
 	}
 	if len(dst) == base {
 		return dst, ErrEmptyLabel
 	}
-	// Decoded output keeps the encoder's case; fold it here so labels
-	// and references meet on one normal form, and detect the fake-ACE
-	// case in the same pass. The ASCII verdict looks at the pre-fold
-	// rune: fake-ACE is a property of what was encoded, not of the fold
-	// (U+212A KELVIN SIGN folds to ASCII 'k' yet its encoding is a
-	// legitimate non-ASCII label).
-	ascii := true
-	for i := base; i < len(dst); i++ {
-		r := dst[i]
-		if r >= 0x80 {
-			ascii = false
-		}
-		dst[i] = Fold(r)
-	}
-	if ascii {
+	// A label that inserts nothing decodes to its basic code points
+	// alone, pure ASCII: a fake-ACE label. Any insert is non-ASCII, as
+	// the decoder's n starts at 0x80 and only grows, so the verdict
+	// concerns what was encoded, not the fold (U+212A KELVIN SIGN folds
+	// to ASCII 'k', yet its label is a real IDN). Each variable-length
+	// integer after the last delimiter inserts one code point, so a
+	// decoded label inserted nothing exactly when it ends in the
+	// delimiter.
+	if label[len(label)-1] == delimiter {
 		return dst[:base], errFakeACE
 	}
 	return dst, nil

@@ -14,6 +14,9 @@ func TestNoallocGate(t *testing.T) {
 	runeBuf := make([]rune, 0, 64)
 	ace := []byte("ggle-55da")
 	full := []byte("xn--ggle-55da")
+	// A raw label past the 32 bytes a string conversion may hold on
+	// the stack.
+	longRaw := []byte("gооgle-gооgle-gооgle-gооgle-gооgle")
 	idn := "www.xn--ggle-55da.com"
 	idnBytes := []byte(idn)
 	// A keep predicate that rejects the first inserted code point.
@@ -27,6 +30,7 @@ func TestNoallocGate(t *testing.T) {
 		},
 		"ToUnicodeLabelAppend": func() {
 			runeBuf, _ = ToUnicodeLabelAppend(runeBuf[:0], full, nil)
+			runeBuf, _ = ToUnicodeLabelAppend(runeBuf[:0], longRaw, nil)
 			if _, err := ToUnicodeLabelAppend(runeBuf[:0], full, reject); err != ErrRejected {
 				panic("keep did not reject")
 			}

@@ -4,7 +4,11 @@
 // lists.
 //
 // The append forms, DecodeAppend and ToUnicodeLabelAppend, decode into a
-// caller's buffer and allocate nothing in steady state. Every decoded
+// caller's buffer and allocate nothing in steady state. The decoder
+// writes each label once: ToUnicodeLabelAppend folds every code point
+// as the decoder emits it (the A–Z shift as basic code points are
+// copied, Fold for each inserted one), so no second pass rewrites the
+// output, while DecodeAppend keeps the encoder's case. Every decoded
 // code point beyond ASCII costs an insert, so ToUnicodeLabelAppend also
 // takes a keep predicate: it sees each inserted code point, folded, in
 // ascending order, and the first one it rejects ends the decode with
@@ -189,14 +193,17 @@ type ByteSeq interface{ ~string | ~[]byte }
 //
 //shamlint:noalloc
 func DecodeAppend[S ByteSeq](dst []rune, input S) ([]rune, error) {
-	return decodeAppend(dst, input, nil)
+	return decodeAppend(dst, input, false, nil)
 }
 
-// decodeAppend is DecodeAppend with ToUnicodeLabelAppend's keep
-// predicate: each inserted (non-basic) code point is folded and offered
-// to keep before it is inserted, and the first one keep rejects ends
-// the decode with ErrRejected. A nil keep accepts everything.
-func decodeAppend[S ByteSeq](dst []rune, input S, keep func(rune) bool) ([]rune, error) {
+// decodeAppend is DecodeAppend with ToUnicodeLabelAppend's fold and
+// keep predicate. With fold set, every code point is folded as it is
+// written: a basic one takes the A–Z shift as it is copied, and an
+// inserted (non-basic) one is folded and offered to keep before it is
+// inserted, the first one keep rejects ending the decode with
+// ErrRejected. A nil keep accepts everything; keep is consulted only
+// when folding.
+func decodeAppend[S ByteSeq](dst []rune, input S, fold bool, keep func(rune) bool) ([]rune, error) {
 	floor := len(dst)
 	// One pass rejects non-basic input and finds the last delimiter.
 	pos := 0
@@ -207,10 +214,12 @@ func decodeAppend[S ByteSeq](dst []rune, input S, keep func(rune) bool) ([]rune,
 			pos = i + 1
 		}
 	}
-	if pos > 0 {
-		for _, c := range string(input[:pos-1]) {
-			dst = append(dst, c)
+	for j := 0; j < pos-1; j++ {
+		c := rune(input[j])
+		if fold && c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
 		}
+		dst = append(dst, c)
 	}
 	n := int32(initialN)
 	i := int32(0)
@@ -259,13 +268,17 @@ func decodeAppend[S ByteSeq](dst []rune, input S, keep func(rune) bool) ([]rune,
 		if n > utf8.MaxRune || (n >= 0xD800 && n <= 0xDFFF) {
 			return dst[:floor], errOutOfRange
 		}
-		if keep != nil && !keep(Fold(rune(n))) {
-			return dst[:floor], ErrRejected
+		r := rune(n)
+		if fold {
+			r = Fold(r)
+			if keep != nil && !keep(r) {
+				return dst[:floor], ErrRejected
+			}
 		}
 		dst = append(dst, 0)
 		at := floor + int(i)
 		copy(dst[at+1:], dst[at:])
-		dst[at] = rune(n)
+		dst[at] = r
 		i++
 	}
 	return dst, nil

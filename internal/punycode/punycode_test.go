@@ -327,3 +327,38 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkToUnicodeLabelAppend times the decode the detection hot path
+// runs, on a reused buffer behind a keep predicate, over a zone-shaped
+// mix of labels: an ACE label that decodes in full, a CJK label keep
+// rejects at its first insert, a mixed-case ACE label, a fake-ACE label
+// and a plain raw label. One op is one label; it must not allocate.
+func BenchmarkToUnicodeLabelAppend(b *testing.B) {
+	keep := func(r rune) bool { return r < 0x2e80 } // no CJK
+	labels := [][]byte{
+		[]byte("xn--ggle-55da"),                                  // gооgle
+		[]byte("xn--" + mustEncode(b, "速いブラウン狐")),                // rejected
+		[]byte("XN--" + strings.ToUpper(mustEncode(b, "Äpfel"))), // mixed case
+		[]byte("xn--abc-"),                                       // fake ACE
+		[]byte("Plain-Label"),
+	}
+	buf := make([]rune, 0, 64)
+	for i, want := range []error{nil, ErrRejected, nil, errFakeACE, nil} {
+		if _, err := ToUnicodeLabelAppend(buf[:0], labels[i], keep); err != want {
+			b.Fatalf("%s: err = %v, want %v", labels[i], err, want)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf, _ = ToUnicodeLabelAppend(buf[:0], labels[i%len(labels)], keep)
+	}
+}
+
+func mustEncode(tb testing.TB, s string) string {
+	tb.Helper()
+	enc, err := Encode(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc
+}

@@ -302,9 +302,18 @@ func TestNormalizeZoneLine(t *testing.T) {
 // root dot dropped, scannable-candidate gate, ASCII lowercase. The
 // in-place NormalizeZoneLine is differentially fuzzed against it.
 func naiveNormalizeZoneLine(line string) (string, bool) {
-	s := strings.Trim(line, " \t\r\n\f\v")
-	s = strings.TrimSuffix(s, ".")
-	if s == "" || !naiveScannable(s) {
+	s, ok := naiveNormalizeZoneLineAll(line)
+	if !ok || !naiveScannable(s) {
+		return "", false
+	}
+	return s, true
+}
+
+// naiveNormalizeZoneLineAll is the reference for NormalizeZoneLineAll:
+// naiveNormalizeZoneLine without the candidate gate.
+func naiveNormalizeZoneLineAll(line string) (string, bool) {
+	s := strings.TrimSuffix(strings.Trim(line, " \t\r\n\f\v"), ".")
+	if s == "" {
 		return "", false
 	}
 	b := []byte(s)
@@ -382,9 +391,10 @@ func TestNormalizeZoneLineWordBoundaries(t *testing.T) {
 	}
 }
 
-// FuzzNormalizeZoneLine: the in-place fast path must agree with the
-// naive reference on arbitrary bytes — including non-UTF-8 garbage,
-// interior dots, and whitespace runs. `go test` runs the seed corpus;
+// FuzzNormalizeZoneLine: the in-place fast paths, NormalizeZoneLine and
+// the ungated NormalizeZoneLineAll, must agree with their naive
+// references on arbitrary bytes — including non-UTF-8 garbage, interior
+// dots, and whitespace runs. `go test` runs the seed corpus;
 // `go test -fuzz=FuzzNormalizeZoneLine` explores further.
 func FuzzNormalizeZoneLine(f *testing.F) {
 	for _, s := range []string{
@@ -417,15 +427,34 @@ func FuzzNormalizeZoneLine(f *testing.F) {
 			}
 		}
 	}
+	// The lowercase word test's edges — '@' and '[' around 'A'–'Z',
+	// and 0xC1, whose low seven bits read 'A' — on both sides of the
+	// first and second word boundaries, in lines that end there and
+	// in lines that run on into the overlapping tail load.
+	for _, c := range []byte{'@', 'A', 'Z', '[', 0xC1} {
+		for _, at := range []int{7, 8, 15, 16} {
+			for _, n := range []int{at + 1, 20, 27} {
+				if at < n {
+					b := []byte(strings.Repeat("xn--a.", 5)[:n])
+					b[at] = c
+					f.Add(string(b))
+				}
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, line string) {
-		buf := []byte(line)
-		got, ok := NormalizeZoneLine(buf)
+		got, ok := NormalizeZoneLine([]byte(line))
 		want, wantOK := naiveNormalizeZoneLine(line)
 		if ok != wantOK {
 			t.Fatalf("NormalizeZoneLine(%q) keep = %v, naive = %v", line, ok, wantOK)
 		}
 		if ok && string(got) != want {
 			t.Fatalf("NormalizeZoneLine(%q) = %q, naive = %q", line, got, want)
+		}
+		got, ok = NormalizeZoneLineAll([]byte(line))
+		want, wantOK = naiveNormalizeZoneLineAll(line)
+		if ok != wantOK || string(got) != want {
+			t.Fatalf("NormalizeZoneLineAll(%q) = %q, %v; naive = %q, %v", line, got, ok, want, wantOK)
 		}
 	})
 }
