@@ -33,6 +33,7 @@ import (
 	"repro/internal/homoglyph"
 	"repro/internal/hostsim"
 	"repro/internal/punycode"
+	"repro/internal/reflist"
 	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/simchar"
@@ -551,6 +552,35 @@ func BenchmarkColdStart(b *testing.B) {
 			}
 			if fw.NewDetector(refs) == nil {
 				b.Fatal("nil detector")
+			}
+		}
+	})
+	b.Run("list", func(b *testing.B) {
+		fast, err := New(Config{FontScope: FontFast})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dir := b.TempDir()
+		snapPath, refsPath := dir+"/db.snap", dir+"/refs.txt"
+		if err := fast.SaveSnapshot(snapPath, nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(refsPath, []byte(strings.Join(refs, "\n")+"\n"), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			db, _, err := snapshot.ReadFile(snapPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			list, err := reflist.Load(refsPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if core.NewDetector(db, list).NumReferences() != len(refs) {
+				b.Fatal("detector lost references")
 			}
 		}
 	})

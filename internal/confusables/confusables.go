@@ -51,6 +51,44 @@ func (db *DB) Add(source rune, target []rune, comment string) {
 	}
 }
 
+// FromRows builds a database from rows laid out flat, as the snapshot
+// codec stores them: row i maps sources[i] to the next lens[i] runes of
+// targets, with comments[i]. The database takes targets as its rune
+// arena; each entry's target is a cap-limited subslice of it, so
+// nothing is copied per entry. Rows apply in order, as Add would apply
+// them.
+func FromRows(sources []rune, lens []int32, targets []rune, comments []string) (*DB, error) {
+	if len(lens) != len(sources) || len(comments) != len(sources) {
+		return nil, fmt.Errorf("confusables: %d sources, %d target lengths, %d comments", len(sources), len(lens), len(comments))
+	}
+	db := &DB{entries: make(map[rune][]rune, len(sources)), comment: make(map[rune]string)}
+	off := 0
+	for i, src := range sources {
+		l := int(lens[i])
+		if l < 0 || l > len(targets)-off {
+			return nil, fmt.Errorf("confusables: row %d: target length %d overruns %d target runes", i, l, len(targets))
+		}
+		db.entries[src] = targets[off : off+l : off+l]
+		off += l
+		if comments[i] != "" {
+			db.comment[src] = comments[i]
+		}
+	}
+	if off != len(targets) {
+		return nil, fmt.Errorf("confusables: %d target runes claimed by no row", len(targets)-off)
+	}
+	return db, nil
+}
+
+// AppendChars appends the characters of Chars to dst, each at least
+// once and in no particular order, and returns the extended slice.
+func (db *DB) AppendChars(dst []rune) []rune {
+	for src, tgt := range db.entries {
+		dst = append(append(dst, src), tgt...)
+	}
+	return dst
+}
+
 // Lookup returns the skeleton target for source, if listed.
 func (db *DB) Lookup(source rune) ([]rune, bool) {
 	t, ok := db.entries[source]
@@ -212,14 +250,7 @@ func (db *DB) Entries() []Entry {
 // Chars returns the set of all code points mentioned (sources and targets),
 // the paper's "number of characters" accounting for Table 1.
 func (db *DB) Chars() *ucd.RuneSet {
-	s := ucd.NewRuneSet()
-	for src, tgt := range db.entries {
-		s.Add(src)
-		for _, t := range tgt {
-			s.Add(t)
-		}
-	}
-	return s
+	return ucd.NewRuneSet(db.AppendChars(nil)...)
 }
 
 // Pairs returns the number of (source, prototype) homoglyph pairs.

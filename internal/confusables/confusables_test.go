@@ -2,6 +2,7 @@ package confusables
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -221,5 +222,42 @@ func TestCharsAndPairs(t *testing.T) {
 func TestDefaultIsCached(t *testing.T) {
 	if Default() != Default() {
 		t.Fatal("Default must be cached")
+	}
+}
+
+// TestFromRows: flat rows build the database Add builds from the same
+// entries, applied in order — a repeated source keeps its last target
+// and its last non-empty comment — and rows that disagree with the
+// arena are refused.
+func TestFromRows(t *testing.T) {
+	sources := []rune{0x0430, 'm', 0x0430, 0x2161, 'z'}
+	lens := []int32{1, 2, 1, 2, 0}
+	targets := []rune{'x', 'r', 'n', 'a', 'I', 'I'}
+	comments := []string{"first", "M", "", "ROMAN TWO", ""}
+	got, err := FromRows(sources, lens, targets, comments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New()
+	off := 0
+	for i, src := range sources {
+		want.Add(src, targets[off:off+int(lens[i])], comments[i])
+		off += int(lens[i])
+	}
+	if !reflect.DeepEqual(got.Entries(), want.Entries()) {
+		t.Fatalf("entries %v, want %v", got.Entries(), want.Entries())
+	}
+	if tgt, _ := got.Lookup('m'); cap(tgt) != len(tgt) {
+		t.Fatalf("target of m has room past its row: len %d, cap %d", len(tgt), cap(tgt))
+	}
+	for name, bad := range map[string]func() (*DB, error){
+		"overrun":  func() (*DB, error) { return FromRows([]rune{'a'}, []int32{2}, []rune{'b'}, []string{""}) },
+		"negative": func() (*DB, error) { return FromRows([]rune{'a'}, []int32{-1}, nil, []string{""}) },
+		"leftover": func() (*DB, error) { return FromRows([]rune{'a'}, []int32{1}, []rune{'b', 'c'}, []string{""}) },
+		"comments": func() (*DB, error) { return FromRows([]rune{'a'}, []int32{1}, []rune{'b'}, nil) },
+	} {
+		if _, err := bad(); err == nil {
+			t.Errorf("%s: FromRows accepted the rows", name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -82,14 +83,11 @@ func mapSkelIndex(d *Detector) *skelIndex {
 			minOf[root] = r
 		}
 	}
-	x := &skelIndex{
-		rep:  make(map[rune]rune),
-		seq:  make(map[rune][]rune),
-		refs: make(map[string][]int32),
-	}
+	rep := make(map[rune]rune)
+	seq := make(map[rune][]rune)
 	for _, r := range chars {
 		if m := minOf[find(r)]; m != r {
-			x.rep[r] = m
+			rep[r] = m
 		}
 	}
 
@@ -99,27 +97,27 @@ func mapSkelIndex(d *Detector) *skelIndex {
 	}
 	var expand func(r rune, depth int, dst []rune) []rune
 	expand = func(r rune, depth int, dst []rune) []rune {
-		rep := r
-		if m, ok := x.rep[r]; ok {
-			rep = m
+		if m, ok := rep[r]; ok {
+			r = m
 		}
 		if uc != nil && depth < 8 {
-			if s := uc.SkeletonAppend(nil, rep); len(s) > 1 {
+			if s := uc.SkeletonAppend(nil, r); len(s) > 1 {
 				for _, t := range s {
 					dst = expand(t, depth+1, dst)
 				}
 				return dst
 			}
 		}
-		return append(dst, rep)
+		return append(dst, r)
 	}
 	for _, r := range chars {
 		if s := expand(r, 0, nil); len(s) > 1 {
-			x.seq[r] = s
+			seq[r] = s
 		}
 	}
 
-	x.fold = newFoldTable(x.rep, x.seq)
+	x := &skelIndex{rows: rowsOf(rep, seq), refs: make(map[string][]int32)}
+	x.fold = newFoldTable(&x.rows)
 	var keyRunes runeSet
 	for id := range d.refs {
 		k := string(x.appendLabel(nil, d.refRunes(int32(id))))
@@ -128,6 +126,36 @@ func mapSkelIndex(d *Detector) *skelIndex {
 	}
 	x.compileGate(keyRunes)
 	return x
+}
+
+// rowsOf flattens rep and seq maps into rows, keys ascending.
+func rowsOf(rep map[rune]rune, seq map[rune][]rune) skelRows {
+	var x skelRows
+	for _, r := range slices.Sorted(maps.Keys(rep)) {
+		x.repRunes, x.reps = append(x.repRunes, r), append(x.reps, rep[r])
+	}
+	for _, r := range slices.Sorted(maps.Keys(seq)) {
+		x.seqRunes = append(x.seqRunes, r)
+		x.seqLens = append(x.seqLens, int32(len(seq[r])))
+		x.seqs = append(x.seqs, seq[r]...)
+	}
+	return x
+}
+
+// maps returns the rep and seq maps the rows flatten.
+func (x *skelRows) maps() (map[rune]rune, map[rune][]rune) {
+	rep := make(map[rune]rune)
+	for i, r := range x.repRunes {
+		rep[r] = x.reps[i]
+	}
+	seq := make(map[rune][]rune)
+	off := 0
+	for i, r := range x.seqRunes {
+		l := int(x.seqLens[i])
+		seq[r] = x.seqs[off : off+l]
+		off += l
+	}
+	return rep, seq
 }
 
 // oracleRefs are the references whose normalization and collisions
@@ -158,11 +186,13 @@ func assertSameCompile(t *testing.T, name string, db *homoglyph.DB, refs []strin
 		t.Fatalf("%s: rune arena differs", name)
 	}
 	g, w := got.skel, want.skel
-	if !reflect.DeepEqual(g.rep, w.rep) {
-		t.Fatalf("%s: rep differs: %d vs %d entries", name, len(g.rep), len(w.rep))
+	gRep, gSeq := g.rows.maps()
+	wRep, wSeq := w.rows.maps()
+	if !reflect.DeepEqual(gRep, wRep) {
+		t.Fatalf("%s: rep differs: %d vs %d entries", name, len(gRep), len(wRep))
 	}
-	if !reflect.DeepEqual(g.seq, w.seq) {
-		t.Fatalf("%s: seq differs: %d vs %d entries", name, len(g.seq), len(w.seq))
+	if !reflect.DeepEqual(gSeq, wSeq) {
+		t.Fatalf("%s: seq differs: %d vs %d entries", name, len(gSeq), len(wSeq))
 	}
 	if !reflect.DeepEqual(g.refs, w.refs) {
 		t.Fatalf("%s: key map differs: %d vs %d keys", name, len(g.refs), len(w.refs))
@@ -256,11 +286,12 @@ func TestCompilePartnerOutsideChars(t *testing.T) {
 		if len(d.skel.refs) != 2 || len(d.skel.refs["aa"]) != 3 {
 			t.Fatalf("%U: want ae, ea and ае under key aa, got %v", link, d.skel.refs)
 		}
-		if _, ok := d.skel.rep[link]; ok {
+		rep, _ := d.skel.rows.maps()
+		if _, ok := rep[link]; ok {
 			t.Errorf("%U got a representative", link)
 		}
-		if d.skel.rep[0x110000] != 'a' {
-			t.Errorf("U+110000 represented by %U, want a", d.skel.rep[0x110000])
+		if rep[0x110000] != 'a' {
+			t.Errorf("U+110000 represented by %U, want a", rep[0x110000])
 		}
 	}
 }
@@ -278,7 +309,7 @@ func TestCompileNestedExpansion(t *testing.T) {
 	db := homoglyph.New(uc, sim, 0)
 	refs := []string{"mom", "vvnovvn", "ram"}
 	assertSameCompile(t, "nested", db, refs)
-	if got := string(NewDetector(db, refs).skel.seq['m']); got != "vvn" {
+	if got, _ := NewDetector(db, refs).skel.rows.seqOf('m'); string(got) != "vvn" {
 		t.Fatalf("skeleton of m = %q, want vvn", got)
 	}
 }

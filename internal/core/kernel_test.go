@@ -15,24 +15,34 @@ import (
 	"repro/internal/punycode"
 )
 
-// mapFold is the per-rune fold as the rep/seq maps define it — what
+// rowFold is the per-rune fold as the rep/seq rows define it — what
 // appendLabel computed before the fold table — kept as the table's
 // parity oracle.
-func mapFold(x *skelIndex, dst []byte, r rune) []byte {
-	if s, ok := x.seq[r]; ok {
+func rowFold(x *skelIndex, dst []byte, r rune) []byte {
+	if s, ok := x.rows.seqOf(r); ok {
 		for _, sr := range s {
 			dst = utf8.AppendRune(dst, sr)
 		}
 		return dst
 	}
-	if m, ok := x.rep[r]; ok {
-		return utf8.AppendRune(dst, m)
+	return utf8.AppendRune(dst, x.rows.repOf(r))
+}
+
+// seqOf returns r's sequence row, if it has one.
+func (x *skelRows) seqOf(r rune) ([]rune, bool) {
+	i, ok := slices.BinarySearch(x.seqRunes, r)
+	if !ok {
+		return nil, false
 	}
-	return utf8.AppendRune(dst, r)
+	off := 0
+	for _, l := range x.seqLens[:i] {
+		off += int(l)
+	}
+	return x.seqs[off : off+int(x.seqLens[i])], true
 }
 
 // TestFoldTableParity checks the compiled fold table against the
-// rep/seq maps it is derived from, rune by rune and over whole labels:
+// rep/seq rows it is derived from, rune by rune and over whole labels:
 // every database rune, all of ASCII, and runes the table does not cover
 // (random code points, the rune space's edges, runes no label can hold).
 // It runs on the UC, SimChar and union views, on fresh and
@@ -64,7 +74,7 @@ func TestFoldTableParity(t *testing.T) {
 			mapped := 0
 			for _, r := range probe {
 				got := x.appendLabel(nil, []rune{r})
-				want := mapFold(x, nil, r)
+				want := rowFold(x, nil, r)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%v %s: fold(%U) = %q, maps say %q", use, name, r, got, want)
 				}
@@ -84,7 +94,7 @@ func TestFoldTableParity(t *testing.T) {
 				}
 				var want []byte
 				for _, r := range label {
-					want = mapFold(x, want, r)
+					want = rowFold(x, want, r)
 				}
 				if got := x.appendLabel([]byte("prefix"), label); !bytes.Equal(got[6:], want) || string(got[:6]) != "prefix" {
 					t.Fatalf("%v %s: fold(%q) = %q, maps say %q", use, name, string(label), got, want)
@@ -149,7 +159,7 @@ func TestLiveRuneTable(t *testing.T) {
 			live, dead, partial := 0, 0, 0
 			for _, r := range probe {
 				want := true
-				for i, sr := range []rune(string(mapFold(x, nil, punycode.Fold(r)))) {
+				for i, sr := range []rune(string(rowFold(x, nil, punycode.Fold(r)))) {
 					if !keyRunes[sr] {
 						if want && i > 0 {
 							partial++

@@ -113,7 +113,7 @@ func widestSkeletonLabels(t *testing.T) ([2]string, *Detector) {
 	x := NewDetector(testDB(t), nil).skel
 	var widest rune
 	most := 0
-	for _, r := range append(sortedRuneKeys(x.rep), sortedRuneKeys(x.seq)...) {
+	for r := range x.rows.all() {
 		if punycode.Fold(r) != r {
 			continue
 		}

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"iter"
 	"slices"
-	"sort"
 	"unicode/utf8"
 
 	"repro/internal/homoglyph"
@@ -27,8 +27,8 @@ import (
 // catches the length-changing homographs ("rnicrosoft") the pairwise
 // model cannot represent.
 //
-// rep and seq are the build and snapshot form of the per-rune mapping;
-// the hot path reads fold, the same mapping compiled into tables.
+// rows are the build and snapshot form of the per-rune mapping; the
+// hot path reads fold, the same mapping compiled into tables.
 //
 // The fold table also carries the dead-rune gate. A rune is live when
 // every rune of its skeleton occurs in some reference key, and dead
@@ -39,11 +39,58 @@ import (
 // backend's candidates come from this one probe, so the gate holds for
 // all of them.
 type skelIndex struct {
-	rep  map[rune]rune      // non-identity component representatives
-	seq  map[rune][]rune    // multi-rune skeletons (already rep-mapped)
 	refs map[string][]int32 // skeleton(ref) → ascending ids into Detector.refs
 	fold foldTable
 	keep func(rune) bool // live, as a func value built once
+	rows skelRows        // build and snapshot only, so after the hot fields
+}
+
+// skelRows is the per-rune mapping as sorted rows, laid out as the
+// snapshot stores it. repRunes (ascending) map to reps, their
+// non-identity component representatives. seqRunes (ascending) key the
+// multi-rune skeletons, already rep-mapped: entry i is the next
+// seqLens[i] runes of seqs. A rune in both maps to its sequence.
+type skelRows struct {
+	repRunes, reps []rune
+	seqRunes       []rune
+	seqLens        []int32
+	seqs           []rune
+}
+
+// all yields every mapped rune, ascending, with its skeleton: its
+// sequence, or else its representative.
+func (x *skelRows) all() iter.Seq2[rune, []rune] {
+	return func(yield func(rune, []rune) bool) {
+		i, off := 0, 0
+		for j, r := range x.seqRunes {
+			for ; i < len(x.repRunes) && x.repRunes[i] < r; i++ {
+				if !yield(x.repRunes[i], x.reps[i:i+1]) {
+					return
+				}
+			}
+			if i < len(x.repRunes) && x.repRunes[i] == r {
+				i++
+			}
+			l := int(x.seqLens[j])
+			if !yield(r, x.seqs[off:off+l]) {
+				return
+			}
+			off += l
+		}
+		for ; i < len(x.repRunes); i++ {
+			if !yield(x.repRunes[i], x.reps[i:i+1]) {
+				return
+			}
+		}
+	}
+}
+
+// repOf returns r's representative, r itself when it has none.
+func (x *skelRows) repOf(r rune) rune {
+	if i, ok := slices.BinarySearch(x.repRunes, r); ok {
+		return x.reps[i]
+	}
+	return r
 }
 
 // foldTable is rep/seq compiled for appendLabel: a few array loads per
@@ -74,36 +121,25 @@ type foldTable struct {
 // entry is its skeleton's index, 0 for a rune that maps to itself.
 const deadBit = 1 << 31
 
-// newFoldTable compiles the rep/seq maps; seq wins where both hold a
-// rune, as it does in the maps' own lookup order. Keys outside the rune
-// space are dropped: neither decoded labels nor references can hold
-// such a rune, so no lookup ever reached them.
-func newFoldTable(rep map[rune]rune, seq map[rune][]rune) foldTable {
-	keys := make([]rune, 0, len(rep)+len(seq))
-	for r := range rep {
-		if _, ok := seq[r]; !ok {
-			keys = append(keys, r)
-		}
-	}
-	for r := range seq {
+// newFoldTable compiles the rows. Runes outside the rune space are
+// dropped: neither decoded labels nor references can hold such a rune,
+// so no lookup ever reached them.
+func newFoldTable(x *skelRows) foldTable {
+	keys := make([]rune, 0, len(x.repRunes)+len(x.seqRunes))
+	for r := range x.all() {
 		keys = append(keys, r)
 	}
-	slices.Sort(keys)
 	f := foldTable{
 		ends: make([]uint32, 1, len(keys)+1),
 		pool: make([]byte, 0, 2*len(keys)),
 	}
 	f.reserve(keys, 0x80)
-	for _, r := range keys {
+	for r, skel := range x.all() {
 		if r < 0 || r > utf8.MaxRune {
 			continue
 		}
-		if s, ok := seq[r]; ok {
-			for _, sr := range s {
-				f.pool = utf8.AppendRune(f.pool, sr)
-			}
-		} else {
-			f.pool = utf8.AppendRune(f.pool, rep[r])
+		for _, sr := range skel {
+			f.pool = utf8.AppendRune(f.pool, sr)
 		}
 		f.ends = append(f.ends, uint32(len(f.pool)))
 		k := uint32(len(f.ends) - 1)
@@ -237,27 +273,28 @@ func (s runeSet) has(r rune) bool {
 	return i < uint32(len(s)) && s[i]&(1<<(uint32(r)&63)) != 0
 }
 
-// newSkelIndex compiles the per-rune mapping of db's view: rep, seq
+// newSkelIndex compiles the per-rune mapping of db's view: the rows
 // and the fold table. indexRefs and compileGate complete it.
 func newSkelIndex(db *homoglyph.DB) *skelIndex {
-	chars := db.Chars().Runes()
-	x := &skelIndex{rep: representatives(db, chars)}
-	x.seq = expansions(db, chars, x.rep)
-	x.fold = newFoldTable(x.rep, x.seq)
+	chars := db.CharRunes()
+	x := &skelIndex{}
+	x.rows.repRunes, x.rows.reps = representatives(db, chars)
+	expansions(db, chars, &x.rows)
+	x.fold = newFoldTable(&x.rows)
 	return x
 }
 
 // representatives maps each rune of chars (ascending) to the
 // representative of its connected component of the pairwise graph, the
 // component's smallest rune of chars, leaving out the runes that are
-// their own.
+// their own. It returns the rep rows, in the order of chars.
 //
 // The union-find runs over dense ids: chars[i] is id i, and a partner
 // outside chars takes the next free id when first seen. A union hangs
 // the larger root under the smaller, so every root is its component's
 // smallest id, and a partner outside chars, numbered after all of them,
 // is never a representative.
-func representatives(db *homoglyph.DB, chars []rune) map[rune]rune {
+func representatives(db *homoglyph.DB, chars []rune) (runes, reps []rune) {
 	parent := make([]int32, len(chars))
 	for i := range parent {
 		parent[i] = int32(i)
@@ -313,16 +350,17 @@ func representatives(db *homoglyph.DB, chars []rune) map[rune]rune {
 			n++
 		}
 	}
-	rep := make(map[rune]rune, n)
+	runes, reps = make([]rune, 0, n), make([]rune, 0, n)
 	for i, r := range chars {
 		if root := find(int32(i)); root != int32(i) {
-			rep[r] = chars[root]
+			runes, reps = append(runes, r), append(reps, chars[root])
 		}
 	}
-	return rep
+	return runes, reps
 }
 
-// expansions returns the multi-rune skeletons of chars.
+// expansions fills x's seq rows with the multi-rune skeletons of chars
+// (ascending), from its rep rows.
 //
 // Sequence expansion is decided per COMPONENT, by its representative:
 // if the rep's full UC prototype is multi-rune, every member of the
@@ -330,20 +368,17 @@ func representatives(db *homoglyph.DB, chars []rune) map[rune]rune {
 // resolved recursively). Deciding by member instead would let a
 // SimChar-only partner of 'w' keep skeleton 'w' while 'w' itself went
 // to "vv", silently dropping pairwise matches from the candidates.
-func expansions(db *homoglyph.DB, chars []rune, rep map[rune]rune) map[rune][]rune {
-	seq := make(map[rune][]rune)
+func expansions(db *homoglyph.DB, chars []rune, x *skelRows) {
 	uc := db.UC()
 	if db.Use()&homoglyph.SourceUC == 0 || uc == nil {
-		return seq
+		return
 	}
 	// protos[depth] holds the prototype walked at that depth, so the
 	// recursion reuses one buffer per level.
 	var protos [8][]rune
 	var expand func(r rune, depth int, dst []rune) []rune
 	expand = func(r rune, depth int, dst []rune) []rune {
-		if m, ok := rep[r]; ok {
-			r = m
-		}
+		r = x.repOf(r)
 		if depth < len(protos) {
 			protos[depth] = uc.SkeletonAppend(protos[depth][:0], r)
 			if s := protos[depth]; len(s) > 1 {
@@ -355,14 +390,14 @@ func expansions(db *homoglyph.DB, chars []rune, rep map[rune]rune) map[rune][]ru
 		}
 		return append(dst, r)
 	}
-	var out, pool []rune // pool holds the sequences back to back
+	var out []rune
 	for _, r := range chars {
 		if out = expand(r, 0, out[:0]); len(out) > 1 {
-			pool = append(pool, out...)
-			seq[r] = pool[len(pool)-len(out) : len(pool) : len(pool)]
+			x.seqRunes = append(x.seqRunes, r)
+			x.seqLens = append(x.seqLens, int32(len(out)))
+			x.seqs = append(x.seqs, out...)
 		}
 	}
-	return seq
 }
 
 // indexRefs normalizes the references, keeps the first of each as
@@ -509,16 +544,4 @@ func runesEqualString(rs []rune, s string) bool {
 		i++
 	}
 	return i == len(rs)
-}
-
-// sortedRuneKeys returns a skeleton map's keys in their canonical
-// (ascending) order, shared by Snapshot and the loader so identical
-// detectors flatten identically.
-func sortedRuneKeys[V any](m map[rune]V) []rune {
-	out := make([]rune, 0, len(m))
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -44,16 +44,14 @@ type Snapshot struct {
 // is canonical — every table ascends by key — so identical detectors
 // produce identical snapshots.
 func (d *Detector) Snapshot() *Snapshot {
-	s := &Snapshot{Refs: append([]string(nil), d.refs...)}
-	for _, r := range sortedRuneKeys(d.skel.rep) {
-		s.SkelRepRunes = append(s.SkelRepRunes, r)
-		s.SkelReps = append(s.SkelReps, d.skel.rep[r])
-	}
-	for _, r := range sortedRuneKeys(d.skel.seq) {
-		seq := d.skel.seq[r]
-		s.SkelSeqRunes = append(s.SkelSeqRunes, r)
-		s.SkelSeqLens = append(s.SkelSeqLens, int32(len(seq)))
-		s.SkelSeqs = append(s.SkelSeqs, seq...)
+	rows := &d.skel.rows
+	s := &Snapshot{
+		Refs:         append([]string(nil), d.refs...),
+		SkelRepRunes: append([]rune(nil), rows.repRunes...),
+		SkelReps:     append([]rune(nil), rows.reps...),
+		SkelSeqRunes: append([]rune(nil), rows.seqRunes...),
+		SkelSeqLens:  append([]int32(nil), rows.seqLens...),
+		SkelSeqs:     append([]rune(nil), rows.seqs...),
 	}
 	keys := make([]string, 0, len(d.skel.refs))
 	for k := range d.skel.refs {
@@ -70,11 +68,12 @@ func (d *Detector) Snapshot() *Snapshot {
 }
 
 // NewDetectorFromSnapshot rebuilds a detector over an already-loaded
-// homoglyph database. Skeleton id lists alias the snapshot's SkelListIDs
-// array (full-capacity subslices), so beyond the maps and the reference
+// homoglyph database. The skeleton rows are the snapshot's own arrays
+// and the id lists alias its SkelListIDs array (full-capacity
+// subslices), so beyond the key map, the fold table and the reference
 // rune arena the load performs no copying; the snapshot must not be
 // mutated afterwards. The db must be the one serialized alongside the
-// detector — the skeleton maps bake in its homoglyph classes.
+// detector — the skeleton rows bake in its homoglyph classes.
 //
 // Detection walks a label's candidates once per pass without
 // deduplicating, so references must be non-empty and unique, and every
@@ -121,27 +120,28 @@ func skelFromSnapshot(s *Snapshot, d *Detector) (*skelIndex, error) {
 	if !strictlyAscending(s.SkelRepRunes) || !strictlyAscending(s.SkelSeqRunes) || !strictlyAscending(s.SkelKeys) {
 		return nil, fmt.Errorf("core: snapshot skeleton tables not strictly ascending")
 	}
-	x := &skelIndex{
-		rep:  make(map[rune]rune, len(s.SkelRepRunes)),
-		seq:  make(map[rune][]rune, len(s.SkelSeqRunes)),
-		refs: make(map[string][]int32, len(s.SkelKeys)),
-	}
-	for i, r := range s.SkelRepRunes {
-		x.rep[r] = s.SkelReps[i]
-	}
 	off := 0
-	for i, r := range s.SkelSeqRunes {
+	for i := range s.SkelSeqRunes {
 		l := int(s.SkelSeqLens[i])
 		if l < 2 || off+l > len(s.SkelSeqs) {
 			return nil, fmt.Errorf("core: snapshot skeleton seq %d: bad length %d", i, l)
 		}
-		x.seq[r] = s.SkelSeqs[off : off+l : off+l]
 		off += l
 	}
 	if off != len(s.SkelSeqs) {
 		return nil, fmt.Errorf("core: snapshot skeleton seqs: %d trailing runes", len(s.SkelSeqs)-off)
 	}
-	x.fold = newFoldTable(x.rep, x.seq)
+	x := &skelIndex{
+		rows: skelRows{
+			repRunes: s.SkelRepRunes,
+			reps:     s.SkelReps,
+			seqRunes: s.SkelSeqRunes,
+			seqLens:  s.SkelSeqLens,
+			seqs:     s.SkelSeqs,
+		},
+		refs: make(map[string][]int32, len(s.SkelKeys)),
+	}
+	x.fold = newFoldTable(&x.rows)
 	numRefs := len(d.refs)
 	var skel []byte
 	idOff := 0

@@ -12,15 +12,19 @@
 //     "co.uk"-style cut rule), so the registrable label — the label a
 //     homograph attack substitutes into — is extracted correctly for
 //     arbitrary TLDs, including ACE/IDN TLDs such as xn--p1ai;
-//   - string conveniences (Labels, Suffix, Registrable) for load-time
-//     call sites such as reference-list parsing.
+//   - RegistrableSpan, the load-time cut of the registrable label,
+//     taken from the end of the name without a span list, and string
+//     conveniences (Labels, Suffix, Registrable) for load-time call
+//     sites such as reference-list parsing.
 //
 // The detection hot path (core's fused per-line walk) tracks label
 // boundaries itself and consults only TwoLabelSuffix, on the match
-// path — allocation-free by construction. AppendSpans, SuffixLabels
-// and the string conveniences serve load-time callers (Registrable,
-// ranking) and tests; changing suffix semantics means changing
-// TwoLabelSuffix (or the table), which both paths share.
+// path — allocation-free by construction. Reference lists (reflist)
+// and rankings cut their labels with RegistrableSpan, through
+// Registrable or directly. AppendSpans and SuffixLabels define the
+// same cut over a full span list and remain as its test reference;
+// changing suffix semantics means changing TwoLabelSuffix (or the
+// table), which every path shares.
 package domain
 
 import "repro/internal/punycode"
@@ -101,14 +105,45 @@ func Suffix(name string) string {
 //	Registrable("xn--80ak6aa92e.xn--p1ai") = "xn--80ak6aa92e", "xn--p1ai"
 //	Registrable("google")            = "google", ""
 func Registrable(name string) (label, suffix string) {
-	spans := AppendSpans(nil, name)
-	if len(spans) == 0 {
-		return "", ""
+	sp, end := RegistrableSpan(name)
+	if sp.End < end {
+		suffix = name[sp.End+1 : end]
 	}
-	n := SuffixLabels(name, spans)
-	if n > 0 {
-		suffix = name[spans[len(spans)-n].Start:spans[len(spans)-1].End]
-	}
-	sp := spans[len(spans)-n-1]
 	return name[sp.Start:sp.End], suffix
+}
+
+// RegistrableSpan returns the span of name's registrable label, the
+// label Registrable returns, and where the name ends without its root
+// dot; the suffix lies between the two. It is the cut AppendSpans and
+// SuffixLabels define, taken from the end of the name without a span
+// list, so it allocates nothing.
+//
+//shamlint:noalloc
+func RegistrableSpan[S punycode.ByteSeq](name S) (label Span, end int) {
+	end = len(name)
+	if end > 0 && name[end-1] == '.' {
+		end-- // the root dot; "." is one empty label
+	}
+	d1 := lastDot(name, end)
+	if d1 < 0 {
+		return Span{Start: 0, End: end}, end
+	}
+	d2 := lastDot(name, d1)
+	if d2 < 0 {
+		return Span{Start: 0, End: d1}, end
+	}
+	if !TwoLabelSuffix(name, Span{Start: d2 + 1, End: d1}, Span{Start: d1 + 1, End: end}) {
+		return Span{Start: d2 + 1, End: d1}, end
+	}
+	return Span{Start: lastDot(name, d2) + 1, End: d2}, end
+}
+
+// lastDot returns the index of the last '.' of name[:end], or -1.
+func lastDot[S punycode.ByteSeq](name S, end int) int {
+	for i := end - 1; i >= 0; i-- {
+		if name[i] == '.' {
+			return i
+		}
+	}
+	return -1
 }

@@ -126,6 +126,40 @@ func TestRegistrable(t *testing.T) {
 	}
 }
 
+// TestRegistrableSpanMatchesSpans checks the cut taken from the end of
+// a name against the one the span list defines, the label left of
+// SuffixLabels' suffix, on every name of up to five tokens that mix
+// labels, suffix labels, upper case and empty labels, on both input
+// types.
+func TestRegistrableSpanMatchesSpans(t *testing.T) {
+	tokens := []string{"a", ".", "co", "UK", "com", "au", "xn--p1ai"}
+	var names []string
+	var grow func(prefix string, depth int)
+	grow = func(prefix string, depth int) {
+		names = append(names, prefix)
+		if depth == 5 {
+			return
+		}
+		for _, tok := range tokens {
+			grow(prefix+tok, depth+1)
+		}
+	}
+	grow("", 0)
+	for _, name := range names {
+		spans := AppendSpans(nil, name)
+		var want Span
+		if len(spans) > 0 {
+			want = spans[len(spans)-SuffixLabels(name, spans)-1]
+		}
+		if got, _ := RegistrableSpan(name); got != want {
+			t.Fatalf("RegistrableSpan(%q) = %v, want %v", name, got, want)
+		}
+		if got, _ := RegistrableSpan([]byte(name)); got != want {
+			t.Fatalf("RegistrableSpan([]byte %q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestSuffixAndLabels(t *testing.T) {
 	if got := Suffix("amazon.co.uk"); got != "co.uk" {
 		t.Errorf("Suffix = %q", got)

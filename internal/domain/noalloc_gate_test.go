@@ -19,6 +19,9 @@ func TestNoallocGate(t *testing.T) {
 		"AppendSpans": func() {
 			spans = AppendSpans(spans[:0], name)
 		},
+		"RegistrableSpan": func() {
+			RegistrableSpan(name)
+		},
 		"NormalizeZoneLine": func() {
 			copy(buf, line)
 			NormalizeZoneLine(buf[:len(line)])

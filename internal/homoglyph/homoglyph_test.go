@@ -267,6 +267,32 @@ func TestChars(t *testing.T) {
 	}
 }
 
+// TestCharRunes: the compile path's bitset gives the characters of
+// Chars in order, on every view, with and without components, and
+// with values outside the rune space that a loaded database can hold.
+func TestCharRunes(t *testing.T) {
+	uc, sim := testComponents()
+	odd := confusables.New()
+	odd.Add(0x110000, []rune{'e', -7}, "")
+	odd.Add(-2, []rune{0x7fffffff, 0x0435}, "")
+	odd.Add(0x10FFFF, []rune{0}, "")
+	dbs := map[string]*DB{
+		"test":    New(uc, sim, 0),
+		"no uc":   New(nil, sim, 0),
+		"no sim":  New(uc, nil, 0),
+		"neither": New(nil, nil, 0),
+		"odd":     New(odd, sim, 0),
+	}
+	for name, db := range dbs {
+		for _, use := range []Source{SourceUC, SourceSimChar, SourceUC | SourceSimChar} {
+			view := db.WithSources(use)
+			if got, want := view.CharRunes(), view.Chars().Runes(); !slices.Equal(got, want) {
+				t.Errorf("%s %v: CharRunes = %U, Chars = %U", name, use, got, want)
+			}
+		}
+	}
+}
+
 func TestComponentAccessors(t *testing.T) {
 	uc, sim := testComponents()
 	db := New(uc, sim, 0)

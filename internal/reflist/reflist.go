@@ -1,9 +1,16 @@
 // Package reflist loads reference domain lists — the brand names the
 // detector protects — from the two formats defenders actually have:
 // a plain one-domain-per-line file or an Alexa-style "rank,domain"
-// CSV, both tolerating blank lines and #-comments. Each domain
-// contributes its registrable label, suffix-aware, so amazon.co.uk
-// indexes "amazon" just as google.com indexes "google", on any TLD.
+// CSV, both tolerating blank lines, #-comments and a leading UTF-8
+// byte-order mark. Each domain contributes its registrable label,
+// suffix-aware, so amazon.co.uk indexes "amazon" just as google.com
+// indexes "google", on any TLD.
+//
+// Load reads the file once. A plain list's labels are cut out of that
+// buffer and end up back to back in one string, so a loaded list holds
+// neither the file's comments nor its TLDs; a plain line and an
+// inline reference (Labels) go through the same reduction. A rank CSV
+// is read by ranking.ParseCSV, the one parser of that format.
 //
 // Resolve holds the one rule that picks a detector from a snapshot
 // path, a reference file and inline references. Every surface that
@@ -16,71 +23,98 @@ package reflist
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
+	"iter"
 	"os"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/homoglyph"
+	"repro/internal/punycode"
 	"repro/internal/ranking"
 	"repro/internal/snapshot"
 )
 
-// maxLineBytes bounds one list line; zone-scale lists stay streamable.
+// maxLineBytes bounds one plain-list line, counted without its
+// newline, so zone-scale lists stay readable. A rank-CSV line has
+// ranking.ParseCSV's limit.
 const maxLineBytes = 16 * 1024 * 1024
 
+// bom is the UTF-8 byte-order mark Windows editors write first.
+const bom = "\ufeff"
+
 // Load reads reference labels from a plain list or rank CSV at path.
+// The whole file is held in memory while it is read.
 func Load(path string) ([]string, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	// Only the first line that holds a domain is sniffed for the CSV
-	// comma. Blank lines and #-comments are skipped, so a comment
-	// with a comma cannot route a plain list to the CSV parser, and a
-	// commented CSV is still read as one. A comma further down never
-	// counts. Read/seek errors are reported instead of ignored.
-	sniff := bufio.NewScanner(f)
-	sniff.Buffer(make([]byte, 64*1024), maxLineBytes)
-	isCSV := false
-	for sniff.Scan() {
-		if line := strings.TrimSpace(sniff.Text()); line != "" && !strings.HasPrefix(line, "#") {
-			isCSV = strings.Contains(line, ",")
-			break
-		}
-	}
-	if err := sniff.Err(); err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	return parse(data)
+}
+
+// parse reads a list file's bytes. One leading byte-order mark is
+// dropped. Only the first line that holds an entry is sniffed for the
+// CSV comma: blank lines and #-comments are skipped, so a comment with
+// a comma cannot route a plain list to the CSV parser, and a commented
+// CSV is still read as one. A comma further down never counts. A rank
+// CSV keeps the best-ranked row of each label.
+func parse(data []byte) ([]string, error) {
+	data = bytes.TrimPrefix(data, []byte(bom))
+	isCSV, err := sniff(data)
+	if err != nil {
 		return nil, err
 	}
 	if isCSV {
-		return ReadCSV(f)
+		list, err := ranking.ParseCSV(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		return list.SLDs(list.Len()), nil
 	}
-	return Read(f)
+	return readPlain(data)
 }
 
-// Read parses a plain domain list: one domain per line, blank lines
-// and #-comments skipped, each domain reduced to its registrable label.
-func Read(r io.Reader) ([]string, error) {
-	var refs []string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-	for sc.Scan() {
-		d := strings.TrimSpace(sc.Text())
-		if d == "" || strings.HasPrefix(d, "#") {
-			continue
-		}
-		if label, _ := domain.Registrable(strings.ToLower(d)); label != "" {
-			refs = append(refs, label)
+// lines yields the lines of data as bufio.ScanLines cuts them: without
+// their newline, and a last line without one unless it is empty.
+func lines(data []byte) iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		for line := range bytes.Lines(data) {
+			if !yield(bytes.TrimSuffix(line, []byte{'\n'})) {
+				return
+			}
 		}
 	}
-	return refs, sc.Err()
+}
+
+// sniff reports whether the first entry line holds a comma.
+func sniff(data []byte) (bool, error) {
+	for line := range lines(data) {
+		if len(line) >= maxLineBytes {
+			return false, bufio.ErrTooLong
+		}
+		if e := bytes.TrimSpace(line); len(e) > 0 && e[0] != '#' {
+			return bytes.IndexByte(e, ',') >= 0, nil
+		}
+	}
+	return false, nil
+}
+
+// readPlain reads a plain domain list: one domain per line.
+func readPlain(data []byte) ([]string, error) {
+	buf := make([]byte, 0, len(data)+1)
+	for line := range lines(data) {
+		if len(line) >= maxLineBytes {
+			return nil, bufio.ErrTooLong
+		}
+		buf = appendLabel(buf, line)
+	}
+	return splitLabels(buf), nil
 }
 
 // Labels reduces an inline reference list exactly the way the file
@@ -89,27 +123,68 @@ func Read(r io.Reader) ([]string, error) {
 // so {"references":["paypal.com"]} over the reload API indexes
 // "paypal", not an inert dotted literal no label can ever match.
 func Labels(domains []string) []string {
-	refs := make([]string, 0, len(domains))
+	n := 0
 	for _, d := range domains {
-		d = strings.TrimSpace(d)
-		if d == "" || strings.HasPrefix(d, "#") {
-			continue
-		}
-		if label, _ := domain.Registrable(strings.ToLower(d)); label != "" {
-			refs = append(refs, label)
-		}
+		n += len(d) + 1
 	}
-	return refs
+	buf := make([]byte, 0, n)
+	for _, d := range domains {
+		buf = appendLabel(buf, d)
+	}
+	return splitLabels(buf)
 }
 
-// ReadCSV parses an Alexa-style "rank,domain" CSV, keeping rank order.
-// Blank lines and #-comments are skipped.
-func ReadCSV(r io.Reader) ([]string, error) {
-	list, err := ranking.ParseCSV(r)
-	if err != nil {
-		return nil, err
+// splitLabels copies the dot-closed labels in buf into one string and
+// slices them out of it.
+func splitLabels(buf []byte) []string {
+	if len(buf) == 0 {
+		return nil
 	}
-	return list.SLDs(list.Len()), nil
+	return strings.Split(string(buf[:len(buf)-1]), ".")
+}
+
+// appendLabel appends the label of one entry — a plain-list line or
+// an inline reference — to dst, closed by a dot, which no label holds:
+// nothing for a blank entry, a #-comment or an empty label, else the
+// entry trimmed, lowercased as strings.ToLower does it (an invalid
+// byte turns into U+FFFD) and cut as domain.Registrable cuts it.
+func appendLabel[S punycode.ByteSeq](dst []byte, entry S) []byte {
+	start := len(dst)
+	dst = append(dst, entry...)
+	e := bytes.TrimSpace(dst[start:])
+	if len(e) == 0 || e[0] == '#' {
+		return dst[:start]
+	}
+	dst = dst[:start+copy(dst[start:], e)]
+	name := dst[start:]
+	for i, c := range name {
+		if c >= utf8.RuneSelf {
+			dst = lowerUnicode(dst, start+i)
+			name = dst[start:]
+			break
+		}
+		if 'A' <= c && c <= 'Z' {
+			name[i] = c + 'a' - 'A'
+		}
+	}
+	sp, _ := domain.RegistrableSpan(name)
+	if sp.Start == sp.End {
+		return dst[:start]
+	}
+	return append(append(dst[:start], name[sp.Start:sp.End]...), '.')
+}
+
+// lowerUnicode lowercases dst[from:] rune by rune. A rune can change
+// its length, so the lowered runes are written past the end and then
+// moved back.
+func lowerUnicode(dst []byte, from int) []byte {
+	end := len(dst)
+	for i := from; i < end; {
+		r, n := utf8.DecodeRune(dst[i:end])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += n
+	}
+	return append(dst[:from], dst[end:]...)
 }
 
 // Resolved is the homoglyph database and detector Resolve picked.

@@ -1,6 +1,6 @@
 package simchar
 
-import "sort"
+import "slices"
 
 // Merge unites SimChar databases built from different fonts — the
 // paper's Section 7.1 extension ("it would be straightforward to
@@ -25,12 +25,7 @@ func Merge(dbs ...*DB) *DB {
 	for key, d := range best {
 		pairs = append(pairs, Pair{A: key[0], B: key[1], Delta: d})
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	slices.SortFunc(pairs, comparePairs)
 	return fromPairs(pairs)
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 func TestMergeKeepsMinimumDelta(t *testing.T) {
-	a := fromPairs([]Pair{{A: 'a', B: 0x100, Delta: 3}, {A: 'b', B: 0x101, Delta: 2}})
-	b := fromPairs([]Pair{{A: 'a', B: 0x100, Delta: 1}, {A: 'c', B: 0x102, Delta: 4}})
+	a := FromPairs([]Pair{{A: 'a', B: 0x100, Delta: 3}, {A: 'b', B: 0x101, Delta: 2}})
+	b := FromPairs([]Pair{{A: 'a', B: 0x100, Delta: 1}, {A: 'c', B: 0x102, Delta: 4}})
 	m := Merge(a, b)
 	if m.NumPairs() != 3 {
 		t.Fatalf("merged pairs = %d", m.NumPairs())
@@ -25,8 +25,8 @@ func TestMergeKeepsMinimumDelta(t *testing.T) {
 }
 
 func TestMergeNilAndEmpty(t *testing.T) {
-	a := fromPairs([]Pair{{A: 'a', B: 0x100, Delta: 0}})
-	m := Merge(nil, a, fromPairs(nil))
+	a := FromPairs([]Pair{{A: 'a', B: 0x100, Delta: 0}})
+	m := Merge(nil, a, FromPairs(nil))
 	if m.NumPairs() != 1 {
 		t.Errorf("pairs = %d", m.NumPairs())
 	}
@@ -36,8 +36,8 @@ func TestMergeNilAndEmpty(t *testing.T) {
 }
 
 func TestMergeDeterministicOrder(t *testing.T) {
-	a := fromPairs([]Pair{{A: 'z', B: 0x200, Delta: 1}, {A: 'a', B: 0x100, Delta: 1}})
-	b := fromPairs([]Pair{{A: 'm', B: 0x150, Delta: 1}})
+	a := FromPairs([]Pair{{A: 'z', B: 0x200, Delta: 1}, {A: 'a', B: 0x100, Delta: 1}})
+	b := FromPairs([]Pair{{A: 'm', B: 0x150, Delta: 1}})
 	m1 := Merge(a, b)
 	m2 := Merge(b, a)
 	p1, p2 := m1.Pairs(), m2.Pairs()
@@ -52,8 +52,8 @@ func TestMergeDeterministicOrder(t *testing.T) {
 }
 
 func TestDiff(t *testing.T) {
-	a := fromPairs([]Pair{{A: 'a', B: 0x100, Delta: 1}, {A: 'b', B: 0x101, Delta: 1}})
-	b := fromPairs([]Pair{{A: 'a', B: 0x100, Delta: 3}})
+	a := FromPairs([]Pair{{A: 'a', B: 0x100, Delta: 1}, {A: 'b', B: 0x101, Delta: 1}})
+	b := FromPairs([]Pair{{A: 'a', B: 0x100, Delta: 3}})
 	d := Diff(a, b)
 	if len(d) != 1 || d[0].A != 'b' {
 		t.Errorf("Diff = %v", d)

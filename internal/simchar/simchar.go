@@ -7,10 +7,11 @@ package simchar
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,11 +35,15 @@ type Pair struct {
 	Delta int
 }
 
-// DB is a built SimChar database: the homoglyph pairs and the set of
-// characters participating in at least one pair.
+// DB is a built SimChar database: the homoglyph pairs and, for each
+// character participating in at least one pair, its partners.
 type DB struct {
-	pairs   []Pair
-	partner map[rune][]rune
+	pairs []Pair
+	// chars are the participating characters, ascending; character i's
+	// partners, ascending, are partners[ends[i]:ends[i+1]].
+	chars    []rune
+	ends     []int32
+	partners []rune
 }
 
 // Options configures the build.
@@ -124,12 +129,7 @@ func Build(font *hexfont.Font, permitted *ucd.RuneSet, opt Options) (*DB, Timing
 	total := len(keep) * (len(keep) - 1) / 2
 	tm.ComparisonsSaved = total - tm.CandidatePairs
 
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	slices.SortFunc(pairs, comparePairs)
 	return fromPairs(pairs), tm
 }
 
@@ -318,25 +318,74 @@ func FromPairs(pairs []Pair) *DB {
 	for i, p := range pairs {
 		cp[i] = orderedPair(p.A, p.B, p.Delta)
 	}
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].A != cp[j].A {
-			return cp[i].A < cp[j].A
-		}
-		return cp[i].B < cp[j].B
-	})
+	slices.SortFunc(cp, comparePairs)
 	return fromPairs(cp)
 }
 
+// comparePairs orders pairs by A, then B.
+func comparePairs(a, b Pair) int {
+	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
+}
+
+// fromPairs lays the partner lists out in one array, rune by rune in
+// ascending order. pairs are normalized (A ≤ B) and sorted, so a rune's
+// list is the A of every pair whose B it is, then the B of every pair
+// whose A it is. Both runs ascend, the first holds no partner above the
+// rune and the second none below it, so the list ascends as a whole.
+// The second run is a run of pairs as they stand; the first is a run
+// of byB, the pairs keyed by (B, A) and sorted. Pairs out of order
+// would leave chars out of order for row's binary search, so they
+// panic here instead.
 func fromPairs(pairs []Pair) *DB {
-	db := &DB{pairs: pairs, partner: make(map[rune][]rune)}
-	for _, p := range pairs {
-		db.partner[p.A] = append(db.partner[p.A], p.B)
-		db.partner[p.B] = append(db.partner[p.B], p.A)
+	if !slices.IsSortedFunc(pairs, comparePairs) || slices.ContainsFunc(pairs, func(p Pair) bool { return p.A > p.B }) {
+		panic("simchar: pairs not normalized and sorted")
 	}
-	for r := range db.partner {
-		sort.Slice(db.partner[r], func(i, j int) bool { return db.partner[r][i] < db.partner[r][j] })
+	byB := make([]uint64, len(pairs))
+	for i, p := range pairs {
+		byB[i] = sortKey(p.B)<<32 | sortKey(p.A)
+	}
+	slices.Sort(byB)
+	db := &DB{
+		pairs:    pairs,
+		chars:    make([]rune, 0, 2*len(pairs)),
+		ends:     make([]int32, 1, 2*len(pairs)+1),
+		partners: make([]rune, 0, 2*len(pairs)),
+	}
+	for i, j := 0, 0; i < len(pairs) || j < len(byB); {
+		var r rune
+		switch {
+		case j == len(byB):
+			r = pairs[i].A
+		case i == len(pairs):
+			r = fromSortKey(byB[j] >> 32)
+		default:
+			r = min(pairs[i].A, fromSortKey(byB[j]>>32))
+		}
+		for ; j < len(byB) && fromSortKey(byB[j]>>32) == r; j++ {
+			db.partners = append(db.partners, fromSortKey(byB[j]))
+		}
+		for ; i < len(pairs) && pairs[i].A == r; i++ {
+			db.partners = append(db.partners, pairs[i].B)
+		}
+		db.chars = append(db.chars, r)
+		db.ends = append(db.ends, int32(len(db.partners)))
 	}
 	return db
+}
+
+// sortKey maps a rune to 32 bits that sort as the rune does.
+func sortKey(r rune) uint64 { return uint64(uint32(r) ^ 1<<31) }
+
+// fromSortKey inverts sortKey on the low 32 bits of k.
+func fromSortKey(k uint64) rune { return rune(uint32(k) ^ 1<<31) }
+
+// row returns r's partners, ascending, or nil when r is in no pair.
+func (db *DB) row(r rune) []rune {
+	i, ok := slices.BinarySearch(db.chars, r)
+	if !ok {
+		return nil
+	}
+	return db.partners[db.ends[i]:db.ends[i+1]:db.ends[i+1]]
 }
 
 // Pairs returns the homoglyph pairs, sorted.
@@ -348,11 +397,13 @@ func (db *DB) NumPairs() int { return len(db.pairs) }
 // Chars returns the set of characters participating in at least one pair
 // (Table 1's character counts).
 func (db *DB) Chars() *ucd.RuneSet {
-	s := ucd.NewRuneSet()
-	for r := range db.partner {
-		s.Add(r)
-	}
-	return s
+	return ucd.NewRuneSet(db.chars...)
+}
+
+// AppendChars appends the characters of Chars to dst, ascending, and
+// returns the extended slice.
+func (db *DB) AppendChars(dst []rune) []rune {
+	return append(dst, db.chars...)
 }
 
 // Confusable reports whether (a, b) is a SimChar pair.
@@ -360,7 +411,7 @@ func (db *DB) Confusable(a, b rune) bool {
 	if a == b {
 		return true
 	}
-	for _, p := range db.partner[a] {
+	for _, p := range db.row(a) {
 		if p == b {
 			return true
 		}
@@ -373,9 +424,8 @@ func (db *DB) Confusable(a, b rune) bool {
 
 // Homoglyphs returns the partners of r (characters within Δ ≤ θ of it).
 func (db *DB) Homoglyphs(r rune) []rune {
-	out := make([]rune, len(db.partner[r]))
-	copy(out, db.partner[r])
-	return out
+	row := db.row(r)
+	return append(make([]rune, 0, len(row)), row...)
 }
 
 // Write serializes the database as lines of "AAAA BBBB delta".
@@ -425,11 +475,6 @@ func Read(r io.Reader) (*DB, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	slices.SortFunc(pairs, comparePairs)
 	return fromPairs(pairs), nil
 }

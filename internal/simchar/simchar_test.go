@@ -2,7 +2,10 @@ package simchar
 
 import (
 	"bytes"
+	"maps"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fontgen"
@@ -252,5 +255,70 @@ func BenchmarkBuildMidFont(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(font, idna, Options{})
+	}
+}
+
+// TestFromPairsRows checks the flat partner rows against lists built
+// pair by pair and sorted, on random pair sets that hold repeated
+// pairs, self-pairs and values outside the rune space.
+func TestFromPairsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	alphabet := []rune{-9, -1, 0, 'a', 'b', 'o', 0x03BF, 0x0585, 0xFFFF, 0x10FFFF, 0x110000, 0x7fffffff}
+	for trial := 0; trial < 300; trial++ {
+		var pairs []Pair
+		for n := rng.Intn(20); len(pairs) < n; {
+			a, b := alphabet[rng.Intn(len(alphabet))], alphabet[rng.Intn(len(alphabet))]
+			pairs = append(pairs, Pair{A: a, B: b, Delta: rng.Intn(5)})
+		}
+		db := FromPairs(pairs)
+		want := map[rune][]rune{}
+		for _, p := range pairs {
+			want[p.A] = append(want[p.A], p.B)
+			want[p.B] = append(want[p.B], p.A)
+		}
+		chars := slices.Sorted(maps.Keys(want))
+		if got := db.AppendChars(nil); !slices.Equal(got, chars) {
+			t.Fatalf("%v: chars %U, want %U", pairs, got, chars)
+		}
+		if got := db.Chars().Runes(); !slices.Equal(got, chars) {
+			t.Fatalf("%v: Chars %U, want %U", pairs, got, chars)
+		}
+		for _, r := range alphabet {
+			row := want[r]
+			slices.Sort(row)
+			if got := db.Homoglyphs(r); !slices.Equal(got, row) {
+				t.Fatalf("%v: partners of %U = %U, want %U", pairs, r, got, row)
+			}
+			for _, p := range alphabet {
+				if got, want := db.Confusable(r, p), r == p || slices.Contains(row, p); got != want {
+					t.Fatalf("%v: Confusable(%U, %U) = %v", pairs, r, p, got)
+				}
+			}
+		}
+	}
+}
+
+// TestFromPairsPrecondition: the unexported builder refuses pairs that
+// are unsorted or not normalized, which would leave its rune table out
+// of order for the binary search; FromPairs normalizes and sorts first.
+func TestFromPairsPrecondition(t *testing.T) {
+	for name, pairs := range map[string][]Pair{
+		"unsorted":       {{A: 'z', B: 0x200}, {A: 'a', B: 0x100}},
+		"not normalized": {{A: 0x100, B: 'a'}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: fromPairs(%v) did not panic", name, pairs)
+				}
+			}()
+			fromPairs(pairs)
+		}()
+		db := FromPairs(pairs)
+		for _, p := range pairs {
+			if !db.Confusable(p.A, p.B) || !db.Confusable(p.B, p.A) {
+				t.Errorf("%s: FromPairs lost %v", name, p)
+			}
+		}
 	}
 }

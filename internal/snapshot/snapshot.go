@@ -9,11 +9,13 @@
 // process; a production deployment that scales horizontally or runs as a
 // short-lived CLI pays that on every cold start. A snapshot collapses it
 // into one file read: every section is a length-prefixed bulk array, so
-// loading is a checksum pass plus slice decodes — no per-entry parsing,
-// no font, no Δ scan. Detection results are byte-for-byte identical to a
-// fresh build (property-tested), and the format is forward-versioned so
-// future index layouts can bump Version without silently misreading old
-// files.
+// loading is a checksum pass plus slice decodes — no font, no Δ scan,
+// and no allocation per entry. The UC database takes the decoded target
+// array as its rune arena and the SimChar partner lists are rows of one
+// array; the only per-entry work left is filling the lookup maps.
+// Detection results are byte-for-byte identical to a fresh build
+// (property-tested), and the format is forward-versioned so future
+// index layouts can bump Version without silently misreading old files.
 //
 // Every artifact this package persists — snapshots here, seen-sets,
 // watch checkpoints and job manifests elsewhere — shares one container,
@@ -287,7 +289,7 @@ func writeDetector(e *enc, s *core.Snapshot) {
 
 func readUC(d *dec) *confusables.DB {
 	n := d.count(4)
-	sources := d.i32s(n)
+	sources := d.runes(n)
 	targetLens := d.i32s(n)
 	total := 0
 	for _, l := range targetLens {
@@ -297,7 +299,7 @@ func readUC(d *dec) *confusables.DB {
 		}
 		total += int(l)
 	}
-	targets := d.i32s(d.checkCount(total, 4))
+	targets := d.runes(d.checkCount(total, 4))
 	comments := d.strings()
 	if d.err != nil {
 		return nil
@@ -306,16 +308,9 @@ func readUC(d *dec) *confusables.DB {
 		d.fail("UC comment table length mismatch")
 		return nil
 	}
-	uc := confusables.New()
-	off := 0
-	for i := 0; i < n; i++ {
-		l := int(targetLens[i])
-		tgt := make([]rune, l)
-		for j := 0; j < l; j++ {
-			tgt[j] = rune(targets[off+j])
-		}
-		off += l
-		uc.Add(rune(sources[i]), tgt, comments[i])
+	uc, err := confusables.FromRows(sources, targetLens, targets, comments)
+	if err != nil {
+		d.fail(err.Error())
 	}
 	return uc
 }
