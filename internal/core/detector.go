@@ -80,8 +80,9 @@ func (m Match) Imitated() string {
 // the stack (see detectLabelIn) and takes scratch from the pool only
 // once it has candidates, so a label that matches nothing neither
 // touches the pool nor allocates; a hit allocates only when it fills a
-// slab. The one exception is a label too long for the stack buffers,
-// which decodes into longRunes and longSkel.
+// slab, or when its label's UTF-8 form outgrows utf8Buf. The one
+// exception is a label too long for the stack buffers, which decodes
+// into longRunes and longSkel.
 //
 // The slabs are append-only. Every piece is carved with cap == len, and
 // a full slab is replaced by a new one, never reset or rewritten, so
@@ -91,6 +92,7 @@ type scratch struct {
 
 	longRunes []rune // a long label's runes
 	longSkel  []byte // a long label's skeleton
+	utf8Buf   []byte // a matched label's UTF-8 form, staged for the text slab
 
 	text      strings.Builder // matched names and their labels' Unicode forms
 	diffSlab  []CharDiff      // verified matches' Diffs
@@ -115,16 +117,21 @@ const (
 )
 
 // carveText writes prefix and the UTF-8 form of runes to the text slab
-// and returns them as one string. The runes' UTF-8 length is counted
-// first, so the string's exact length is reserved and it never
-// straddles two slabs. The runes are a decoded label's, all valid: the
-// decoder rejects surrogates and values past utf8.MaxRune, and a raw
-// label's invalid bytes decode to utf8.RuneError.
+// and returns them as one string. The runes are encoded once, into
+// utf8Buf, so the string's exact length is known before anything is
+// written: it is reserved up front and the string never straddles two
+// slabs. Staging the encoding costs less than counting the runes'
+// lengths and then writing them one WriteRune call at a time. The runes
+// are a decoded label's, all valid: the decoder rejects surrogates and
+// values past utf8.MaxRune, and a raw label's invalid bytes decode to
+// utf8.RuneError.
 func carveText[S punycode.ByteSeq](sc *scratch, prefix S, runes []rune) string {
-	n := len(prefix)
+	enc := sc.utf8Buf[:0]
 	for _, r := range runes {
-		n += utf8.RuneLen(r)
+		enc = utf8.AppendRune(enc, r) // inlined for an ASCII rune
 	}
+	sc.utf8Buf = enc
+	n := len(prefix) + len(enc)
 	b := &sc.text
 	if b.Cap()-b.Len() < n {
 		b.Reset() // strings already returned keep the old slab
@@ -137,9 +144,7 @@ func carveText[S punycode.ByteSeq](sc *scratch, prefix S, runes []rune) string {
 	case []byte:
 		b.Write(p)
 	}
-	for _, r := range runes {
-		b.WriteRune(r)
-	}
+	b.Write(enc)
 	return b.String()[start:]
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"repro/internal/confusables"
 	"repro/internal/homoglyph"
 	"repro/internal/lint"
 	"repro/internal/punycode"
@@ -404,6 +405,57 @@ func TestMatchMaterialization(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCarveParity pins the text a hit carves against the decoder: a
+// match's Unicode is punycode.ToUnicodeLabel of its IDN and its FQDN is
+// the input, for labels holding 1-, 2-, 3- and 4-byte runes, in ACE and
+// raw form, for a raw label too long for the stack path, and for the
+// second matched label of a name, which carves only its Unicode form.
+func TestCarveParity(t *testing.T) {
+	uc := confusables.New()
+	uc.Add(0x0430, []rune{'a'}, "CYRILLIC SMALL LETTER A")          // 2 bytes
+	uc.Add(0xA731, []rune{'s'}, "LATIN LETTER SMALL CAPITAL S")     // 3 bytes
+	uc.Add(0x1D5BA, []rune{'a'}, "MATHEMATICAL SANS-SERIF SMALL A") // 4 bytes
+	uc.Add(0x1D5CC, []rune{'s'}, "MATHEMATICAL SANS-SERIF SMALL S") // 4 bytes
+	d := NewDetector(homoglyph.New(uc, nil, 0), []string{"sassa", strings.Repeat("sassa", 8)})
+
+	mixed := "ꜱа𝗌sa" // 3, 2, 4, 1 and 1 bytes
+	second := "s𝖺ssа"
+	long := strings.Repeat(mixed, 8)
+	if len(long) <= d.skel.fold.stackLen {
+		t.Fatalf("%d-byte raw label fits the %d-byte stack path", len(long), d.skel.fold.stackLen)
+	}
+	aceMixed, aceSecond := ace(t, mixed), ace(t, second)
+	for _, c := range []struct {
+		name   string
+		labels int // matched labels, one match each
+	}{
+		{aceMixed, 1},
+		{mixed + ".com", 1},
+		{"www." + aceMixed + ".co.uk", 1},
+		{long + ".com", 1},
+		{aceMixed + "." + aceSecond + ".com", 2},
+		{mixed + "." + second + "." + long + ".net", 3},
+		{aceSecond + "." + long, 1},
+	} {
+		for _, be := range []Backend{BackendPostings, BackendSkeleton, BackendBoth} {
+			for _, ms := range [][]Match{d.DetectDomainBackend(c.name, be), d.DetectDomainBytesBackend([]byte(c.name), be)} {
+				if len(ms) != c.labels {
+					t.Fatalf("%v %q: %d matches, want %d: %+v", be, c.name, len(ms), c.labels, ms)
+				}
+				for _, m := range ms {
+					uni, err := punycode.ToUnicodeLabel(m.IDN)
+					if err != nil {
+						t.Fatalf("%v %q: IDN %q: %v", be, c.name, m.IDN, err)
+					}
+					if m.Unicode != uni || m.FQDN != c.name || !utf8.ValidString(m.Unicode) {
+						t.Errorf("%v %q: Unicode %q, FQDN %q; want %q, %q", be, c.name, m.Unicode, m.FQDN, uni, c.name)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestHitAllocBudget pins the hit path's amortized allocations on the

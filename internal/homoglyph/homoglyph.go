@@ -6,10 +6,11 @@
 // The union is compiled once, at New() time, into an immutable flattened
 // index: one sorted partner array per character with a per-partner source
 // mask, plus precomputed canonicalization data. Queries never walk the
-// component databases — Confusable is a map probe plus one binary search,
-// and Homoglyphs returns a filtered copy of the precompiled partner list
-// instead of re-scanning every UC source. Source-restricted views
-// (WithSources) share the same index and filter by mask at query time.
+// component databases — Confusable is one directory load plus one binary
+// search, and Homoglyphs returns a filtered copy of the precompiled
+// partner list instead of re-scanning every UC source. Source-restricted
+// views (WithSources) share the same index and filter by mask at query
+// time.
 package homoglyph
 
 import (
@@ -59,10 +60,67 @@ type span struct {
 }
 
 // index is the immutable compiled union, shared by every WithSources view.
+// Row i holds character runes[i]; runes ascend, and the rows' partner
+// spans are laid out back to back in that order, the layout Snapshot
+// writes. A character in 0..utf8.MaxRune finds its row through a paged
+// directory: dir maps rune>>8 to a 256-entry page, whose entry is the
+// row+1 of each rune of the block, 0 for one with no row. Page 0 is all
+// zeros, shared by every block with no indexed rune. Any other value,
+// which only a crafted snapshot can index, is found by a binary search
+// over runes.
 type index struct {
-	spans    map[rune]span
+	runes    []rune
+	rows     []span   // parallel to runes
+	dir      []uint16 // rune>>8 → page number
+	pages    []uint32 // page p occupies pages[p<<8 : (p+1)<<8]
 	partners []rune   // concatenated sorted partner lists
 	masks    []Source // parallel to partners
+}
+
+// newIndex returns the index over rows, whose runes ascend strictly,
+// with its directory built.
+func newIndex(runes []rune, rows []span, partners []rune, masks []Source) *index {
+	x := &index{runes: runes, rows: rows, partners: partners, masks: masks}
+	blocks, last := 1, rune(-1)
+	for _, r := range runes {
+		if r >= 0 && r <= utf8.MaxRune && r>>8 != last {
+			blocks, last = blocks+1, r>>8
+		}
+	}
+	x.dir = make([]uint16, last+1)
+	x.pages = make([]uint32, 256, blocks<<8)
+	for i, r := range runes {
+		if r < 0 || r > utf8.MaxRune {
+			continue
+		}
+		if x.dir[r>>8] == 0 {
+			// Runes ascend, so a block's page is always the last one.
+			x.dir[r>>8] = uint16(len(x.pages) >> 8)
+			x.pages = x.pages[:len(x.pages)+256]
+		}
+		x.pages[int(x.dir[r>>8])<<8|int(r&0xff)] = uint32(i) + 1
+	}
+	return x
+}
+
+// row returns r's row number, -1 when r has no row.
+func (x *index) row(r rune) int {
+	if hi := uint32(r) >> 8; hi < uint32(len(x.dir)) {
+		return int(x.pages[uint32(x.dir[hi])<<8|uint32(r)&0xff]) - 1
+	}
+	return x.rowPastDir(r)
+}
+
+// rowPastDir is row for a value past the directory: a rune above every
+// indexed block, which has no row, or a value outside 0..utf8.MaxRune.
+func (x *index) rowPastDir(r rune) int {
+	if uint32(r) <= utf8.MaxRune {
+		return -1
+	}
+	if i, ok := slices.BinarySearch(x.runes, r); ok {
+		return i
+	}
+	return -1
 }
 
 // DB is the unified homoglyph database.
@@ -148,29 +206,30 @@ func compile(uc *confusables.DB, sim *simchar.DB) *index {
 		}
 	}
 
-	// Lay the spans out in ascending rune order so the in-memory arena
-	// is identical across runs (the snapshot codec re-lays in this same
-	// order; building it this way makes the two byte-equal).
+	// Lay the rows out in ascending rune order, the index's layout, so
+	// the arena is identical across runs and Snapshot copies it as is.
 	order := make([]rune, 0, len(adj))
 	for r := range adj {
 		order = append(order, r)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 
-	idx := &index{spans: make(map[rune]span, len(adj))}
+	rows := make([]span, 0, len(order))
+	var partners []rune
+	var masks []Source
 	for _, r := range order {
 		m := adj[r]
-		sp := span{start: int32(len(idx.partners))}
+		sp := span{start: int32(len(partners))}
 		ps := make([]rune, 0, len(m))
 		for p := range m {
 			ps = append(ps, p)
 		}
 		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
 		for _, p := range ps {
-			idx.partners = append(idx.partners, p)
-			idx.masks = append(idx.masks, m[p])
+			partners = append(partners, p)
+			masks = append(masks, m[p])
 		}
-		sp.end = int32(len(idx.partners))
+		sp.end = int32(len(partners))
 		if uc != nil {
 			// CanonicalRune follows the chain only through single-rune
 			// targets: a rune whose prototype is a sequence has no one-rune
@@ -191,22 +250,23 @@ func compile(uc *confusables.DB, sim *simchar.DB) *index {
 				}
 			}
 		}
-		idx.spans[r] = sp
+		rows = append(rows, sp)
 	}
-	return idx
+	return newIndex(order, rows, partners, masks)
 }
 
 // Confusable reports whether a and b are listed as a homoglyph pair, and
-// by which component: one span probe and one binary search over the
-// flattened partner array.
+// by which component: one directory load for a's row and one binary
+// search over its slice of the flattened partner array.
 func (db *DB) Confusable(a, b rune) (bool, Source) {
 	if a == b {
 		return true, db.use
 	}
-	sp, ok := db.idx.spans[a]
-	if !ok {
+	i := db.idx.row(a)
+	if i < 0 {
 		return false, SourceNone
 	}
+	sp := &db.idx.rows[i]
 	lo, hi := sp.start, sp.end
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -229,17 +289,22 @@ func (db *DB) Confusable(a, b rune) (bool, Source) {
 // the view's sources, sorted ascending. The result is exactly the set of
 // x ≠ r for which Confusable(r, x) holds.
 func (db *DB) Homoglyphs(r rune) []rune {
-	sp, ok := db.idx.spans[r]
-	if !ok {
+	i := db.idx.row(r)
+	if i < 0 {
 		return nil
 	}
+	sp := &db.idx.rows[i]
 	return db.HomoglyphsAppend(make([]rune, 0, sp.end-sp.start), r)
 }
 
 // HomoglyphsAppend appends Homoglyphs(r) to dst and returns the
 // extended slice, so a walk over many runes can reuse one buffer.
 func (db *DB) HomoglyphsAppend(dst []rune, r rune) []rune {
-	sp := db.idx.spans[r]
+	row := db.idx.row(r)
+	if row < 0 {
+		return dst
+	}
+	sp := &db.idx.rows[row]
 	for i := sp.start; i < sp.end; i++ {
 		if db.idx.masks[i]&db.use != 0 {
 			dst = append(dst, db.idx.partners[i])
@@ -257,10 +322,11 @@ func (db *DB) Canonical(r rune) rune {
 	if r < 0x80 {
 		return r
 	}
-	sp, ok := db.idx.spans[r]
-	if !ok {
+	i := db.idx.row(r)
+	if i < 0 {
 		return r
 	}
+	sp := &db.idx.rows[i]
 	if db.use&SourceUC != 0 && sp.ucSkel != 0 {
 		return sp.ucSkel
 	}

@@ -2,7 +2,6 @@ package homoglyph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/confusables"
 	"repro/internal/simchar"
@@ -27,38 +26,40 @@ type Snapshot struct {
 }
 
 // Snapshot flattens the compiled index. The layout is canonical (runes
-// ascending, partner spans re-laid in that order), so equal databases
-// produce identical snapshots regardless of map iteration order at
-// compile time.
+// ascending, partner spans laid out in that order) and is the index's
+// own, so equal databases produce identical snapshots and this is a
+// copy of the rows.
 func (db *DB) Snapshot() *Snapshot {
-	s := &Snapshot{Use: db.use}
-	s.Runes = make([]rune, 0, len(db.idx.spans))
-	for r := range db.idx.spans {
-		s.Runes = append(s.Runes, r)
+	x := db.idx
+	n := len(x.runes)
+	s := &Snapshot{
+		Use:      db.use,
+		Runes:    make([]rune, n),
+		Counts:   make([]int32, n),
+		UCSkel:   make([]rune, n),
+		SimASCII: make([]rune, n),
+		SimLow:   make([]rune, n),
+		Partners: make([]rune, len(x.partners)),
+		Masks:    make([]Source, len(x.masks)),
 	}
-	sort.Slice(s.Runes, func(i, j int) bool { return s.Runes[i] < s.Runes[j] })
-	s.Counts = make([]int32, len(s.Runes))
-	s.UCSkel = make([]rune, len(s.Runes))
-	s.SimASCII = make([]rune, len(s.Runes))
-	s.SimLow = make([]rune, len(s.Runes))
-	s.Partners = make([]rune, 0, len(db.idx.partners))
-	s.Masks = make([]Source, 0, len(db.idx.masks))
-	for i, r := range s.Runes {
-		sp := db.idx.spans[r]
+	copy(s.Runes, x.runes)
+	copy(s.Partners, x.partners)
+	copy(s.Masks, x.masks)
+	for i, sp := range x.rows {
 		s.Counts[i] = sp.end - sp.start
 		s.UCSkel[i] = sp.ucSkel
 		s.SimASCII[i] = sp.simASCII
 		s.SimLow[i] = sp.simLow
-		s.Partners = append(s.Partners, db.idx.partners[sp.start:sp.end]...)
-		s.Masks = append(s.Masks, db.idx.masks[sp.start:sp.end]...)
 	}
 	return s
 }
 
 // FromSnapshot rebuilds a database from its flattened form plus the
 // component databases (either may be nil, matching New). The compiled
-// index is taken from the snapshot verbatim — nothing is recompiled, so
-// load cost is one map fill over the row arrays.
+// index is taken from the snapshot verbatim — nothing is recompiled:
+// the rune, partner and mask arrays become the index's own, so the
+// snapshot must not be mutated afterwards, and load cost is one pass
+// over the rows plus the directory build.
 func FromSnapshot(s *Snapshot, uc *confusables.DB, sim *simchar.DB) (*DB, error) {
 	n := len(s.Runes)
 	if len(s.Counts) != n || len(s.UCSkel) != n || len(s.SimASCII) != n || len(s.SimLow) != n {
@@ -71,13 +72,14 @@ func FromSnapshot(s *Snapshot, uc *confusables.DB, sim *simchar.DB) (*DB, error)
 	if use == SourceNone {
 		use = SourceUC | SourceSimChar
 	}
-	idx := &index{
-		spans:    make(map[rune]span, n),
-		partners: s.Partners,
-		masks:    s.Masks,
-	}
+	rows := make([]span, n)
 	off := int32(0)
 	for i, r := range s.Runes {
+		// The directory and the binary search both rely on the order,
+		// and a repeated rune would hide its second row.
+		if i > 0 && r <= s.Runes[i-1] {
+			return nil, fmt.Errorf("homoglyph: snapshot rows not strictly ascending at U+%04X", r)
+		}
 		c := s.Counts[i]
 		if c < 0 || int(off)+int(c) > len(s.Partners) {
 			return nil, fmt.Errorf("homoglyph: snapshot partner spans overflow at U+%04X", r)
@@ -89,10 +91,7 @@ func FromSnapshot(s *Snapshot, uc *confusables.DB, sim *simchar.DB) (*DB, error)
 				return nil, fmt.Errorf("homoglyph: snapshot partners of U+%04X not strictly ascending", r)
 			}
 		}
-		if _, dup := idx.spans[r]; dup {
-			return nil, fmt.Errorf("homoglyph: duplicate snapshot row for U+%04X", r)
-		}
-		idx.spans[r] = span{
+		rows[i] = span{
 			start:    off,
 			end:      off + c,
 			ucSkel:   s.UCSkel[i],
@@ -104,5 +103,5 @@ func FromSnapshot(s *Snapshot, uc *confusables.DB, sim *simchar.DB) (*DB, error)
 	if int(off) != len(s.Partners) {
 		return nil, fmt.Errorf("homoglyph: %d partners unclaimed by snapshot rows", len(s.Partners)-int(off))
 	}
-	return &DB{uc: uc, sim: sim, use: use, idx: idx}, nil
+	return &DB{uc: uc, sim: sim, use: use, idx: newIndex(s.Runes, rows, s.Partners, s.Masks)}, nil
 }

@@ -216,6 +216,9 @@ type Resolved struct {
 //     else taken from the snapshot, and having neither is an error.
 //     Without need no detector is compiled, but a named list is still
 //     loaded and checked.
+//   - The snapshot's embedded detector is rebuilt only when it serves:
+//     with need set and no list named. The rest of the snapshot is
+//     checked either way.
 //
 // Empty strings and an empty inline slice name nothing.
 func Resolve(snapshotPath, refsPath string, inline []string, fresh func() (*homoglyph.DB, error), need bool) (Resolved, error) {
@@ -238,7 +241,7 @@ func Resolve(snapshotPath, refsPath string, inline []string, fresh func() (*homo
 	}
 	var embedded *core.Detector
 	if snapshotPath != "" {
-		if res.DB, embedded, err = snapshot.ReadFile(snapshotPath); err != nil {
+		if res.DB, embedded, err = snapshot.Load(snapshotPath, need && res.Refs == nil); err != nil {
 			return Resolved{}, fmt.Errorf("loading snapshot %s: %w", snapshotPath, err)
 		}
 		source := "snapshot:" + snapshotPath

@@ -11,8 +11,9 @@
 // into one file read: every section is a length-prefixed bulk array, so
 // loading is a checksum pass plus slice decodes — no font, no Δ scan,
 // and no allocation per entry. The UC database takes the decoded target
-// array as its rune arena and the SimChar partner lists are rows of one
-// array; the only per-entry work left is filling the lookup maps.
+// array as its rune arena, the SimChar partner lists are rows of one
+// array and the homoglyph index keeps its decoded rows; the only
+// per-entry work left is filling the UC lookup maps.
 // Detection results are byte-for-byte identical to a fresh build
 // (property-tested), and the format is forward-versioned so future
 // index layouts can bump Version without silently misreading old files.
@@ -106,6 +107,15 @@ func Marshal(db *homoglyph.DB, det *core.Detector) []byte {
 // header against the remaining byte count, so corrupt or truncated
 // input fails cleanly instead of panicking or over-allocating.
 func Unmarshal(data []byte) (*homoglyph.DB, *core.Detector, error) {
+	return unmarshal(data, true)
+}
+
+// unmarshal is Unmarshal that rebuilds the embedded detector only with
+// withDetector set. Without it the detector section is still read, so
+// its framing and the trailing bytes are checked, but the detector is
+// neither rebuilt nor validated against the database, and the result
+// is nil.
+func unmarshal(data []byte, withDetector bool) (*homoglyph.DB, *core.Detector, error) {
 	payload, err := OpenEnvelope(data, Magic, Version)
 	if err != nil {
 		return nil, nil, err
@@ -137,7 +147,7 @@ func Unmarshal(data []byte) (*homoglyph.DB, *core.Detector, error) {
 		return nil, nil, err
 	}
 	var det *core.Detector
-	if detSnap != nil {
+	if detSnap != nil && withDetector {
 		det, err = core.NewDetectorFromSnapshot(db, detSnap)
 		if err != nil {
 			return nil, nil, err
@@ -218,11 +228,19 @@ func CompleteLineEnd(r io.ReaderAt, floor, limit int64) (int64, error) {
 
 // ReadFile loads a snapshot from path — the one-file cold start.
 func ReadFile(path string) (*homoglyph.DB, *core.Detector, error) {
+	return Load(path, true)
+}
+
+// Load is ReadFile for a caller that says whether it wants the
+// embedded detector. Without withDetector the detector is not rebuilt
+// and the result is nil, so a caller that compiles its own detector,
+// or needs none, skips the rebuild; every other check still runs.
+func Load(path string, withDetector bool) (*homoglyph.DB, *core.Detector, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	return Unmarshal(data)
+	return unmarshal(data, withDetector)
 }
 
 // --- section writers ---

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/confusables"
 	"repro/internal/core"
@@ -360,6 +362,72 @@ func TestRejectsCraftedTables(t *testing.T) {
 	} {
 		if _, _, err := Unmarshal(data); err == nil {
 			t.Errorf("%s: crafted file loaded", name)
+		}
+	}
+}
+
+// addRowsOutsideRuneSpace gives a UC-only index rows for -2 and
+// utf8.MaxRune+1, each confusable with 'o'. The writer never produces
+// such rows, but the format can carry them.
+func addRowsOutsideRuneSpace(s *homoglyph.Snapshot) {
+	s.Runes = slices.Concat([]rune{-2}, s.Runes, []rune{utf8.MaxRune + 1})
+	s.Counts = slices.Concat([]int32{1}, s.Counts, []int32{1})
+	s.UCSkel = slices.Concat([]rune{'o'}, s.UCSkel, []rune{'o'})
+	s.SimASCII = slices.Concat([]rune{0}, s.SimASCII, []rune{0})
+	s.SimLow = slices.Concat([]rune{0}, s.SimLow, []rune{0})
+	s.Partners = slices.Concat([]rune{'o'}, s.Partners, []rune{'o'})
+	s.Masks = slices.Concat([]homoglyph.Source{homoglyph.SourceUC}, s.Masks, []homoglyph.Source{homoglyph.SourceUC})
+}
+
+// TestLoadsRowsOutsideRuneSpace: a file whose index holds rows for
+// values outside the rune space loads, and those rows answer. It is
+// the fuzz corpus seed rows-outside-rune-space.
+func TestLoadsRowsOutsideRuneSpace(t *testing.T) {
+	db := tinyDB()
+	data := marshalEdited(db, core.NewDetector(db, []string{"google", "paypal"}), addRowsOutsideRuneSpace, nil)
+	loaded, det, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []rune{-2, utf8.MaxRune + 1} {
+		if ok, src := loaded.Confusable(r, 'o'); !ok || src != homoglyph.SourceUC {
+			t.Errorf("Confusable(%U, o) = %v, %v", r, ok, src)
+		}
+	}
+	if ms := det.DetectDomainBackend(mustACE(t, "gооgle"), core.BackendPostings); len(ms) != 1 {
+		t.Errorf("gооgle: %v", ms)
+	}
+}
+
+// TestUnmarshalWithoutDetector: a load that does not want the embedded
+// detector skips its rebuild, so a detector that would fail it loads,
+// but every other check still runs: the database's tables, the
+// detector section's framing and the trailing bytes.
+func TestUnmarshalWithoutDetector(t *testing.T) {
+	db := tinyDB()
+	det := core.NewDetector(db, []string{"google", "paypal"})
+	swapLists := func(s *core.Snapshot) {
+		s.SkelListIDs[0], s.SkelListIDs[1] = s.SkelListIDs[1], s.SkelListIDs[0]
+	}
+	swapped := marshalEdited(db, det, nil, swapLists)
+	if _, _, err := Unmarshal(swapped); err == nil {
+		t.Fatal("lists swapped between keys: loaded with the detector")
+	}
+	if loaded, d, err := unmarshal(swapped, false); err != nil || d != nil || loaded == nil {
+		t.Fatalf("lists swapped between keys, no detector wanted: db %v, detector %v, err %v", loaded, d, err)
+	}
+	unsorted := marshalEdited(db, det, func(s *homoglyph.Snapshot) { s.Runes[0], s.Runes[1] = s.Runes[1], s.Runes[0] }, nil)
+	payload, err := OpenEnvelope(Marshal(db, det), Magic, Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"index rows out of order": unsorted,
+		"trailing byte":           SealEnvelope(Magic, Version, append(slices.Clone(payload), 0)),
+		"detector cut short":      SealEnvelope(Magic, Version, payload[:len(payload)-4]),
+	} {
+		if _, _, err := unmarshal(data, false); err == nil {
+			t.Errorf("%s: loaded", name)
 		}
 	}
 }
