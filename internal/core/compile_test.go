@@ -172,13 +172,30 @@ var oracleRefs = []string{
 	"пример", "例え", "ｇｏｏｇｌｅ", "", "   ", "a", "m", "rn",
 }
 
-// assertSameCompile checks that NewDetector and the reference build
-// agree on everything a detector holds: the kept references and their
-// arena, rep, seq, the key → ids map, every fold-table entry with its
-// dead bit, and the snapshot.
+// assertSameCompile checks that NewDetector, and NewDetectorFromSnapshot
+// over its snapshot, agree with the reference build on everything a
+// detector holds: the kept references and their arena, rep, seq, the
+// key → ids map, every fold-table entry with its dead bit, and the
+// snapshot.
 func assertSameCompile(t *testing.T, name string, db *homoglyph.DB, refs []string) {
 	t.Helper()
-	got, want := NewDetector(db, refs), mapDetector(db, refs)
+	want := mapDetector(db, refs)
+	got := NewDetector(db, refs)
+	loaded, err := NewDetectorFromSnapshot(db, got.Snapshot())
+	if err != nil {
+		t.Fatalf("%s: loading the snapshot: %v", name, err)
+	}
+	for _, c := range []struct {
+		how string
+		d   *Detector
+	}{{"compiled", got}, {"loaded", loaded}} {
+		assertSameDetector(t, name+"/"+c.how, c.d, want)
+	}
+}
+
+// assertSameDetector checks that got holds what want holds.
+func assertSameDetector(t *testing.T, name string, got, want *Detector) {
+	t.Helper()
 	if !slices.Equal(got.refs, want.refs) {
 		t.Fatalf("%s: refs differ: %d vs %d", name, len(got.refs), len(want.refs))
 	}
@@ -214,7 +231,7 @@ func assertSameCompile(t *testing.T, name string, db *homoglyph.DB, refs []strin
 // build over the UC-only, SimChar-only and union views of the test
 // database (built as the fast-font framework builds its own), for the
 // edge-case references, the 10k zonegen list (which holds no repeats),
-// and the two together.
+// and the two together, both compiled and loaded from a snapshot.
 func TestCompileMatchesMapBuild(t *testing.T) {
 	db := testDB(t)
 	plain := zonegenRefs()

@@ -196,10 +196,19 @@ type Detector struct {
 // ASCII form). Duplicate references are collapsed. Construction compiles
 // the skeleton index; reuse the detector across scans.
 func NewDetector(db *homoglyph.DB, references []string) *Detector {
-	d := &Detector{db: db}
+	return compile(db, newSkelRows(db), references)
+}
+
+// compile builds a detector over references from the per-rune rows of
+// db's view, which NewDetector computes and NewDetectorFromSnapshot
+// loads: the fold table, then the reference index, then the dead-rune
+// gate.
+func compile(db *homoglyph.DB, rows skelRows, references []string) *Detector {
+	x := &skelIndex{rows: rows}
+	x.fold = newFoldTable(&x.rows)
+	d := &Detector{db: db, skel: x}
 	d.scratch.New = func() any { return &scratch{} }
-	d.skel = newSkelIndex(db)
-	d.skel.compileGate(d.skel.indexRefs(d, references))
+	x.compileGate(x.indexRefs(d, references))
 	return d
 }
 

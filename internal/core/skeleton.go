@@ -273,15 +273,14 @@ func (s runeSet) has(r rune) bool {
 	return i < uint32(len(s)) && s[i]&(1<<(uint32(r)&63)) != 0
 }
 
-// newSkelIndex compiles the per-rune mapping of db's view: the rows
-// and the fold table. indexRefs and compileGate complete it.
-func newSkelIndex(db *homoglyph.DB) *skelIndex {
+// newSkelRows computes the per-rune mapping of db's view as rows:
+// the union-find, then the expansion.
+func newSkelRows(db *homoglyph.DB) skelRows {
 	chars := db.CharRunes()
-	x := &skelIndex{}
-	x.rows.repRunes, x.rows.reps = representatives(db, chars)
-	expansions(db, chars, &x.rows)
-	x.fold = newFoldTable(&x.rows)
-	return x
+	var rows skelRows
+	rows.repRunes, rows.reps = representatives(db, chars)
+	expansions(db, chars, &rows)
+	return rows
 }
 
 // representatives maps each rune of chars (ascending) to the

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"slices"
+	"reflect"
 	"testing"
 
 	"repro/internal/punycode"
@@ -219,13 +219,10 @@ func TestSkeletonSnapshotRoundTrip(t *testing.T) {
 	}
 	s2 := d2.Snapshot()
 
-	if len(s1.SkelKeys) == 0 || len(s1.SkelSeqRunes) == 0 {
-		t.Fatalf("skeleton sections empty: %d keys, %d seqs", len(s1.SkelKeys), len(s1.SkelSeqRunes))
+	if len(s1.Refs) == 0 || len(s1.SkelSeqRunes) == 0 {
+		t.Fatalf("skeleton sections empty: %d refs, %d seqs", len(s1.Refs), len(s1.SkelSeqRunes))
 	}
-	if !runesEq(s1.SkelRepRunes, s2.SkelRepRunes) || !runesEq(s1.SkelReps, s2.SkelReps) ||
-		!runesEq(s1.SkelSeqRunes, s2.SkelSeqRunes) || !runesEq(s1.SkelSeqs, s2.SkelSeqs) ||
-		!i32Eq(s1.SkelSeqLens, s2.SkelSeqLens) || !i32Eq(s1.SkelListLens, s2.SkelListLens) ||
-		!i32Eq(s1.SkelListIDs, s2.SkelListIDs) || !stringsEq(s1.SkelKeys, s2.SkelKeys) {
+	if !reflect.DeepEqual(s1, s2) {
 		t.Fatal("skeleton snapshot not byte-for-byte across load/re-flatten")
 	}
 
@@ -238,80 +235,42 @@ func TestSkeletonSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Corrupt skeleton sections must be rejected, not silently loaded.
+// Corrupt skeleton rows and references the compile would not keep must
+// be rejected, not silently loaded.
 func TestSkeletonSnapshotValidation(t *testing.T) {
 	db := testDB(t)
-	d := NewDetector(db, []string{"google"})
-
-	s := d.Snapshot()
-	s.SkelReps = s.SkelReps[:len(s.SkelReps)-1]
-	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
-		t.Error("truncated rep table accepted")
-	}
-
-	s = d.Snapshot()
-	if len(s.SkelListIDs) == 0 {
-		t.Fatal("no skeleton posting ids")
-	}
-	s.SkelListIDs[0] = 999
-	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
-		t.Error("out-of-range skeleton ref id accepted")
-	}
-
-	s = d.Snapshot()
-	if len(s.SkelSeqLens) > 0 {
-		s.SkelSeqLens[0] = 1
-		if _, err := NewDetectorFromSnapshot(db, s); err == nil {
-			t.Error("single-rune skeleton sequence accepted")
-		}
-	}
-
-	// Detection walks each id list once without deduplicating, so a
-	// repeated or out-of-order id must be rejected, not loaded.
-	two := NewDetector(db, []string{"google", "g\u043e\u043egle"}) // Cyrillic о: one skeleton, two ids
-	s = two.Snapshot()
-	if len(s.SkelListIDs) != 2 || len(s.SkelKeys) != 1 {
-		t.Fatalf("want one two-id skeleton list, got keys %q ids %v", s.SkelKeys, s.SkelListIDs)
-	}
-	s.SkelListIDs[0], s.SkelListIDs[1] = 1, 0
-	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
-		t.Error("descending skeleton id list accepted")
-	}
-	s = two.Snapshot()
-	s.SkelListIDs[1] = 0
-	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
-		t.Error("repeated skeleton id accepted")
-	}
-
-	// The key lists must be the ones the writer produces: keys
-	// strictly ascending, every reference under exactly one key, and
-	// that key its own skeleton under the loaded tables.
 	pair := NewDetector(db, []string{"google", "paypal"})
-	if s = pair.Snapshot(); len(s.SkelKeys) != 2 || !slices.Equal(s.SkelListLens, []int32{1, 1}) {
-		t.Fatalf("want two one-id skeleton lists, got keys %q lens %v", s.SkelKeys, s.SkelListLens)
+	if _, err := NewDetectorFromSnapshot(db, pair.Snapshot()); err != nil {
+		t.Fatalf("unedited snapshot rejected: %v", err)
+	}
+	if s := pair.Snapshot(); len(s.SkelRepRunes) < 2 || len(s.SkelSeqRunes) < 2 {
+		t.Fatalf("want two rows of each table, got %d reps, %d seqs", len(s.SkelRepRunes), len(s.SkelSeqRunes))
 	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(s *Snapshot)
 	}{
-		{"duplicated key", func(s *Snapshot) { s.SkelKeys[1] = s.SkelKeys[0] }},
-		{"descending keys", func(s *Snapshot) {
-			s.SkelKeys[0], s.SkelKeys[1] = s.SkelKeys[1], s.SkelKeys[0]
-			s.SkelListIDs[0], s.SkelListIDs[1] = s.SkelListIDs[1], s.SkelListIDs[0]
+		// The rows must be framed as the writer frames them.
+		{"truncated rep table", func(s *Snapshot) { s.SkelReps = s.SkelReps[:len(s.SkelReps)-1] }},
+		{"truncated seq lengths", func(s *Snapshot) { s.SkelSeqLens = s.SkelSeqLens[:len(s.SkelSeqLens)-1] }},
+		{"single-rune skeleton sequence", func(s *Snapshot) { // framing kept
+			s.SkelSeqLens[0], s.SkelSeqLens[1] = 1, s.SkelSeqLens[1]+s.SkelSeqLens[0]-1
 		}},
-		{"reference under two keys", func(s *Snapshot) { s.SkelListIDs[1] = s.SkelListIDs[0] }},
-		{"lists swapped between keys", func(s *Snapshot) {
-			s.SkelListIDs[0], s.SkelListIDs[1] = s.SkelListIDs[1], s.SkelListIDs[0]
-		}},
-		{"key with an empty id list", func(s *Snapshot) {
-			s.SkelKeys = append(s.SkelKeys, "zzz")
-			s.SkelListLens = append(s.SkelListLens, 0)
-		}},
+		{"seq past the sequences", func(s *Snapshot) { s.SkelSeqs = s.SkelSeqs[:len(s.SkelSeqs)-1] }},
+		{"trailing seq rune", func(s *Snapshot) { s.SkelSeqs = append(s.SkelSeqs, 'x') }},
 		{"descending rep runes", func(s *Snapshot) {
 			s.SkelRepRunes[0], s.SkelRepRunes[1] = s.SkelRepRunes[1], s.SkelRepRunes[0]
 			s.SkelReps[0], s.SkelReps[1] = s.SkelReps[1], s.SkelReps[0]
 		}},
 		{"repeated seq rune", func(s *Snapshot) { s.SkelSeqRunes[1] = s.SkelSeqRunes[0] }},
+		// Detection walks a label's candidates without deduplicating,
+		// and a reference is indexed under its normalized form, so Refs
+		// must be exactly the list the compile keeps.
+		{"duplicate reference", func(s *Snapshot) { s.Refs[1] = s.Refs[0] }},
+		{"empty reference", func(s *Snapshot) { s.Refs[1] = "" }},
+		{"upper-case reference", func(s *Snapshot) { s.Refs[0] = "GOOGLE" }},
+		{"decodable ACE reference", func(s *Snapshot) { s.Refs[1] = ace(t, "pаypal") }},
+		{"padded reference", func(s *Snapshot) { s.Refs[1] = " paypal " }},
 	} {
 		s := pair.Snapshot()
 		tc.mutate(s)
@@ -319,59 +278,6 @@ func TestSkeletonSnapshotValidation(t *testing.T) {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
-	s = two.Snapshot() // google and gооgle share one key
-	s.SkelListLens[0], s.SkelListIDs = 1, s.SkelListIDs[:1]
-	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
-		t.Error("reference under no key accepted")
-	}
-
-	// References must be non-empty and unique for the same reason.
-	s = two.Snapshot()
-	s.Refs[1] = s.Refs[0]
-	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
-		t.Error("duplicate reference accepted")
-	}
-	s = two.Snapshot()
-	s.Refs[1] = ""
-	if _, err := NewDetectorFromSnapshot(db, s); err == nil {
-		t.Error("empty reference accepted")
-	}
-}
-
-func runesEq(a, b []rune) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func i32Eq(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func stringsEq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // BenchmarkSkeletonLookup and BenchmarkPostingsLookup: the ns/label cost

@@ -16,8 +16,8 @@ import (
 
 // TestResolveSkipsDroppedDetector: Resolve rebuilds a snapshot's
 // embedded detector only when it serves. The snapshot here embeds a
-// detector whose section is well framed but names a reference under a
-// key that is not its skeleton, so rebuilding it fails. Without a list
+// detector whose section is well framed but holds a reference in upper
+// case, which the compile would have folded, so rebuilding it fails. Without a list
 // the snapshot is rejected; with a list, or without need, the detector
 // would be dropped, so the snapshot resolves.
 func TestResolveSkipsDroppedDetector(t *testing.T) {
@@ -32,13 +32,13 @@ func TestResolveSkipsDroppedDetector(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The detector section follows the database's and opens with the
-	// reference list; the key stays the skeleton of "google".
+	// reference list.
 	at := len(dbOnly) + bytes.Index(payload[len(dbOnly):], []byte("google"))
 	if at < len(dbOnly) {
 		t.Fatal("reference not found in the detector section")
 	}
 	payload = slices.Clone(payload)
-	copy(payload[at:], "gaagle")
+	copy(payload[at:], "GOOGLE")
 
 	dir := t.TempDir()
 	write := func(name string, data []byte) string {
@@ -55,8 +55,8 @@ func TestResolveSkipsDroppedDetector(t *testing.T) {
 	if res, err := Resolve(cleanPath, "", nil, nil, true); err != nil || !slices.Equal(res.Detector.References(), []string{"google"}) {
 		t.Fatalf("clean snapshot: %v", err)
 	}
-	if _, err := Resolve(badPath, "", nil, nil, true); err == nil || !strings.Contains(err.Error(), "skeleton") {
-		t.Fatalf("embedded detector with a wrong key: err = %v, want a skeleton error", err)
+	if _, err := Resolve(badPath, "", nil, nil, true); err == nil || !strings.Contains(err.Error(), "not normalized") {
+		t.Fatalf("embedded detector with an upper-case reference: err = %v, want a reference error", err)
 	}
 	for _, c := range []struct {
 		name   string

@@ -1,8 +1,8 @@
 // Package snapshot persists the framework's fully compiled artifacts —
 // the flattened homoglyph index (UC ∪ SimChar union, canonical targets,
 // source masks), the component databases needed to answer accounting
-// queries, and optionally a detector's reference list and skeleton
-// index — as one versioned, checksummed binary blob.
+// queries, and optionally a detector's reference list and per-rune
+// skeleton rows — as one versioned, checksummed binary blob.
 //
 // The paper's build pipeline (font rasterization, the Section 3.3
 // pairwise Δ scan, UC parsing, index compilation) costs seconds per
@@ -28,6 +28,15 @@
 //
 // where sections appear in fixed order, gated by flag bits: UC entries,
 // SimChar pairs, the homoglyph index, and the optional detector.
+//
+// The detector section stores what depends on the database alone and
+// is costly to recompute, the fold rows (union-find representatives
+// and many-to-one expansions), plus the reference list. The reference
+// index is not stored: a load compiles it from the list over the
+// loaded rows, the same compile NewDetector runs. For 10k references
+// on the fast font the section takes 149 KB of a 384 KB file, and an
+// embedded detector loads in about 2.4–2.8 ms, against 3.1–3.8 ms for
+// a database-only load plus a fresh compile (in-process, 2-vCPU Xeon).
 package snapshot
 
 import (
@@ -55,8 +64,11 @@ const Magic = "SHAMSNAP"
 // v2 extended the detector section with the TR39 skeleton index (rep
 // map, many-to-one sequences, skeleton→refs id lists); v3 drops the
 // per-(length, position) posting lists, since the detector now derives
-// every backend from the skeleton index. Older files must be recompiled.
-const Version = 3
+// every backend from the skeleton index; v4 drops the skeleton→refs
+// key lists, since a load compiles them from the reference list, and
+// keeps the detector section to the references and the per-rune rows.
+// Older files must be recompiled.
+const Version = 4
 
 // Section flag bits.
 const (
@@ -298,9 +310,6 @@ func writeDetector(e *enc, s *core.Snapshot) {
 	e.runes(s.SkelSeqRunes)
 	e.i32s(s.SkelSeqLens)
 	e.runes(s.SkelSeqs)
-	e.strings(s.SkelKeys)
-	e.i32s(s.SkelListLens)
-	e.i32s(s.SkelListIDs)
 }
 
 // --- section readers ---
@@ -378,9 +387,6 @@ func readDetector(d *dec) *core.Snapshot {
 	s.SkelSeqRunes = d.runes(d.count(4))
 	s.SkelSeqLens = d.i32s(d.count(4))
 	s.SkelSeqs = d.runes(d.count(4))
-	s.SkelKeys = d.strings()
-	s.SkelListLens = d.i32s(d.count(4))
-	s.SkelListIDs = d.i32s(d.count(4))
 	return s
 }
 

@@ -217,15 +217,37 @@ func TestRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-// TestRejectsPreviousVersion: v2 files carry the retired posting-list
-// sections, so they must fail loudly rather than be misread as v3.
+// TestRejectsPreviousVersion: a v3 file carries the skeleton key lists
+// after the per-rune rows, so it must fail loudly rather than be misread
+// as v4; read under a v4 header, its key lists are trailing bytes. Every
+// older version fails the same way.
 func TestRejectsPreviousVersion(t *testing.T) {
-	db := builtDB(t)
-	data := Marshal(db, core.NewDetector(db, testRefs))
-	binary.LittleEndian.PutUint32(data[len(Magic):], Version-1)
-	reseal(data)
-	if _, _, err := Unmarshal(data); !errors.Is(err, ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
+	db := tinyDB()
+	det := core.NewDetector(db, []string{"google", "g\u043e\u043egle", "paypal"}) // Cyrillic о
+	e := &enc{}
+	e.u32(flagUC | flagDetector)
+	writeUC(e, db.UC())
+	writeIndex(e, db.Snapshot())
+	writeDetector(e, det.Snapshot())
+	// v3's key lists: the skeletons ascending, their id list lengths,
+	// and the ids.
+	e.strings([]string{"google", "paypal"})
+	e.i32s([]int32{2, 1})
+	e.i32s([]int32{0, 1, 2})
+	v3 := SealEnvelope(Magic, 3, e.buf)
+	if _, _, err := Unmarshal(v3); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v3 file: err = %v, want ErrVersion", err)
+	}
+	if _, _, err := Unmarshal(SealEnvelope(Magic, Version, e.buf)); err == nil {
+		t.Fatal("v3 payload loaded under a v4 header")
+	}
+	data := Marshal(db, det)
+	for v := uint32(0); v < Version; v++ {
+		binary.LittleEndian.PutUint32(data[len(Magic):], v)
+		reseal(data)
+		if _, _, err := Unmarshal(data); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
@@ -324,11 +346,21 @@ func marshalEdited(db *homoglyph.DB, det *core.Detector, editIndex func(*homogly
 	return SealEnvelope(Magic, Version, e.buf)
 }
 
+// craftedRefs are edits of a detector's reference list that the
+// writer never produces: a repeated, an empty and an un-normalized
+// reference. Each would index differently from what the file says.
+var craftedRefs = map[string]func(*core.Snapshot){
+	"duplicate reference":  func(s *core.Snapshot) { s.Refs[1] = s.Refs[0] },
+	"empty reference":      func(s *core.Snapshot) { s.Refs[1] = "" },
+	"upper-case reference": func(s *core.Snapshot) { s.Refs[0] = "GOOGLE" },
+}
+
 // TestRejectsCraftedTables: files with a valid checksum whose tables
 // the writer never produces. A partner row out of order makes
-// Confusable's binary search miss pairs; a key list holding another
-// skeleton's reference makes detection miss it. Both must fail to load.
-// The second is the fuzz corpus seed lists-swapped-between-keys.
+// Confusable's binary search miss pairs; a repeated, empty or
+// un-normalized reference makes the list differ from the one the load
+// compiles. All must fail to load. The duplicated reference is the fuzz
+// corpus seed duplicate-reference.
 func TestRejectsCraftedTables(t *testing.T) {
 	db := tinyDB()
 	det := core.NewDetector(db, []string{"google", "paypal"})
@@ -350,16 +382,11 @@ func TestRejectsCraftedTables(t *testing.T) {
 		}
 		t.Fatal("no row for o")
 	}
-	swapLists := func(s *core.Snapshot) {
-		if len(s.SkelKeys) != 2 || len(s.SkelListIDs) != 2 {
-			t.Fatalf("want two one-id lists, got keys %q ids %v", s.SkelKeys, s.SkelListIDs)
-		}
-		s.SkelListIDs[0], s.SkelListIDs[1] = s.SkelListIDs[1], s.SkelListIDs[0]
+	crafted := map[string][]byte{"partners descending": marshalEdited(db, det, swapPartners, nil)}
+	for name, edit := range craftedRefs {
+		crafted[name] = marshalEdited(db, det, nil, edit)
 	}
-	for name, data := range map[string][]byte{
-		"partners descending":        marshalEdited(db, det, swapPartners, nil),
-		"lists swapped between keys": marshalEdited(db, det, nil, swapLists),
-	} {
+	for name, data := range crafted {
 		if _, _, err := Unmarshal(data); err == nil {
 			t.Errorf("%s: crafted file loaded", name)
 		}
@@ -406,15 +433,12 @@ func TestLoadsRowsOutsideRuneSpace(t *testing.T) {
 func TestUnmarshalWithoutDetector(t *testing.T) {
 	db := tinyDB()
 	det := core.NewDetector(db, []string{"google", "paypal"})
-	swapLists := func(s *core.Snapshot) {
-		s.SkelListIDs[0], s.SkelListIDs[1] = s.SkelListIDs[1], s.SkelListIDs[0]
+	duplicated := marshalEdited(db, det, nil, craftedRefs["duplicate reference"])
+	if _, _, err := Unmarshal(duplicated); err == nil {
+		t.Fatal("duplicate reference: loaded with the detector")
 	}
-	swapped := marshalEdited(db, det, nil, swapLists)
-	if _, _, err := Unmarshal(swapped); err == nil {
-		t.Fatal("lists swapped between keys: loaded with the detector")
-	}
-	if loaded, d, err := unmarshal(swapped, false); err != nil || d != nil || loaded == nil {
-		t.Fatalf("lists swapped between keys, no detector wanted: db %v, detector %v, err %v", loaded, d, err)
+	if loaded, d, err := unmarshal(duplicated, false); err != nil || d != nil || loaded == nil {
+		t.Fatalf("duplicate reference, no detector wanted: db %v, detector %v, err %v", loaded, d, err)
 	}
 	unsorted := marshalEdited(db, det, func(s *homoglyph.Snapshot) { s.Runes[0], s.Runes[1] = s.Runes[1], s.Runes[0] }, nil)
 	payload, err := OpenEnvelope(Marshal(db, det), Magic, Version)

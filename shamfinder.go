@@ -178,13 +178,14 @@ func NewFromFont(font *hexfont.Font, cfg Config) (*Framework, error) {
 }
 
 // SaveSnapshot writes the framework's fully compiled artifacts — and,
-// when det is non-nil, that detector's skeleton index — to path as a
-// versioned, checksummed binary snapshot. Loading one skips the font
-// rasterization, the Section 3.3 Δ scan, and the index compilation
-// entirely, collapsing seconds of cold start into milliseconds; see
-// LoadSnapshot. The glyph source itself is not serialized (snapshots
-// carry compiled results, not inputs), so a loaded framework's Font()
-// is nil.
+// when det is non-nil, that detector's reference list and per-rune
+// skeleton rows — to path as a versioned, checksummed binary snapshot.
+// Loading one skips the font rasterization, the Section 3.3 Δ scan and
+// the detector's union-find and expansion, collapsing seconds of cold
+// start into milliseconds; the load compiles the reference index from
+// the stored list, as NewDetector does. See LoadSnapshot. The glyph
+// source itself is not serialized (snapshots carry compiled results,
+// not inputs), so a loaded framework's Font() is nil.
 func (f *Framework) SaveSnapshot(path string, det *Detector) error {
 	return snapshot.WriteFile(path, f.db, detInner(det))
 }
