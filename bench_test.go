@@ -302,30 +302,18 @@ func BenchmarkDetection1kRefs(b *testing.B) {
 	})
 }
 
-// BenchmarkDetectionStream pushes the IDN corpus through the streaming
-// API — the zone-file entry point, fed pooled line buffers that the
-// workers recycle.
+// BenchmarkDetectionStream pushes the IDN corpus through DetectLines,
+// the zone-file entry point: one line per label, read, normalized,
+// detected across GOMAXPROCS workers and sorted.
 func BenchmarkDetectionStream(b *testing.B) {
 	det, labels := benchDetector(b, homoglyph.SourceUC|homoglyph.SourceSimChar)
-	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
+	zone := strings.Join(labels, "\n")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := make(chan *[]byte, 256)
-		go func() {
-			for _, l := range labels {
-				bp := pool.Get().(*[]byte)
-				*bp = append((*bp)[:0], l...)
-				in <- bp
-			}
-			close(in)
-		}()
-		n := 0
-		for range det.DetectStream(in, 0, pool, core.BackendPostings) {
-			n++
-		}
-		if n == 0 {
-			b.Fatal("stream found no matches")
+		matches, _, err := det.DetectLines(strings.NewReader(zone), 0, core.BackendPostings)
+		if err != nil || len(matches) == 0 {
+			b.Fatalf("stream found %d matches, err %v", len(matches), err)
 		}
 	}
 	b.StopTimer()
@@ -605,7 +593,6 @@ func BenchmarkColdStart(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(st.Size())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, det, err := LoadSnapshot(path)
@@ -616,6 +603,9 @@ func BenchmarkColdStart(b *testing.B) {
 					b.Fatal("no embedded detector")
 				}
 			}
+			// The file's size is a fact about the format, not a rate:
+			// as MB/s it would fall whenever the file shrank.
+			b.ReportMetric(float64(st.Size()), "file-bytes")
 		})
 	}
 }
@@ -657,7 +647,7 @@ func benchZoneLines(b *testing.B, det *core.Detector, n int, suffixes []string, 
 		}
 		line += suffixes[rng.Intn(len(suffixes))]
 		buf := []byte(line)
-		if fqdn, ok := NormalizeZoneLine(append([]byte(nil), buf...)); ok {
+		if fqdn, ok := NormalizeZoneLine(append([]byte(nil), buf...), BackendPostings); ok {
 			if ms := det.DetectDomainBytesBackend(fqdn, core.BackendPostings); len(ms) != 0 {
 				continue // exceedingly unlikely; keep the bench a pure miss path
 			}
@@ -721,7 +711,7 @@ func BenchmarkIngestion(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, line := range lines {
-					fqdn, ok := NormalizeZoneLine(line)
+					fqdn, ok := NormalizeZoneLine(line, BackendPostings)
 					if !ok {
 						continue
 					}

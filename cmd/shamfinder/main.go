@@ -40,7 +40,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -287,7 +286,7 @@ func cmdDetect(args []string) error {
 		in = f
 	}
 
-	matches, scanned, err := streamDetect(det, in, *workers, be)
+	matches, scanned, err := det.DetectLines(in, *workers, be)
 	if err != nil {
 		return err
 	}
@@ -315,57 +314,6 @@ func cmdDetect(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "scanned %d IDNs, detected %d homograph matches\n", scanned, len(matches))
 	return nil
-}
-
-// streamDetect drives the zone through the parallel engine under
-// backend be: a feeder goroutine pushes labels while workers detect, so
-// scanning overlaps I/O and memory scales with the IDNs (0.67% of a
-// zone), not the zone. Labels travel as pooled byte buffers that
-// workers recycle after each scan — with the in-place normalization and
-// the engine's lazy string materialization, a line that matches nothing
-// allocates nothing. Matches are sorted before returning, making the
-// output deterministic for any worker count. Shared by detect (which
-// prints them) and survey (which pipes them into the triage pipeline).
-// When the backend includes the skeleton index the feeder keeps every
-// non-blank line (NormalizeZoneLineAll): pure-ASCII names like
-// "rnicrosoft.com" are exactly the class that backend catches, so the
-// posting backend's ACE/non-ASCII gate must not drop them.
-func streamDetect(det *shamfinder.Detector, in io.Reader, workers int, be shamfinder.Backend) ([]shamfinder.Match, int, error) {
-	labels := make(chan *[]byte, 1024)
-	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 80); return &b }}
-	normalize := shamfinder.NormalizeZoneLine
-	if be&shamfinder.BackendSkeleton != 0 {
-		normalize = shamfinder.NormalizeZoneLineAll
-	}
-	scanned := 0
-	var scanErr error
-	go func() {
-		defer close(labels)
-		sc := bufio.NewScanner(in)
-		sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-		for sc.Scan() {
-			label, ok := normalize(sc.Bytes())
-			if !ok {
-				continue
-			}
-			scanned++
-			bp := pool.Get().(*[]byte)
-			*bp = append((*bp)[:0], label...)
-			labels <- bp
-		}
-		scanErr = sc.Err()
-	}()
-	var matches []shamfinder.Match
-	for m := range det.DetectStream(labels, workers, pool, be) {
-		matches = append(matches, m)
-	}
-	// The stream has drained, so the feeder is done: scanErr is safe to
-	// read from here on.
-	if scanErr != nil {
-		return nil, scanned, scanErr
-	}
-	shamfinder.SortMatches(matches)
-	return matches, scanned, nil
 }
 
 func diffsText(m shamfinder.Match) string {
@@ -453,7 +401,7 @@ func cmdSurvey(args []string) error {
 			defer f.Close()
 			in = f
 		}
-		matches, scanned, err := streamDetect(det, in, *workers, be)
+		matches, scanned, err := det.DetectLines(in, *workers, be)
 		if err != nil {
 			return err
 		}

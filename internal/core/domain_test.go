@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/lint"
 	"repro/internal/punycode"
 )
 
@@ -175,8 +177,8 @@ func TestACEReferenceIndexesDecoded(t *testing.T) {
 	}
 }
 
-// TestDetectDomainStreamParity: the pooled byte stream over full FQDNs
-// equals the batch API match-for-match.
+// TestDetectDomainStreamParity: DetectLines over full FQDNs equals the
+// batch API match-for-match.
 func TestDetectDomainStreamParity(t *testing.T) {
 	db := testDB(t)
 	det := NewDetector(db, indexRefs)
@@ -189,21 +191,49 @@ func TestDetectDomainStreamParity(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no matches in parity corpus")
 	}
-	in := make(chan *[]byte, 2)
-	go func() {
-		defer close(in)
-		for _, d := range domains {
-			b := []byte(d)
-			in <- &b
-		}
-	}()
-	var got []Match
-	for m := range det.DetectStream(in, 3, nil, BackendPostings) {
-		got = append(got, m)
+	got, _, err := det.DetectLines(strings.NewReader(strings.Join(domains, "\n")), 3, BackendPostings)
+	if err != nil {
+		t.Fatal(err)
 	}
-	SortMatches(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("stream diverges from batch:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
+// TestDetectLinesMissAllocs: DetectLines allocates per call, not per
+// line, on the miss path. Its miss lines pass the posting gate: live
+// misses whose runes all occur in a reference, a dead-rune miss, a
+// master-file record, and a plain name that the skeleton backend
+// scans too; 1k and 4k of them must cost the same allocations.
+func TestDetectLinesMissAllocs(t *testing.T) {
+	if lint.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	det := NewDetector(testDB(t), []string{"google", "amazon"})
+	g := ace(t, "gооgel") // Cyrillic о ×2
+	miss := []string{
+		g + ".com", "www." + g + ".co.uk", "xn--bcher-kva.net",
+		g + ".net. 3600 IN NS ns1.example.", "googel.example.com",
+	}
+	zone := func(n int) string {
+		var b strings.Builder
+		for i := range n {
+			b.WriteString(miss[i%len(miss)] + "\n")
+		}
+		return b.String()
+	}
+	small, large := zone(1000), zone(4000)
+	for _, be := range []Backend{BackendPostings, BackendBoth} {
+		allocs := func(z string) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if ms, _, err := det.DetectLines(strings.NewReader(z), 2, be); err != nil || len(ms) != 0 {
+					panic(fmt.Sprintf("%d matches, err %v", len(ms), err))
+				}
+			})
+		}
+		if a, b := allocs(small), allocs(large); a != b {
+			t.Errorf("%v: %v allocations for 1k miss lines, %v for 4k", be, a, b)
+		}
 	}
 }
 

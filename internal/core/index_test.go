@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -116,10 +117,9 @@ func TestDetectParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestDetectStreamMatchesBatch: the streaming API must produce the same
-// match multiset as the batch API, and exactly the batch slice once
-// sorted.
-func TestDetectStreamMatchesBatch(t *testing.T) {
+// TestDetectLinesMatchesBatch: the line reader must produce exactly
+// the batch API's sorted slice, for any worker count.
+func TestDetectLinesMatchesBatch(t *testing.T) {
 	db := testDB(t)
 	det := NewDetector(db, indexRefs)
 	rng := stats.NewRNG(123)
@@ -132,21 +132,13 @@ func TestDetectStreamMatchesBatch(t *testing.T) {
 		}
 	}
 	want := det.Detect(labels)
-
-	in := make(chan *[]byte)
-	go func() {
-		for _, l := range labels {
-			b := []byte(l)
-			in <- &b
+	for _, workers := range []int{1, 4} {
+		got, _, err := det.DetectLines(strings.NewReader(strings.Join(labels, "\n")), workers, BackendPostings)
+		if err != nil {
+			t.Fatal(err)
 		}
-		close(in)
-	}()
-	var got []Match
-	for m := range det.DetectStream(in, 4, nil, BackendPostings) {
-		got = append(got, m)
-	}
-	SortMatches(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("stream %d matches, batch %d; sorted outputs differ", len(got), len(want))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: lines %d matches, batch %d; sorted outputs differ", workers, len(got), len(want))
+		}
 	}
 }

@@ -499,8 +499,8 @@ func TestHitAllocBudget(t *testing.T) {
 // independent: across enough hits to replace every slab many times,
 // appending to a returned match slice or to a match's Diffs changes no
 // other result, and every stored string keeps its bytes. The stream
-// half runs the same check on matches from concurrent workers, so the
-// race detector sees any slab shared across calls.
+// half runs the same check on DetectLines' matches from concurrent
+// workers, so the race detector sees any slab shared across calls.
 func TestSlabIsolation(t *testing.T) {
 	d := NewDetector(testDB(t), []string{"google", "amazon", "microsoft"})
 	goo, ama := ace(t, "gооgle"), ace(t, "amazоn")
@@ -581,18 +581,16 @@ func TestSlabIsolation(t *testing.T) {
 	})
 
 	t.Run("stream", func(t *testing.T) {
-		in := make(chan *[]byte)
-		go func() {
-			for i := range n {
-				b := []byte(name(i))
-				in <- &b
-			}
-			close(in)
-		}()
-		var got []Match
+		var zone strings.Builder
+		for i := range n {
+			zone.WriteString(name(i) + "\n")
+		}
+		got, _, err := d.DetectLines(strings.NewReader(zone.String()), 4, BackendBoth)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var wants []frozen
-		for m := range d.DetectStream(in, 4, nil, BackendBoth) {
-			got = append(got, m)
+		for _, m := range got {
 			wants = append(wants, freeze(m))
 		}
 		if want := n + n/3; len(got) != want {

@@ -98,8 +98,22 @@ func TestNoallocGate(t *testing.T) {
 	// Warm the scratch pool outside the measured region.
 	exercise()
 
+	// NormalizeZoneLine runs each gate outcome under each backend: a
+	// plain name, an IDN, and master-file records whose owner name the
+	// gate keeps or drops.
+	lines := []string{"Plain-Name.COM", "XN--GGLE-55DA.COM.", "xn--ggle-55da.com. 3600 IN NS ns1.example.", "plain.com\tIN\tNS\txn--a.example."}
+	buf := make([]byte, 64)
+	normalize := func() {
+		for _, l := range lines {
+			for _, be := range []Backend{BackendPostings, BackendSkeleton, BackendBoth} {
+				NormalizeZoneLine(buf[:copy(buf, l)], be)
+			}
+		}
+	}
+
 	lint.CheckNoallocCoverage(t, ".", map[string]func(){
 		"(*Detector).DetectDomainBytesBackend": exercise,
+		"NormalizeZoneLine":                    normalize,
 	})
 }
 

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
+	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"repro/internal/domain"
 	"repro/internal/punycode"
 )
 
@@ -32,88 +37,142 @@ func (d *Detector) Detect(domains []string) []Match {
 }
 
 // detect is Detect with an explicit worker count (≤ 0 means
-// GOMAXPROCS). The result is deterministic: workers append to private
-// match slices which are concatenated and sorted exactly once.
+// GOMAXPROCS).
 func (d *Detector) detect(domains []string, workers int) []Match {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(domains) {
-		workers = len(domains)
+	workers = max(1, min(workers, len(domains)))
+	return fanOut(workers, func(w int) (out []Match) {
+		for i := w; i < len(domains); i += workers {
+			out = detectDomain(d, out, domains[i], BackendPostings)
+		}
+		return out
+	})
+}
+
+// fanOut runs scan on workers goroutines, each appending to a private
+// match slice, and returns their matches concatenated and sorted
+// exactly once, so the result is the same for any worker count.
+func fanOut(workers int, scan func(w int) []Match) []Match {
+	parts := make([][]Match, workers)
+	var wg sync.WaitGroup
+	for w := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[w] = scan(w)
+		}()
 	}
-	var out []Match
-	if workers <= 1 {
-		for _, idn := range domains {
-			out = detectDomain(d, out, idn, BackendPostings)
-		}
-	} else {
-		parts := make([][]Match, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var local []Match
-				for i := w; i < len(domains); i += workers {
-					local = detectDomain(d, local, domains[i], BackendPostings)
-				}
-				parts[w] = local
-			}(w)
-		}
-		wg.Wait()
-		n := 0
-		for _, p := range parts {
-			n += len(p)
-		}
-		out = make([]Match, 0, n)
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-	}
+	wg.Wait()
+	out := slices.Concat(parts...)
 	SortMatches(out)
 	return out
 }
 
-// DetectStream scans names arriving on in under backend be across
-// workers (≤ 0 means GOMAXPROCS) and sends every match on the returned
-// channel, which is closed once in is drained. Names (full FQDNs on any
-// TLD, or bare labels) arrive as pooled line buffers, and each buffer is
-// handed back to recycle (when non-nil) as soon as it has been scanned.
-// Together with DetectDomainBytesBackend's lazy string materialization
-// this makes the whole line→match pipeline allocation-free in steady
-// state on the miss path — the common case at zone scale, where ~99% of
-// domains match nothing. Match order across names is not deterministic;
-// consumers that need the batch ordering sort with SortMatches.
-func (d *Detector) DetectStream(in <-chan *[]byte, workers int, recycle *sync.Pool, be Backend) <-chan Match {
+// NormalizeZoneLine prepares one line of a domain list or zone file, or
+// one queried name, for detection under backend be, in place and
+// without allocating: ASCII whitespace is trimmed, one trailing root
+// dot is dropped and ASCII letters are lowercased. Under the posting
+// backend the line must also hold a candidate, an ACE label left of
+// its suffix, a bare ACE label or a non-ASCII byte, since no other
+// name can match there; a backend with the skeleton index keeps every
+// non-blank line, because a pure-ASCII "rnicrosoft.com" is the class
+// it exists to catch. A kept line with an inner space or tab is a
+// master-file record ("name TTL IN NS ..."): its first field, the
+// owner name, is normalized and gated again on its own, so a line the
+// gate rejects costs no field cut. The returned name aliases line.
+//
+//shamlint:noalloc
+func NormalizeZoneLine(line []byte, be Backend) ([]byte, bool) {
+	var name []byte
+	var ok bool
+	if be&BackendSkeleton != 0 {
+		name, ok = domain.NormalizeZoneLineAll(line)
+	} else {
+		name, ok = domain.NormalizeZoneLine(line)
+	}
+	if !ok {
+		return nil, false
+	}
+	field := name
+	if i := bytes.IndexByte(field, ' '); i >= 0 {
+		field = field[:i]
+	}
+	if i := bytes.IndexByte(field, '\t'); i >= 0 {
+		field = field[:i]
+	}
+	if len(field) < len(name) {
+		// The field holds no blank, so this recurses once.
+		return NormalizeZoneLine(field, be)
+	}
+	return name, true
+}
+
+// lineBlock is the size of the blocks in which DetectLines hands kept
+// names to its workers.
+const lineBlock = 4 << 10
+
+// DetectLines scans the domain list or zone file r, one name or
+// master-file record per line of up to 16 MiB, under backend be across
+// workers (≤ 0 means GOMAXPROCS). It returns every match, sorted as
+// SortMatches orders them for any worker count, and how many lines
+// NormalizeZoneLine kept. One goroutine reads and normalizes while the
+// workers detect, so reading overlaps scanning and memory holds the
+// kept names in flight, not the file. Kept names travel newline-joined
+// in 4 KiB blocks, 2×workers of them cycling between the reader and
+// the workers, so a call's allocations on the miss path do not grow
+// with its line count.
+func (d *Detector) DetectLines(r io.Reader, workers int, be Backend) ([]Match, int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := make(chan Match, 4*workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bp := range in {
-				for _, m := range d.DetectDomainBytesBackend(*bp, be) {
-					out <- m
-				}
-				if recycle != nil {
-					recycle.Put(bp)
-				}
-			}
-		}()
+	free := make(chan []byte, 2*workers)
+	for range cap(free) {
+		free <- make([]byte, 0, lineBlock)
 	}
+	full := make(chan []byte, cap(free))
+	scanned := 0
+	var readErr error
 	go func() {
-		wg.Wait()
-		close(out)
+		defer close(full)
+		sc := bufio.NewScanner(r)
+		sc.Buffer(make([]byte, 64<<10), 16<<20)
+		block := <-free
+		for sc.Scan() {
+			name, ok := NormalizeZoneLine(sc.Bytes(), be)
+			if !ok {
+				continue
+			}
+			scanned++
+			if len(block) > 0 && len(block)+len(name) >= cap(block) {
+				full <- block
+				block = <-free
+			}
+			block = append(append(block, name...), '\n')
+		}
+		readErr = sc.Err()
+		full <- block
 	}()
-	return out
+	matches := fanOut(workers, func(int) (out []Match) {
+		for block := range full {
+			for rest := block; len(rest) > 0; {
+				i := bytes.IndexByte(rest, '\n')
+				out = detectDomain(d, out, rest[:i], be)
+				rest = rest[i+1:]
+			}
+			free <- block[:0]
+		}
+		return out
+	})
+	if readErr != nil {
+		return nil, scanned, readErr
+	}
+	return matches, scanned, nil
 }
 
 // SortMatches sorts matches into the deterministic batch order (FQDN,
-// then IDN, then reference), e.g. after collecting a DetectStream.
-// Full ties keep their input order.
+// then IDN, then reference). Full ties keep their input order.
 //
 // A Match is over a hundred bytes, so the sort orders small keys
 // instead, by MSD radix: each key holds a match's index, the next eight

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -83,7 +82,7 @@ type DetectionResult struct {
 	UnionDomains []string
 
 	Elapsed       time.Duration // union batch run wall-clock (indexed, parallel)
-	StreamElapsed time.Duration // union run through DetectStream
+	StreamElapsed time.Duration // union run through DetectLines
 	LinearElapsed time.Duration // union run through the seed linear engine
 	IDNs          int           // scanned IDN count
 	Refs          int
@@ -130,24 +129,12 @@ func Detect(e *Env) (*DetectionResult, error) {
 	// Time the two alternative union-engine paths for Section 4.2 on the
 	// union detector just built: the zone-scale streaming API and the
 	// seed linear scan it replaced.
+	zone := strings.Join(labels, "\n")
 	start := time.Now()
-	in := make(chan *[]byte, 256)
-	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
-	go func() {
-		for _, l := range labels {
-			bp := pool.Get().(*[]byte)
-			*bp = append((*bp)[:0], l...)
-			in <- bp
-		}
-		close(in)
-	}()
-	streamed := 0
-	for range det.DetectStream(in, 0, pool, core.BackendPostings) {
-		streamed++
-	}
+	streamed, _, err := det.DetectLines(strings.NewReader(zone), 0, core.BackendPostings)
 	res.StreamElapsed = time.Since(start)
-	if streamed != len(res.Union) {
-		return nil, fmt.Errorf("experiments: stream produced %d matches, batch %d", streamed, len(res.Union))
+	if err != nil || len(streamed) != len(res.Union) {
+		return nil, fmt.Errorf("experiments: stream produced %d matches (err %v), batch %d", len(streamed), err, len(res.Union))
 	}
 	start = time.Now()
 	for _, l := range labels {
@@ -249,7 +236,7 @@ func Throughput(e *Env) (*report.Experiment, error) {
 	exp.Addf("total sweep", "743.6 s (141M domains, 955k IDNs)", "%.3f s (%d IDNs)",
 		res.Elapsed.Seconds(), res.IDNs)
 	exp.Addf("per reference domain", "0.07 s", "%.6f s", perRef)
-	exp.Addf("streaming sweep (DetectStream)", "n/a", "%.3f s (%.0f labels/s)",
+	exp.Addf("streaming sweep (DetectLines)", "n/a", "%.3f s (%.0f labels/s)",
 		res.StreamElapsed.Seconds(), float64(res.IDNs)/res.StreamElapsed.Seconds())
 	exp.Addf("seed linear engine", "n/a", "%.3f s (%.1f× slower than indexed)",
 		res.LinearElapsed.Seconds(), res.LinearElapsed.Seconds()/res.Elapsed.Seconds())

@@ -21,8 +21,8 @@
 // against, and each request runs entirely on one atomically-loaded
 // state: a reload mid-request never splits an answer across epochs.
 // Queries are normalized by the exact zone-line rules the CLI feeder
-// uses (internal/domain.NormalizeZoneLine), so `serve` and `detect`
-// cannot disagree about case folding or the trailing root dot.
+// uses (core.NormalizeZoneLine), so `serve` and `detect` cannot
+// disagree about case folding, the trailing root dot or the gate.
 //
 // Overload sheds instead of OOMing: a bounded-concurrency gate admits
 // at most MaxInFlight detection requests; beyond that the server
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/domain"
 	"repro/internal/homoglyph"
 	"repro/internal/reflist"
 	"repro/internal/triage"
@@ -266,22 +265,17 @@ type errorResponse struct {
 
 // --- handlers ---
 
-// scan normalizes one incoming name into the pooled buffer and scans
-// it against det. The zone-line rules decide everything: trailing root
-// dot dropped, ASCII uppercase folded (non-ASCII folding happens in
-// the punycode decode, same as ingestion). Under the posting backend,
-// names with no scannable candidate label — plain ASCII, or an
-// ACE-TLD-only shape — return no matches without touching the index;
-// when the chosen backend includes the skeleton index, every non-blank
-// name is scanned, because a pure-ASCII "rnicrosoft.com" is exactly the
-// class that backend exists to catch.
+// scan normalizes one incoming name into the pooled buffer by the
+// zone-line rules (core.NormalizeZoneLine) and scans it against det:
+// trailing root dot dropped, ASCII uppercase folded (non-ASCII folding
+// happens in the punycode decode, same as ingestion), and a name with
+// an inner space or tab read as a master-file record, its first field
+// scanned. Under the posting backend, names with no scannable candidate
+// label — plain ASCII, or an ACE-TLD-only shape — return no matches
+// without touching the index.
 func scan(det *core.Detector, buf *[]byte, name string, be core.Backend) []core.Match {
 	*buf = append((*buf)[:0], name...)
-	normalize := domain.NormalizeZoneLine
-	if be&core.BackendSkeleton != 0 {
-		normalize = domain.NormalizeZoneLineAll
-	}
-	fqdn, ok := normalize(*buf)
+	fqdn, ok := core.NormalizeZoneLine(*buf, be)
 	if !ok {
 		return nil
 	}

@@ -12,10 +12,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/domain"
 	"repro/internal/snapshot"
 	"repro/internal/triage"
 )
+
+// backend is the detection backend of every scan: the posting index,
+// so a scan keeps only the zone's ACE and non-ASCII names.
+const backend = core.BackendPostings
 
 // ErrSeenSet marks an unreadable or corrupt durable seen-set. The
 // watcher refuses to scan over it: a half-lost seen-set would re-emit
@@ -284,10 +287,10 @@ func (w *Watcher) scanLocked(ctx context.Context) (st ScanStats, retErr error) {
 			st.Lines++
 			sinceCkpt++
 
-			if name, ok := domain.NormalizeZoneLine(firstField(line)); ok {
+			if name, ok := core.NormalizeZoneLine(line, backend); ok {
 				st.Names++
 				if w.seen.addHash(Fingerprint(name)) {
-					matches := det.DetectDomainBytesBackend(name, core.BackendPostings)
+					matches := det.DetectDomainBytesBackend(name, backend)
 					n, werr := writeDeltaLine(dw, name, matches)
 					if werr != nil {
 						return st, fmt.Errorf("write deltas: %w", werr)
@@ -409,9 +412,9 @@ func (w *Watcher) ingestDeltas(df *os.File, from, to int64) error {
 	}
 }
 
-// firstField returns the first whitespace-delimited field of a zone
-// master-file line — the owner name — so records with TTL/class/type
-// columns fingerprint identically to a bare name-per-line list.
+// firstField returns the first whitespace-delimited field of a deltas
+// journal line — the FQDN, ahead of a match's reference and source
+// columns.
 //
 //shamlint:noalloc
 func firstField(line []byte) []byte {

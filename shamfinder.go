@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"repro/internal/confusables"
 	"repro/internal/core"
@@ -243,37 +242,27 @@ func Resolve(snapshotPath, refsPath string, build func() (*Framework, error), ne
 	return fw, det, nil
 }
 
-// NormalizeZoneLine prepares one domain-list line for detection, in
-// place and without allocating: ASCII whitespace is trimmed, one
-// trailing root dot is dropped, and ASCII letters are lowercased. The
-// whole FQDN is kept — any TLD, any label count — for the domain-aware
-// detectors (DetectDomainBytesBackend / DetectStream) to split; the seed
-// pipeline's trailing-".com" strip made every other zone invisible.
+// NormalizeZoneLine prepares one line of a domain list or zone file
+// for detection under backend be, in place and without allocating:
+// ASCII whitespace is trimmed, one trailing root dot is dropped, and
+// ASCII letters are lowercased. The whole FQDN is kept — any TLD, any
+// label count — for the domain-aware detectors to split; a master-file
+// record ("name TTL IN NS ...") keeps its owner name.
 //
-// It reports false for blank lines and lines with no scannable
-// homograph candidate: a candidate is an ACE label left of the final
-// dot, a bare ACE label, or any non-ASCII byte. A line with no "--"
-// and no non-ASCII byte rejects before it is trimmed, after three
-// overlapping 8-byte loads for a typical zone line. The position test
-// matters in IDN-TLD zones (.xn--p1ai), where the TLD would otherwise
-// qualify every plain line: a word-at-a-time test of the part left of
-// the last dot rejects those, before the pooled-buffer copy and worker
-// handoff. The returned domain aliases line's storage.
+// Under the posting backend it reports false for blank lines and lines
+// with no scannable homograph candidate: a candidate is an ACE label
+// left of the final dot, a bare ACE label, or any non-ASCII byte. A
+// line with no "--" and no non-ASCII byte rejects before it is
+// trimmed, after three overlapping 8-byte loads for a typical zone
+// line. A backend with the skeleton index keeps every non-blank line,
+// since its many-to-one targets ("rnicrosoft.com") are pure ASCII. The
+// returned domain aliases line's storage.
 //
-// The rules live in internal/domain so the HTTP serving layer
-// (internal/service) applies the exact same normalization to incoming
-// queries — `serve` and `detect` can never disagree on folding or the
-// root dot.
-func NormalizeZoneLine(line []byte) ([]byte, bool) {
-	return domain.NormalizeZoneLine(line)
-}
-
-// NormalizeZoneLineAll is NormalizeZoneLine without the ACE/non-ASCII
-// candidate gate: every non-blank name is kept. Pair it with the
-// skeleton backend, whose many-to-one targets ("rnicrosoft.com") are
-// pure ASCII and would be rejected by the posting backend's gate.
-func NormalizeZoneLineAll(line []byte) ([]byte, bool) {
-	return domain.NormalizeZoneLineAll(line)
+// The CLI, the HTTP serving layer and the zone watcher all normalize
+// through it, so `serve`, `detect` and `watch-zone` can never disagree
+// on folding, the root dot or the gate.
+func NormalizeZoneLine(line []byte, be Backend) ([]byte, bool) {
+	return core.NormalizeZoneLine(line, be)
 }
 
 // DB exposes the underlying homoglyph database for advanced callers
@@ -348,34 +337,29 @@ func (d *Detector) Detect(domains []string) []Match {
 // "xn--80ak6aa92e.xn--p1ai", "gооgle.co.uk") or a bare label — scanning
 // every candidate label against the references. Matches carry the FQDN
 // and its public suffix; see Match.Imitated for the "google.net"-style
-// rendering. The skeleton backend also scans pure-ASCII labels, so
-// feeders should pair it with NormalizeZoneLineAll, not
-// NormalizeZoneLine. Safe for concurrent use.
+// rendering. The skeleton backend also scans pure-ASCII labels. Safe
+// for concurrent use.
 func (d *Detector) DetectDomainBackend(fqdn string, be Backend) []Match {
 	return d.inner.DetectDomainBackend(fqdn, be)
 }
 
 // DetectDomainBytesBackend is DetectDomainBackend over a reused line
 // buffer, zero-allocation when the name matches nothing, under every
-// backend — the primitive a zone feeder pairs with NormalizeZoneLine.
+// backend — the per-name primitive under NormalizeZoneLine(line, be).
 func (d *Detector) DetectDomainBytesBackend(fqdn []byte, be Backend) []Match {
 	return d.inner.DetectDomainBytesBackend(fqdn, be)
 }
 
-// DetectStream scans names arriving on in under backend be across
-// workers (≤ 0 means GOMAXPROCS), sending matches on the returned
-// channel until in is drained — the zone-scale entry point. Each
-// *[]byte drained from in is handed back to recycle (when non-nil) as
-// soon as it has been scanned, making the whole line→match pipeline
-// allocation-free in steady state on the miss path. Cross-name match
-// order is not deterministic; use SortMatches for the batch ordering.
-func (d *Detector) DetectStream(in <-chan *[]byte, workers int, recycle *sync.Pool, be Backend) <-chan Match {
-	return d.inner.DetectStream(in, workers, recycle, be)
+// DetectLines scans a domain list or zone file under backend be across
+// workers (≤ 0 means GOMAXPROCS) — the zone-scale entry point. Each
+// line passes through NormalizeZoneLine(line, be); one goroutine reads
+// while the workers detect, and a call's allocations on the miss path
+// do not grow with its line count. It returns the matches sorted by
+// (FQDN, IDN, reference) for any worker count, and how many lines
+// NormalizeZoneLine kept.
+func (d *Detector) DetectLines(r io.Reader, workers int, be Backend) ([]Match, int, error) {
+	return d.inner.DetectLines(r, workers, be)
 }
-
-// SortMatches sorts matches into the deterministic batch order (FQDN,
-// then IDN, then reference), e.g. after collecting a DetectStream.
-func SortMatches(matches []Match) { core.SortMatches(matches) }
 
 // Revert maps a homograph label to its most plausible original.
 func (d *Detector) Revert(idnLabel string) (string, error) {

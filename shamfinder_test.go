@@ -283,10 +283,15 @@ func TestNormalizeZoneLine(t *testing.T) {
 		// feeder rejects it before the pooled copy and worker handoff.
 		{"sub.xn--p1ai", "", false},
 		{"notxn--fake.com", "", false}, // prefix must start a label
+		// A master-file record keeps its owner name, gated on its own.
+		{"xn--ggle-55da.com 3600 IN NS ns1.example.", "xn--ggle-55da.com", true},
+		{"XN--GGLE-55DA.COM.\t3600\tIN\tA\t1.2.3.4\r", "xn--ggle-55da.com", true},
+		{"plain.com. 3600 IN NS ns1.xn--p1ai.", "", false},
+		{"plain.com IN TXT xn--a", "", false},
 	}
 	for _, c := range cases {
 		buf := []byte(c.in)
-		got, ok := NormalizeZoneLine(buf)
+		got, ok := NormalizeZoneLine(buf, BackendPostings)
 		if ok != c.keep {
 			t.Errorf("NormalizeZoneLine(%q) keep = %v, want %v", c.in, ok, c.keep)
 			continue
@@ -298,22 +303,20 @@ func TestNormalizeZoneLine(t *testing.T) {
 }
 
 // naiveNormalizeZoneLine is the allocation-heavy reference
-// implementation of the zone-line contract: ASCII-whitespace trim, one
-// root dot dropped, scannable-candidate gate, ASCII lowercase. The
-// in-place NormalizeZoneLine is differentially fuzzed against it.
-func naiveNormalizeZoneLine(line string) (string, bool) {
-	s, ok := naiveNormalizeZoneLineAll(line)
-	if !ok || !naiveScannable(s) {
-		return "", false
+// implementation of the zone-line contract under backend be: ASCII
+// whitespace trimmed, the first space- or tab-separated field kept (a
+// master-file record's owner name) and trimmed, one root dot dropped,
+// the scannable-candidate gate unless be includes the skeleton index,
+// ASCII lowercase. The in-place NormalizeZoneLine is differentially
+// fuzzed against it.
+func naiveNormalizeZoneLine(line string, be Backend) (string, bool) {
+	const space = " \t\r\n\f\v"
+	s := strings.Trim(line, space)
+	if i := strings.IndexAny(s, " \t"); i >= 0 {
+		s = strings.Trim(s[:i], space)
 	}
-	return s, true
-}
-
-// naiveNormalizeZoneLineAll is the reference for NormalizeZoneLineAll:
-// naiveNormalizeZoneLine without the candidate gate.
-func naiveNormalizeZoneLineAll(line string) (string, bool) {
-	s := strings.TrimSuffix(strings.Trim(line, " \t\r\n\f\v"), ".")
-	if s == "" {
+	s = strings.TrimSuffix(s, ".")
+	if s == "" || be&BackendSkeleton == 0 && !naiveScannable(s) {
 		return "", false
 	}
 	b := []byte(s)
@@ -379,8 +382,8 @@ func TestNormalizeZoneLineWordBoundaries(t *testing.T) {
 					copy(buf[at:], p)
 					for _, pad := range pads {
 						line := pad[0] + string(buf[:n]) + pad[1]
-						got, ok := NormalizeZoneLine([]byte(line))
-						want, wantOK := naiveNormalizeZoneLine(line)
+						got, ok := NormalizeZoneLine([]byte(line), BackendPostings)
+						want, wantOK := naiveNormalizeZoneLine(line, BackendPostings)
 						if ok != wantOK || (ok && string(got) != want) {
 							t.Errorf("NormalizeZoneLine(%q) = %q, %v; naive = %q, %v", line, got, ok, want, wantOK)
 						}
@@ -391,10 +394,11 @@ func TestNormalizeZoneLineWordBoundaries(t *testing.T) {
 	}
 }
 
-// FuzzNormalizeZoneLine: the in-place fast paths, NormalizeZoneLine and
-// the ungated NormalizeZoneLineAll, must agree with their naive
-// references on arbitrary bytes — including non-UTF-8 garbage, interior
-// dots, and whitespace runs. `go test` runs the seed corpus;
+// FuzzNormalizeZoneLine: the in-place fast paths, gated under the
+// posting backend and ungated under the skeleton backend and both, must
+// agree with the naive reference on arbitrary bytes — including
+// non-UTF-8 garbage, interior dots, whitespace runs and master-file
+// records. `go test` runs the seed corpus;
 // `go test -fuzz=FuzzNormalizeZoneLine` explores further.
 func FuzzNormalizeZoneLine(f *testing.F) {
 	for _, s := range []string{
@@ -442,19 +446,23 @@ func FuzzNormalizeZoneLine(f *testing.F) {
 			}
 		}
 	}
+	// Master-file records, space- and tab-separated, whose owner name
+	// the gate keeps or drops on its own, and whose rdata holds an ACE
+	// label or a root dot.
+	for _, s := range []string{
+		"xn--ggle-55da.com 3600 IN NS ns1.example.", "XN--GGLE-55DA.COM.\t3600\tIN\tA\t1.2.3.4\r\n",
+		"plain.com. 3600 IN NS ns1.xn--p1ai.", "plain.com IN TXT xn--a", "xn--a IN TXT b",
+		"rnicrosoft.com 300 IN A 10.0.0.1", " . IN NS xn--a.com.", "xn--a.com.\f\vb",
+	} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, line string) {
-		got, ok := NormalizeZoneLine([]byte(line))
-		want, wantOK := naiveNormalizeZoneLine(line)
-		if ok != wantOK {
-			t.Fatalf("NormalizeZoneLine(%q) keep = %v, naive = %v", line, ok, wantOK)
-		}
-		if ok && string(got) != want {
-			t.Fatalf("NormalizeZoneLine(%q) = %q, naive = %q", line, got, want)
-		}
-		got, ok = NormalizeZoneLineAll([]byte(line))
-		want, wantOK = naiveNormalizeZoneLineAll(line)
-		if ok != wantOK || string(got) != want {
-			t.Fatalf("NormalizeZoneLineAll(%q) = %q, %v; naive = %q, %v", line, got, ok, want, wantOK)
+		for _, be := range []Backend{BackendPostings, BackendSkeleton, BackendBoth} {
+			got, ok := NormalizeZoneLine([]byte(line), be)
+			want, wantOK := naiveNormalizeZoneLine(line, be)
+			if ok != wantOK || string(got) != want {
+				t.Fatalf("NormalizeZoneLine(%q, %v) = %q, %v; naive = %q, %v", line, be, got, ok, want, wantOK)
+			}
 		}
 	})
 }
@@ -467,13 +475,13 @@ func TestNormalizeZoneLineAllocs(t *testing.T) {
 	buf := make([]byte, 64)
 	if n := testing.AllocsPerRun(200, func() {
 		copy(buf, idn)
-		NormalizeZoneLine(buf[:len(idn)])
+		NormalizeZoneLine(buf[:len(idn)], BackendPostings)
 	}); n != 0 {
 		t.Errorf("NormalizeZoneLine(IDN) allocates %.1f/line", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		copy(buf, plain)
-		NormalizeZoneLine(buf[:len(plain)])
+		NormalizeZoneLine(buf[:len(plain)], BackendPostings)
 	}); n != 0 {
 		t.Errorf("NormalizeZoneLine(plain) allocates %.1f/line", n)
 	}
@@ -500,14 +508,14 @@ func TestDetectDomainBytesMissAllocs(t *testing.T) {
 	// Warm the detector's scratch pool outside the measured region.
 	for _, l := range lines {
 		buf = append(buf[:0], l...)
-		if fqdn, ok := NormalizeZoneLine(buf); ok {
+		if fqdn, ok := NormalizeZoneLine(buf, BackendPostings); ok {
 			det.DetectDomainBytesBackend(fqdn, BackendPostings)
 		}
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		for _, l := range lines {
 			buf = append(buf[:0], l...)
-			fqdn, ok := NormalizeZoneLine(buf)
+			fqdn, ok := NormalizeZoneLine(buf, BackendPostings)
 			if !ok {
 				continue
 			}
@@ -520,9 +528,9 @@ func TestDetectDomainBytesMissAllocs(t *testing.T) {
 	}
 }
 
-// TestDetectStreamBytesMatchesBatch: the pooled-buffer stream must find
-// exactly what the batch API finds.
-func TestDetectStreamBytesMatchesBatch(t *testing.T) {
+// TestDetectLinesMatchesBatch: the line reader must find exactly what
+// the batch API finds.
+func TestDetectLinesMatchesBatch(t *testing.T) {
 	fw := framework(t)
 	det := fw.NewDetector([]string{"google", "facebook", "amazon"})
 	ace1, _ := ToASCII("gооgle")   // Cyrillic о ×2
@@ -530,23 +538,12 @@ func TestDetectStreamBytesMatchesBatch(t *testing.T) {
 	labels := []string{ace1, "clean-label", ace2, "another", ace1}
 	want := det.Detect(labels)
 
-	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 80); return &b }}
-	in := make(chan *[]byte, 4)
-	go func() {
-		defer close(in)
-		for _, l := range labels {
-			bp := pool.Get().(*[]byte)
-			*bp = append((*bp)[:0], l...)
-			in <- bp
-		}
-	}()
-	var got []Match
-	for m := range det.DetectStream(in, 3, pool, BackendPostings) {
-		got = append(got, m)
+	got, scanned, err := det.DetectLines(strings.NewReader(strings.Join(labels, "\n")), 3, BackendPostings)
+	if err != nil || scanned != 3 {
+		t.Fatalf("scanned %d lines, err %v; want 3 IDN lines", scanned, err)
 	}
-	SortMatches(got)
 	if len(got) != len(want) {
-		t.Fatalf("stream found %d matches, batch %d", len(got), len(want))
+		t.Fatalf("lines found %d matches, batch %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].IDN != want[i].IDN || got[i].Reference != want[i].Reference || got[i].Unicode != want[i].Unicode {
@@ -555,9 +552,8 @@ func TestDetectStreamBytesMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestDetectMultiTLDEndToEnd drives the exact cmdDetect pipeline —
-// NormalizeZoneLine feeding pooled buffers into DetectStream — over a
-// zone slice spanning .com, .net, a multi-label suffix, and an IDN TLD.
+// TestDetectMultiTLDEndToEnd drives cmdDetect's pipeline, DetectLines,
+// over a zone slice spanning .com, .net, a multi-label suffix, and an IDN TLD.
 // The seed pipeline (strip ".com", treat the rest as one label)
 // silently missed every non-.com line here (internal/core's
 // TestLabelPathDoesNotSplit re-enacts that miss); the test asserts the
@@ -577,27 +573,10 @@ func TestDetectMultiTLDEndToEnd(t *testing.T) {
 		strings.ToUpper(g) + ".NET.", // uppercase + root dot
 	}
 
-	// The real pipeline, verbatim from cmdDetect.
-	labels := make(chan *[]byte, 4)
-	pool := &sync.Pool{New: func() any { b := make([]byte, 0, 80); return &b }}
-	go func() {
-		defer close(labels)
-		for _, line := range zone {
-			buf := []byte(line)
-			label, ok := NormalizeZoneLine(buf)
-			if !ok {
-				continue
-			}
-			bp := pool.Get().(*[]byte)
-			*bp = append((*bp)[:0], label...)
-			labels <- bp
-		}
-	}()
-	var matches []Match
-	for m := range det.DetectStream(labels, 2, pool, BackendPostings) {
-		matches = append(matches, m)
+	matches, _, err := det.DetectLines(strings.NewReader(strings.Join(zone, "\n")), 2, BackendPostings)
+	if err != nil {
+		t.Fatal(err)
 	}
-	SortMatches(matches)
 
 	type hit struct{ fqdn, ref, tld, imitated string }
 	var got []hit

@@ -11,9 +11,10 @@ import (
 
 // TestDetectSurface pins the exported detection methods: one per input
 // shape on the detectors — a sorted batch, one name as a string, one
-// name as a reused buffer, and a stream of pooled buffers — plus the
-// seed linear oracle in core, and none on the engines, whose callers
-// take the detector once per query (Engine.Current or Engine.Detector).
+// name as a reused buffer, and the lines of a domain list or zone
+// file — plus the seed linear oracle in core, and none on the engines,
+// whose callers take the detector once per query (Engine.Current or
+// Engine.Detector).
 func TestDetectSurface(t *testing.T) {
 	detectMethods := func(v any) []string {
 		var names []string
@@ -26,7 +27,7 @@ func TestDetectSurface(t *testing.T) {
 		}
 		return names
 	}
-	facade := []string{"Detect", "DetectDomainBackend", "DetectDomainBytesBackend", "DetectStream"}
+	facade := []string{"Detect", "DetectDomainBackend", "DetectDomainBytesBackend", "DetectLines"}
 	for _, c := range []struct {
 		typ  string
 		v    any
