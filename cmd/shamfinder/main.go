@@ -45,10 +45,9 @@ import (
 
 	"repro"
 	"repro/internal/blacklist"
-	"repro/internal/dnsclient"
+	"repro/internal/homoglyph"
 	"repro/internal/service"
 	"repro/internal/triage"
-	"repro/internal/webclassify"
 )
 
 func main() {
@@ -343,7 +342,7 @@ func cmdSurvey(args []string) error {
 	dnsWorkers := fs.Int("dns-workers", 16, "concurrent DNS probes")
 	webWorkers := fs.Int("web-workers", 16, "concurrent web fetches")
 	rate := fs.Float64("rate", 0, "max DNS probes per second across workers; 0 = unlimited")
-	retries := fs.Int("retries", 1, "extra attempts per failed DNS probe; negative = none")
+	retries := fs.Int("retries", 1, "extra attempts per failed DNS probe; 0 or negative = none")
 	stageTimeout := fs.Duration("stage-timeout", 15*time.Second, "per-domain ceiling in one pipeline stage")
 	dnsTimeout := fs.Duration("dns-timeout", 2*time.Second, "per-attempt DNS query timeout")
 	webTimeout := fs.Duration("web-timeout", 3*time.Second, "per-fetch HTTP timeout")
@@ -423,62 +422,48 @@ func cmdSurvey(args []string) error {
 		}
 	}
 
-	cfg := triage.Config{
-		Blacklists:    feeds,
-		DNSWorkers:    *dnsWorkers,
-		WebWorkers:    *webWorkers,
-		RateLimit:     *rate,
-		Retries:       *retries,
-		StageTimeout:  *stageTimeout,
-		Resume:        resume,
-		SkipDNS:       *skipDNS,
-		SkipWeb:       *skipWeb,
-		SkipBlacklist: feeds == nil,
+	spec := triage.Spec{
+		Resolver:       *resolver,
+		Transport:      *dnsTransport,
+		DNSWorkers:     *dnsWorkers,
+		WebWorkers:     *webWorkers,
+		Rate:           *rate,
+		Retries:        retries,
+		StageTimeoutMS: int(stageTimeout.Milliseconds()),
+		DNSTimeoutMS:   int(dnsTimeout.Milliseconds()),
+		WebTimeoutMS:   int(webTimeout.Milliseconds()),
+		SkipDNS:        *skipDNS,
+		SkipWeb:        *skipWeb,
 	}
-	if *parkingNS != "" {
-		for _, p := range strings.Split(*parkingNS, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.ParkingNS = append(cfg.ParkingNS, p)
-			}
+	var parking []string
+	for _, p := range strings.Split(*parkingNS, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			parking = append(parking, p)
 		}
 	}
-	if !*skipDNS {
-		transport, err := dnsclient.ParseTransport(*dnsTransport)
-		if err != nil {
-			return fmt.Errorf("survey: %w", err)
+	resolve := func(domain string, port int) string {
+		if port == 443 && *httpsAddr != "" {
+			return *httpsAddr
 		}
-		client := dnsclient.New(*resolver)
-		client.Transport = transport
-		client.Timeout = *dnsTimeout
-		// -retries is the one retry knob: the pipeline owns the policy,
-		// so the client's own UDP retransmits are disabled rather than
-		// silently multiplying it.
-		client.Retries = 0
-		defer client.Close()
-		cfg.DNS = client
+		if port != 443 && *httpAddr != "" {
+			return *httpAddr
+		}
+		return net.JoinHostPort(domain, strconv.Itoa(port))
 	}
-	if !*skipWeb {
-		classifier := &webclassify.Classifier{
-			Resolve: func(domain string, port int) string {
-				if port == 443 && *httpsAddr != "" {
-					return *httpsAddr
-				}
-				if port != 443 && *httpAddr != "" {
-					return *httpAddr
-				}
-				return net.JoinHostPort(domain, strconv.Itoa(port))
-			},
-			Timeout:   *webTimeout,
-			UserAgent: *userAgent,
-		}
-		if fw != nil {
-			classifier.Reverter = fw.RevertDomain
-		}
-		if feeds != nil {
-			classifier.IsMalicious = feeds.AnyContains
-		}
-		cfg.Classifier = classifier
+	// Brand-redirect reversion needs the homoglyph DB, which a -matches
+	// run without -refs or -snapshot never loads.
+	var glyphs *homoglyph.DB
+	if fw != nil {
+		glyphs = fw.DB()
 	}
+	cfg, err := spec.Config(resolve, *userAgent, feeds, parking, glyphs)
+	if err != nil {
+		return fmt.Errorf("survey: %w", err)
+	}
+	if cfg.DNS != nil {
+		defer cfg.DNS.Close()
+	}
+	cfg.Resume = resume
 	p, err := triage.New(cfg)
 	if err != nil {
 		return err

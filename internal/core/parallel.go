@@ -72,41 +72,47 @@ func fanOut(workers int, scan func(w int) []Match) []Match {
 
 // NormalizeZoneLine prepares one line of a domain list or zone file, or
 // one queried name, for detection under backend be, in place and
-// without allocating: ASCII whitespace is trimmed, one trailing root
-// dot is dropped and ASCII letters are lowercased. Under the posting
-// backend the line must also hold a candidate, an ACE label left of
-// its suffix, a bare ACE label or a non-ASCII byte, since no other
-// name can match there; a backend with the skeleton index keeps every
-// non-blank line, because a pure-ASCII "rnicrosoft.com" is the class
-// it exists to catch. A kept line with an inner space or tab is a
-// master-file record ("name TTL IN NS ..."): its first field, the
-// owner name, is normalized and gated again on its own, so a line the
-// gate rejects costs no field cut. The returned name aliases line.
+// without allocating: one leading byte-order mark is dropped, ASCII
+// whitespace is trimmed, one trailing root dot is dropped and ASCII
+// letters are lowercased. Under the posting backend the line must also
+// hold a candidate, an ACE label left of its suffix, a bare ACE label
+// or a non-ASCII byte, since no other name can match there; a backend
+// with the skeleton index keeps every non-blank line, because a
+// pure-ASCII "rnicrosoft.com" is the class it exists to catch. A kept
+// line with an inner space or tab is a master-file record ("name TTL
+// IN NS ..."): its first field, the owner name, is normalized and gated
+// again on its own, so a line the gate rejects costs no field cut. The
+// returned name aliases line.
 //
 //shamlint:noalloc
 func NormalizeZoneLine(line []byte, be Backend) ([]byte, bool) {
-	var name []byte
-	var ok bool
-	if be&BackendSkeleton != 0 {
-		name, ok = domain.NormalizeZoneLineAll(line)
-	} else {
-		name, ok = domain.NormalizeZoneLine(line)
+	if len(line) >= 3 && line[0] == 0xEF && line[1] == 0xBB && line[2] == 0xBF {
+		line = line[3:] // a UTF-8 byte-order mark
 	}
-	if !ok {
-		return nil, false
+	for {
+		var name []byte
+		var ok bool
+		if be&BackendSkeleton != 0 {
+			name, ok = domain.NormalizeZoneLineAll(line)
+		} else {
+			name, ok = domain.NormalizeZoneLine(line)
+		}
+		if !ok {
+			return nil, false
+		}
+		field := name
+		if i := bytes.IndexByte(field, ' '); i >= 0 {
+			field = field[:i]
+		}
+		if i := bytes.IndexByte(field, '\t'); i >= 0 {
+			field = field[:i]
+		}
+		if len(field) == len(name) {
+			return name, true
+		}
+		// The field holds no blank, so this loops once more.
+		line = field
 	}
-	field := name
-	if i := bytes.IndexByte(field, ' '); i >= 0 {
-		field = field[:i]
-	}
-	if i := bytes.IndexByte(field, '\t'); i >= 0 {
-		field = field[:i]
-	}
-	if len(field) < len(name) {
-		// The field holds no blank, so this recurses once.
-		return NormalizeZoneLine(field, be)
-	}
-	return name, true
 }
 
 // lineBlock is the size of the blocks in which DetectLines hands kept

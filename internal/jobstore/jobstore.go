@@ -59,30 +59,6 @@ func Terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCancelled
 }
 
-// Spec is the replayable half of a survey request: everything needed to
-// rebuild the job's triage pipeline in a fresh process. It deliberately
-// excludes the candidate list (the manifest carries the post-detection
-// Inputs instead, so a resume never re-detects against a newer engine
-// epoch).
-type Spec struct {
-	Resolver  string `json:"resolver,omitempty"`
-	Transport string `json:"dns_transport,omitempty"`
-	// Backend names the detection backend the submit-time detect stage
-	// ran with ("postings", "skeleton", "both"); recorded so a replayed
-	// manifest shows how its inputs were selected.
-	Backend        string  `json:"backend,omitempty"`
-	DNSWorkers     int     `json:"dns_workers,omitempty"`
-	WebWorkers     int     `json:"web_workers,omitempty"`
-	Rate           float64 `json:"rate,omitempty"`
-	Retries        *int    `json:"retries,omitempty"`
-	StageTimeoutMS int     `json:"stage_timeout_ms,omitempty"`
-	DNSTimeoutMS   int     `json:"dns_timeout_ms,omitempty"`
-	WebTimeoutMS   int     `json:"web_timeout_ms,omitempty"`
-	SkipDNS        bool    `json:"skip_dns,omitempty"`
-	SkipWeb        bool    `json:"skip_web,omitempty"`
-	SkipBlacklist  bool    `json:"skip_blacklist,omitempty"`
-}
-
 // Manifest is one job's durable descriptor.
 type Manifest struct {
 	ID    string `json:"id"`
@@ -92,7 +68,8 @@ type Manifest struct {
 	Epoch    uint64 `json:"epoch"`
 	Queried  int    `json:"queried"`
 	Detected int    `json:"detected"`
-	Spec     Spec   `json:"spec"`
+	// Spec rebuilds the job's pipeline in a fresh process.
+	Spec triage.Spec `json:"spec"`
 	// Inputs is the exact post-detection triage input list; replaying it
 	// with the record log as a resume set reproduces the job
 	// byte-identically.

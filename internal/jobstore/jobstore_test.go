@@ -1,6 +1,7 @@
 package jobstore
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +18,7 @@ func testManifest(id string) Manifest {
 		Epoch:    7,
 		Queried:  3,
 		Detected: 2,
-		Spec: Spec{
+		Spec: triage.Spec{
 			Resolver:   "127.0.0.1:5353",
 			DNSWorkers: 4,
 			Rate:       10,
@@ -332,5 +333,33 @@ func TestLoadRecords(t *testing.T) {
 	}
 	if recs, err := s.LoadRecords("j404"); err != nil || recs != nil {
 		t.Fatalf("LoadRecords on missing job = %+v, %v", recs, err)
+	}
+}
+
+// TestManifestSpecBytesStable: a manifest with every spec field set, in
+// the bytes earlier releases wrote, decodes and re-encodes unchanged,
+// so a job accepted before an upgrade resumes with the same spec and
+// rewrites the same manifest. The explicit "retries":0 must survive.
+func TestManifestSpecBytesStable(t *testing.T) {
+	const written = `{"id":"j7","state":"running","epoch":3,"queried":5,"detected":2,` +
+		`"spec":{"resolver":"127.0.0.1:5353","dns_transport":"dot","backend":"skeleton",` +
+		`"dns_workers":4,"web_workers":8,"rate":2.5,"retries":0,"stage_timeout_ms":9000,` +
+		`"dns_timeout_ms":1500,"web_timeout_ms":2500,"skip_dns":true,"skip_web":true,"skip_blacklist":true},` +
+		`"inputs":[{"FQDN":"xn--ggle-55da.com","Reference":"google.com","Source":"UC"}],` +
+		`"journal_path":"deltas.out","journal_from":10,"journal_to":20,"resumes":1,` +
+		`"created_unix":1700000000,"updated_unix":1700000001}`
+	var m Manifest
+	if err := json.Unmarshal([]byte(written), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Spec.Retries == nil || *m.Spec.Retries != 0 {
+		t.Fatalf("retries = %v, want an explicit 0", m.Spec.Retries)
+	}
+	got, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != written {
+		t.Fatalf("re-encoded\n%s\nwant\n%s", got, written)
 	}
 }

@@ -1,12 +1,12 @@
 package service
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/url"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/jobstore"
 	"repro/internal/triage"
 )
 
@@ -82,25 +82,28 @@ func TestExplainBackendParam(t *testing.T) {
 }
 
 // The survey submit path runs its detect stage under the requested
-// backend and records the resolved backend in the durable spec, with
-// skeleton-only matches attributed to the TR39 mapping.
+// backend and records the resolved backend in the job's spec: an
+// explicit "skeleton" as given, and an empty one as the server default.
 func TestSurveyBackendSpec(t *testing.T) {
-	req := surveyRequest{
-		FQDNs:   []string{"rnicrosoft.com", "plain.com"},
-		Backend: "skeleton",
-		SkipDNS: true,
-		SkipWeb: true,
-	}
-	spec := req.spec(core.BackendSkeleton)
-	if spec.Backend != "skeleton" {
-		t.Fatalf("spec.Backend = %q", spec.Backend)
-	}
-	var zero jobstore.Spec
-	zero.Backend = "skeleton"
-	zero.SkipDNS = true
-	zero.SkipWeb = true
-	if spec != zero {
-		t.Fatalf("spec = %+v", spec)
+	s, ts := newTestServer(t, []string{"microsoft"}, Config{})
+	for _, c := range []struct{ backend, want string }{{"skeleton", "skeleton"}, {"", "postings"}} {
+		resp, data := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
+			FQDNs: []string{"rnicrosoft.com", "plain.com"},
+			Spec:  triage.Spec{Backend: c.backend, SkipDNS: true, SkipWeb: true},
+		})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d: %s", resp.StatusCode, data)
+		}
+		var acc surveyAcceptedResp
+		if err := json.Unmarshal(data, &acc); err != nil {
+			t.Fatal(err)
+		}
+		job, _ := s.surveys.get(acc.ID)
+		want := triage.Spec{Backend: c.want, SkipDNS: true, SkipWeb: true}
+		if job.spec != want {
+			t.Fatalf("backend %q: spec = %+v, want %+v", c.backend, job.spec, want)
+		}
+		pollSurvey(t, ts, acc.ID)
 	}
 }
 

@@ -2,15 +2,12 @@ package service
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/blacklist"
-	"repro/internal/core"
-	"repro/internal/dnsclient"
 	"repro/internal/jobstore"
 	"repro/internal/triage"
 	"repro/internal/webclassify"
@@ -38,15 +35,10 @@ type SurveyConfig struct {
 	Resolve webclassify.Resolver
 	// Blacklists enables the blacklist stage.
 	Blacklists *blacklist.Set
-	// ParkingNS are parking-provider NS suffixes for the
-	// parked-by-delegation first pass.
-	ParkingNS []string
 	// MaxJobs bounds concurrently running surveys; more are rejected
 	// with 429 (HTTP) or queued (batcher submissions and restart
 	// recovery). 0 means 2.
 	MaxJobs int
-	// MaxDomains bounds one survey's candidate list. 0 means 100000.
-	MaxDomains int
 
 	// Store, when non-nil, makes every job durable: manifests and
 	// record logs live under its directory and interrupted jobs resume
@@ -65,57 +57,26 @@ type SurveyConfig struct {
 	StallTimeout time.Duration
 }
 
+// surveyRequest is a /v1/survey body: the candidates, whether to
+// detect first, and the pipeline spec. The spec's Backend selects the
+// detection backend for that filter ("postings", "skeleton", "both";
+// empty means the server default) and is recorded resolved, so a
+// manifest names the backend that actually ran; its Resolver is
+// required unless SkipDNS.
 type surveyRequest struct {
 	FQDNs []string `json:"fqdns"`
-	// Resolver is the DNS server to probe ("host:port"). Required
-	// unless SkipDNS.
-	Resolver string `json:"resolver,omitempty"`
-	// Transport selects the probing transport: "udp" (default), "tcp",
-	// "dot" or "doh".
-	Transport string `json:"dns_transport,omitempty"`
 	// Detect, default true, filters the candidates through the
 	// detection engine first and surveys only the homograph matches.
 	// Explicitly false surveys every submitted FQDN.
 	Detect *bool `json:"detect,omitempty"`
-	// Backend selects the detection backend for that filter ("postings",
-	// "skeleton", "both"); empty means the server default.
-	Backend string `json:"backend,omitempty"`
-
-	DNSWorkers     int     `json:"dns_workers,omitempty"`
-	WebWorkers     int     `json:"web_workers,omitempty"`
-	Rate           float64 `json:"rate,omitempty"`
-	Retries        *int    `json:"retries,omitempty"`
-	StageTimeoutMS int     `json:"stage_timeout_ms,omitempty"`
-	DNSTimeoutMS   int     `json:"dns_timeout_ms,omitempty"`
-	WebTimeoutMS   int     `json:"web_timeout_ms,omitempty"`
-	SkipDNS        bool    `json:"skip_dns,omitempty"`
-	SkipWeb        bool    `json:"skip_web,omitempty"`
-	SkipBlacklist  bool    `json:"skip_blacklist,omitempty"`
+	triage.Spec
 }
 
-// spec maps the request's pipeline knobs onto the durable job spec —
-// the two shapes are field-for-field identical so a manifest replays
-// exactly what the client asked for.
-// The detect-stage backend is recorded in its resolved form (spec
-// callers pass it through requestBackend first), so a manifest always
-// names the backend that actually ran, not the empty default.
-func (req surveyRequest) spec(be core.Backend) jobstore.Spec {
-	return jobstore.Spec{
-		Resolver:       req.Resolver,
-		Transport:      req.Transport,
-		Backend:        be.String(),
-		DNSWorkers:     req.DNSWorkers,
-		WebWorkers:     req.WebWorkers,
-		Rate:           req.Rate,
-		Retries:        req.Retries,
-		StageTimeoutMS: req.StageTimeoutMS,
-		DNSTimeoutMS:   req.DNSTimeoutMS,
-		WebTimeoutMS:   req.WebTimeoutMS,
-		SkipDNS:        req.SkipDNS,
-		SkipWeb:        req.SkipWeb,
-		SkipBlacklist:  req.SkipBlacklist,
-	}
-}
+// maxSurveyDomains bounds one survey's candidate list.
+const maxSurveyDomains = 100000
+
+// surveyUserAgent identifies the serving layer's web fetches.
+const surveyUserAgent = "ShamFinder-Survey/1.0"
 
 type surveyAcceptedResp struct {
 	ID       string `json:"id"`
@@ -158,7 +119,7 @@ type surveyJob struct {
 	epoch    uint64
 	queried  int
 	detected int
-	spec     jobstore.Spec
+	spec     triage.Spec
 	inputs   []triage.Input
 	durable  bool
 	// resume marks a job recovered mid-flight: launch prepares its
@@ -430,19 +391,15 @@ func (s *Server) handleSurveySubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	maxDomains := s.surveyCfg.MaxDomains
-	if maxDomains <= 0 {
-		maxDomains = 100000
-	}
 	if len(req.FQDNs) == 0 {
 		s.met.badInput.Add(1)
 		writeError(w, http.StatusBadRequest, `need "fqdns"`)
 		return
 	}
-	if len(req.FQDNs) > maxDomains {
+	if len(req.FQDNs) > maxSurveyDomains {
 		s.met.badInput.Add(1)
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("survey of %d exceeds limit %d", len(req.FQDNs), maxDomains))
+			fmt.Sprintf("survey of %d exceeds limit %d", len(req.FQDNs), maxSurveyDomains))
 		return
 	}
 	if !req.SkipDNS && req.Resolver == "" {
@@ -456,6 +413,7 @@ func (s *Server) handleSurveySubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	req.Backend = be.String()
 
 	// Claim the running-job slot FIRST: a request the cap will reject
 	// must be shed before it pays for detection, the way /v1/detect's
@@ -490,7 +448,7 @@ func (s *Server) handleSurveySubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	job, err := s.startSurvey(surveyStart{
-		spec:    req.spec(be),
+		spec:    req.Spec,
 		inputs:  inputs,
 		queried: len(req.FQDNs),
 		epoch:   epoch,
@@ -516,7 +474,7 @@ func (s *Server) handleSurveySubmit(w http.ResponseWriter, r *http.Request) {
 // [journalFrom, journalTo) is recorded in the job's manifest; on
 // watcher restart the batch cursor resumes after the furthest covered
 // offset.
-func (s *Server) SubmitSurvey(spec jobstore.Spec, inputs []triage.Input, queried int,
+func (s *Server) SubmitSurvey(spec triage.Spec, inputs []triage.Input, queried int,
 	journalPath string, journalFrom, journalTo int64) (string, error) {
 	_, epoch := s.engine.Current()
 	job, err := s.startSurvey(surveyStart{
@@ -536,83 +494,22 @@ func (s *Server) SubmitSurvey(spec jobstore.Spec, inputs []triage.Input, queried
 	return job.id, nil
 }
 
-// surveyPipelineConfig maps a job spec onto the triage config, bounded
-// to keep one client from monopolizing the process.
-func (s *Server) surveyPipelineConfig(spec jobstore.Spec) (triage.Config, error) {
-	clamp := func(v, def, max int) int {
-		if v <= 0 {
-			return def
-		}
-		if v > max {
-			return max
-		}
-		return v
+// jobConfig builds a job's pipeline config from its spec, bounded
+// first so one client cannot monopolize the process: at most 128
+// workers per stage, at least one probe a second when rate-limited,
+// and a stage timeout of at most two minutes. A survey of
+// maxSurveyDomains at 0.001 qps, or with a multi-day stage timeout,
+// would pin a running-jobs slot effectively forever. The manifest keeps
+// the spec as submitted. Brand redirects revert through the homoglyph
+// DB of the detector the job launches on.
+func (s *Server) jobConfig(spec triage.Spec) (triage.Config, error) {
+	spec.DNSWorkers = min(spec.DNSWorkers, 128)
+	spec.WebWorkers = min(spec.WebWorkers, 128)
+	if spec.Rate > 0 && spec.Rate < 1 {
+		spec.Rate = 1
 	}
-	ms := func(v, def int) time.Duration {
-		if v <= 0 {
-			return time.Duration(def) * time.Millisecond
-		}
-		return time.Duration(v) * time.Millisecond
-	}
-	// Rate and stage timeout are clamped like the worker counts: a
-	// survey of MaxDomains at 0.001 qps, or with a multi-day stage
-	// timeout, would pin a running-jobs slot effectively forever.
-	rate := spec.Rate
-	if rate > 0 && rate < 1 {
-		rate = 1
-	}
-	cfg := triage.Config{
-		DNSWorkers:    clamp(spec.DNSWorkers, 16, 128),
-		WebWorkers:    clamp(spec.WebWorkers, 16, 128),
-		RateLimit:     rate,
-		StageTimeout:  time.Duration(clamp(spec.StageTimeoutMS, 15000, 120000)) * time.Millisecond,
-		SkipDNS:       spec.SkipDNS,
-		SkipWeb:       spec.SkipWeb,
-		SkipBlacklist: spec.SkipBlacklist || s.surveyCfg.Blacklists == nil,
-		Blacklists:    s.surveyCfg.Blacklists,
-		ParkingNS:     s.surveyCfg.ParkingNS,
-	}
-	if spec.Retries != nil {
-		// The pointer distinguishes explicit zero from unset: a client
-		// asking for "retries":0 means none, which the triage config
-		// spells as a negative value (its own zero means "default").
-		cfg.Retries = *spec.Retries
-		if cfg.Retries == 0 {
-			cfg.Retries = -1
-		}
-	}
-	if !spec.SkipDNS {
-		if _, _, err := net.SplitHostPort(spec.Resolver); err != nil {
-			return cfg, fmt.Errorf("bad resolver %q: %v", spec.Resolver, err)
-		}
-		transport, err := dnsclient.ParseTransport(spec.Transport)
-		if err != nil {
-			return cfg, fmt.Errorf("bad dns_transport %q: %v", spec.Transport, err)
-		}
-		client := dnsclient.New(spec.Resolver)
-		client.Transport = transport
-		client.Timeout = ms(spec.DNSTimeoutMS, 2000)
-		client.Retries = 0 // the pipeline's "retries" knob owns retry policy
-		cfg.DNS = client
-	}
-	if !spec.SkipWeb {
-		resolve := s.surveyCfg.Resolve
-		if resolve == nil {
-			resolve = func(domain string, port int) string {
-				return net.JoinHostPort(domain, strconv.Itoa(port))
-			}
-		}
-		classifier := &webclassify.Classifier{
-			Resolve:   resolve,
-			Timeout:   ms(spec.WebTimeoutMS, 3000),
-			UserAgent: "ShamFinder-Survey/1.0",
-		}
-		if s.surveyCfg.Blacklists != nil {
-			classifier.IsMalicious = s.surveyCfg.Blacklists.AnyContains
-		}
-		cfg.Classifier = classifier
-	}
-	return cfg, nil
+	spec.StageTimeoutMS = min(spec.StageTimeoutMS, 120000)
+	return spec.Config(s.surveyCfg.Resolve, surveyUserAgent, s.surveyCfg.Blacklists, nil, s.engine.DB())
 }
 
 func (s *Server) handleSurveyStatus(w http.ResponseWriter, r *http.Request) {

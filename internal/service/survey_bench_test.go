@@ -34,7 +34,7 @@ func BenchmarkDeltasToTally(b *testing.B) {
 			Source:    "UC",
 		}
 	}
-	spec := jobstore.Spec{SkipDNS: true, SkipWeb: true}
+	spec := triage.Spec{SkipDNS: true, SkipWeb: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.SubmitSurvey(spec, inputs, batch, "", 0, 0); err != nil {

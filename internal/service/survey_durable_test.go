@@ -80,7 +80,7 @@ func TestSurveyDurableResumeByteIdentical(t *testing.T) {
 		fqdns[i] = fmt.Sprintf("d%02d.com", i)
 	}
 	no := false
-	req := surveyRequest{FQDNs: fqdns, Resolver: resolver, Detect: &no, SkipWeb: true, DNSWorkers: 4}
+	req := surveyRequest{FQDNs: fqdns, Detect: &no, Spec: triage.Spec{Resolver: resolver, SkipWeb: true, DNSWorkers: 4}}
 
 	// The golden run: uninterrupted, start to done.
 	_, goldTS, goldStore := newDurableServer(t, t.TempDir())
@@ -235,9 +235,9 @@ func TestSurveyWatchdogFailsStalledJob(t *testing.T) {
 	// A black-hole resolver with huge stage/DNS timeouts: without the
 	// watchdog this job would pin its slot for minutes.
 	resp, data := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
-		FQDNs:    []string{"w1.com", "w2.com", "w3.com", "w4.com"},
-		Resolver: blackhole, Detect: &no, SkipWeb: true,
-		DNSTimeoutMS: 60000, StageTimeoutMS: 120000,
+		FQDNs:  []string{"w1.com", "w2.com", "w3.com", "w4.com"},
+		Detect: &no,
+		Spec:   triage.Spec{Resolver: blackhole, SkipWeb: true, DNSTimeoutMS: 60000, StageTimeoutMS: 120000},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
@@ -258,7 +258,9 @@ func TestSurveyWatchdogFailsStalledJob(t *testing.T) {
 	}
 	// The slot is free again: a fresh job runs to completion.
 	resp2, data2 := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
-		FQDNs: []string{"after.com"}, Detect: &no, SkipDNS: true, SkipWeb: true,
+		FQDNs:  []string{"after.com"},
+		Detect: &no,
+		Spec:   triage.Spec{SkipDNS: true, SkipWeb: true},
 	})
 	if resp2.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-stall submit = %d: %s", resp2.StatusCode, data2)
@@ -285,7 +287,7 @@ func TestSurveyRecoverOverCapQueues(t *testing.T) {
 		m := jobstore.Manifest{
 			ID: fmt.Sprintf("j%d", i), State: jobstore.StateRunning, Epoch: 1,
 			Queried: 2, Detected: 2,
-			Spec: jobstore.Spec{SkipDNS: true, SkipWeb: true, SkipBlacklist: true},
+			Spec: triage.Spec{SkipDNS: true, SkipWeb: true, SkipBlacklist: true},
 			Inputs: []triage.Input{
 				{FQDN: fmt.Sprintf("a%d.com", i)},
 				{FQDN: fmt.Sprintf("b%d.com", i)},
@@ -338,7 +340,8 @@ func TestSurveyRetentionEviction(t *testing.T) {
 	for i := range ids {
 		resp, data := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
 			FQDNs:  []string{fmt.Sprintf("r%d.com", i)},
-			Detect: &no, SkipDNS: true, SkipWeb: true,
+			Detect: &no,
+			Spec:   triage.Spec{SkipDNS: true, SkipWeb: true},
 		})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d = %d: %s", i, resp.StatusCode, data)
@@ -408,7 +411,8 @@ func TestSurveyCancelRacesCompletion(t *testing.T) {
 		for {
 			resp, data := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
 				FQDNs:  []string{fmt.Sprintf("race%d.com", i)},
-				Detect: &no, SkipDNS: true, SkipWeb: true,
+				Detect: &no,
+				Spec:   triage.Spec{SkipDNS: true, SkipWeb: true},
 			})
 			if resp.StatusCode == http.StatusTooManyRequests && time.Now().Before(deadline) {
 				time.Sleep(5 * time.Millisecond)
@@ -488,7 +492,7 @@ func TestSurveyDeleteOnResumedJob(t *testing.T) {
 	}
 	m := jobstore.Manifest{
 		ID: "j1", State: jobstore.StateRunning, Epoch: 1, Queried: 8, Detected: 8,
-		Spec: jobstore.Spec{
+		Spec: triage.Spec{
 			Resolver: blackhole, SkipWeb: true,
 			DNSWorkers: 1, DNSTimeoutMS: 60000, StageTimeoutMS: 120000,
 		},
@@ -583,7 +587,7 @@ func TestSurveyTerminalManifestBeforeStatus(t *testing.T) {
 	resolver := durableDNS(t)
 	_, ts, store := newDurableServer(t, t.TempDir())
 	no := false
-	req := surveyRequest{FQDNs: []string{"d00.com", "d01.com", "d02.com"}, Resolver: resolver, Detect: &no, SkipWeb: true}
+	req := surveyRequest{FQDNs: []string{"d00.com", "d01.com", "d02.com"}, Detect: &no, Spec: triage.Spec{Resolver: resolver, SkipWeb: true}}
 	for run := 0; run < 5; run++ {
 		resp, data := postJSON(t, ts.URL+"/v1/survey", req)
 		if resp.StatusCode != http.StatusAccepted {

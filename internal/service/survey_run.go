@@ -23,7 +23,7 @@ func (s *Server) store() *jobstore.Store { return s.surveyCfg.Store }
 
 // surveyStart carries one admission into startSurvey.
 type surveyStart struct {
-	spec        jobstore.Spec
+	spec        triage.Spec
 	inputs      []triage.Input
 	queried     int
 	epoch       uint64
@@ -44,7 +44,7 @@ func (s *Server) startSurvey(st surveyStart) (*surveyJob, error) {
 	// Validate the spec up front: a job that cannot build its pipeline
 	// must be rejected at submit, not discovered broken at launch after
 	// it was durably accepted.
-	cfg, err := s.surveyPipelineConfig(st.spec)
+	cfg, err := s.jobConfig(st.spec)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func (s *Server) launch(job *surveyJob) error {
 			return err
 		}
 	}
-	cfg, err := s.surveyPipelineConfig(job.spec)
+	cfg, err := s.jobConfig(job.spec)
 	if err != nil {
 		return err
 	}
@@ -239,7 +239,6 @@ func (s *Server) releaseSurveySlot() {
 // emits it.
 func (s *Server) runSurvey(ctx context.Context, job *surveyJob) {
 	defer s.releaseSurveySlot()
-	defer s.met.surveysActive.Add(-1)
 	defer func() {
 		if job.closeDNS != nil {
 			job.closeDNS()
@@ -276,6 +275,7 @@ func (s *Server) runSurvey(ctx context.Context, job *surveyJob) {
 	if job.durable {
 		f, err := s.store().OpenRecordsAppend(job.id)
 		if err != nil {
+			s.met.surveysActive.Add(-1)
 			s.finalizeSurvey(job, nil, nil, surveyFailed, err.Error(), true)
 			return
 		}
@@ -332,6 +332,10 @@ func (s *Server) runSurvey(ctx context.Context, job *surveyJob) {
 		tally.Add(rec)
 	}
 
+	// The job leaves the active count before its terminal state is
+	// published, so a client that sees it finished never finds it
+	// still counted in /metrics.
+	s.met.surveysActive.Add(-1)
 	runErr := ctx.Err()
 	switch {
 	case writeErr != nil:

@@ -99,8 +99,8 @@ func TestSurveyJobEndToEnd(t *testing.T) {
 		// Mixed candidates: two homographs (different DNS fates), a
 		// plain domain the detector must filter out, and an unknown
 		// homograph-free IDN.
-		FQDNs:    []string{hosted, "plain.com", parked, ace(t, "bücher") + ".com"},
-		Resolver: resolver,
+		FQDNs: []string{hosted, "plain.com", parked, ace(t, "bücher") + ".com"},
+		Spec:  triage.Spec{Resolver: resolver},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
@@ -161,10 +161,9 @@ func TestSurveyDetectFalseSurveysEverything(t *testing.T) {
 	ts, resolver, _ := surveyEnv(t)
 	no := false
 	resp, data := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
-		FQDNs:    []string{"Plain.COM.", "plain.com"},
-		Resolver: resolver,
-		Detect:   &no,
-		SkipWeb:  true,
+		FQDNs:  []string{"Plain.COM.", "plain.com"},
+		Detect: &no,
+		Spec:   triage.Spec{Resolver: resolver, SkipWeb: true},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
@@ -193,13 +192,27 @@ func TestSurveyValidation(t *testing.T) {
 		req  surveyRequest
 		want int
 	}{
-		{"no fqdns", surveyRequest{Resolver: resolver}, http.StatusBadRequest},
+		{"no fqdns", surveyRequest{Spec: triage.Spec{Resolver: resolver}}, http.StatusBadRequest},
 		{"no resolver", surveyRequest{FQDNs: []string{"a.com"}}, http.StatusBadRequest},
-		{"bad resolver", surveyRequest{FQDNs: []string{"a.com"}, Resolver: "not-an-addr"}, http.StatusUnprocessableEntity},
+		{"bad resolver", surveyRequest{FQDNs: []string{"a.com"}, Spec: triage.Spec{Resolver: "not-an-addr"}}, http.StatusUnprocessableEntity},
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/survey", tc.req)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d (%s), want %d", tc.name, resp.StatusCode, data, tc.want)
+		}
+	}
+	// Every request key is accepted; one more is rejected.
+	every := `{"fqdns":["a.com"],"detect":false,"resolver":"` + resolver + `","dns_transport":"tcp","backend":"both",` +
+		`"dns_workers":2,"web_workers":2,"rate":50,"retries":0,"stage_timeout_ms":2000,"dns_timeout_ms":500,` +
+		`"web_timeout_ms":500,"skip_dns":false,"skip_web":true,"skip_blacklist":true`
+	for body, want := range map[string]int{every + "}": http.StatusAccepted, every + `,"parking_ns":["p.example"]}`: http.StatusBadRequest} {
+		resp, data := postJSON(t, ts.URL+"/v1/survey", json.RawMessage(body))
+		if resp.StatusCode != want {
+			t.Errorf("%s: status = %d (%s), want %d", body, resp.StatusCode, data, want)
+		}
+		var acc surveyAcceptedResp
+		if json.Unmarshal(data, &acc) == nil && acc.ID != "" {
+			pollSurvey(t, ts, acc.ID)
 		}
 	}
 	resp, _ := http.Get(ts.URL + "/v1/survey/s999")
@@ -220,8 +233,9 @@ func TestSurveyCancel(t *testing.T) {
 		fqdns[i] = fmt.Sprintf("c%02d.com", i)
 	}
 	resp, data := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
-		FQDNs: fqdns, Resolver: blackhole, Detect: &no, SkipWeb: true,
-		DNSWorkers: 1, DNSTimeoutMS: 200,
+		FQDNs:  fqdns,
+		Detect: &no,
+		Spec:   triage.Spec{Resolver: blackhole, SkipWeb: true, DNSWorkers: 1, DNSTimeoutMS: 200},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
@@ -271,10 +285,9 @@ func TestSurveyDetectFalseNormalizesUnicode(t *testing.T) {
 	ts, resolver, _ := surveyEnv(t)
 	no := false
 	resp, data := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
-		FQDNs:    []string{"gооgle.com"}, // Cyrillic: must probe as xn--ggle-55da.com
-		Resolver: resolver,
-		Detect:   &no,
-		SkipWeb:  true,
+		FQDNs:  []string{"gооgle.com"}, // Cyrillic: must probe as xn--ggle-55da.com
+		Detect: &no,
+		Spec:   triage.Spec{Resolver: resolver, SkipWeb: true},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
@@ -296,7 +309,8 @@ func TestSurveyDetectFalseNormalizesUnicode(t *testing.T) {
 func TestSurveyDeleteEvictsFinishedJob(t *testing.T) {
 	ts, resolver, _ := surveyEnv(t)
 	resp, data := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
-		FQDNs: []string{ace(t, "gооgle") + ".com"}, Resolver: resolver, SkipWeb: true,
+		FQDNs: []string{ace(t, "gооgle") + ".com"},
+		Spec:  triage.Spec{Resolver: resolver, SkipWeb: true},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
@@ -337,14 +351,17 @@ func TestSurveyShedsBeforeDetection(t *testing.T) {
 	defer ts.Close()
 	no := false
 	resp, data := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
-		FQDNs: []string{"slow.com"}, Resolver: blackhole, Detect: &no, SkipWeb: true,
-		DNSTimeoutMS: 2000,
+		FQDNs:  []string{"slow.com"},
+		Detect: &no,
+		Spec:   triage.Spec{Resolver: blackhole, SkipWeb: true, DNSTimeoutMS: 2000},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit = %d: %s", resp.StatusCode, data)
 	}
 	resp2, _ := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
-		FQDNs: []string{"other.com"}, Resolver: blackhole, Detect: &no, SkipWeb: true,
+		FQDNs:  []string{"other.com"},
+		Detect: &no,
+		Spec:   triage.Spec{Resolver: blackhole, SkipWeb: true},
 	})
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second submit = %d, want 429", resp2.StatusCode)
@@ -357,8 +374,9 @@ func TestSurveyShedsBeforeDetection(t *testing.T) {
 	}
 	pollSurvey(t, ts, acc.ID)
 	resp3, data3 := postJSON(t, ts.URL+"/v1/survey", surveyRequest{
-		FQDNs: []string{"third.com"}, Resolver: blackhole, Detect: &no, SkipWeb: true,
-		DNSTimeoutMS: 100,
+		FQDNs:  []string{"third.com"},
+		Detect: &no,
+		Spec:   triage.Spec{Resolver: blackhole, SkipWeb: true, DNSTimeoutMS: 100},
 	})
 	if resp3.StatusCode != http.StatusAccepted {
 		t.Fatalf("third submit = %d: %s", resp3.StatusCode, data3)

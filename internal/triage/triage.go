@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/blacklist"
 	"repro/internal/dnsclient"
-	"repro/internal/resilience"
 	"repro/internal/webclassify"
 )
 
@@ -120,15 +119,9 @@ type Config struct {
 	// a negative value for none. These stack multiplicatively on the
 	// DNS client's own UDP retransmits (dnsclient.Client.Retries,
 	// default 2) — construct the client with Retries: 0 when the
-	// pipeline should own the whole retry policy, as the CLI and
-	// serving layer do.
+	// pipeline should own the whole retry policy, as Spec.Config
+	// does.
 	Retries int
-	// RetryBackoff spaces the pipeline-level DNS retries. A probe that
-	// just failed usually failed because the resolver (or path) is
-	// saturated; an immediate re-probe from every worker at once only
-	// deepens the hole. The zero value keeps the historical
-	// back-to-back behaviour.
-	RetryBackoff resilience.Backoff
 	// StageTimeout bounds one domain's stay in one stage; a probe or
 	// fetch still running when it expires is recorded as an error and
 	// the window moves on. 0 means 15 seconds.
@@ -323,12 +316,6 @@ func (p *Pipeline) dnsStage(ctx context.Context, rec Record) Record {
 	attempts := p.cfg.Retries + 1
 	var res dnsclient.ProbeResult
 	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 && p.cfg.RetryBackoff.Base > 0 {
-			if err := p.cfg.RetryBackoff.Sleep(ctx, attempt-1); err != nil {
-				rec.aborted = true
-				return rec
-			}
-		}
 		if p.limiter != nil {
 			if err := p.limiter.wait(ctx); err != nil {
 				rec.aborted = true // cancelled while queued, not an outcome

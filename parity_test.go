@@ -45,11 +45,10 @@ func TestZoneFeederParity(t *testing.T) {
 		"plain.com", "sub.xn--p1ai",
 	}
 	zone := strings.Join(lines, "\n") + "\n"
-	// The matched FQDNs in DetectLines' order. The line with the
-	// byte-order mark is kept but matches nothing: the mark is part of
-	// its first label.
+	// The matched FQDNs in DetectLines' order. The byte-order mark is
+	// dropped, so the first line matches like any other.
 	postings := []string{
-		"www." + g + ".com", "xn--fcebook-2fg.com", g + ".com", g + ".info", g + ".net", g + ".org",
+		"www." + g + ".com", "xn--fcebook-2fg.com", g + ".biz", g + ".com", g + ".info", g + ".net", g + ".org",
 		g + ".xn--p1ai", "xn--mazon-3ve.co.uk",
 	}
 	skeleton := append([]string{"clropbox.com", "rnicrosoft.com", "vvikipedia.org"}, postings...)

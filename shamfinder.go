@@ -38,6 +38,7 @@ import (
 	"repro/internal/reflist"
 	"repro/internal/simchar"
 	"repro/internal/snapshot"
+	"repro/internal/triage"
 	"repro/internal/ucd"
 )
 
@@ -301,21 +302,9 @@ func (f *Framework) Revert(label string) string { return f.db.Revert(label) }
 // domain it plausibly imitates: the registrable label is decoded,
 // reverted through Revert, and the public suffix reattached —
 // "www.xn--ggle-55da.co.uk" → "google.co.uk". Reports false when the
-// registrable label does not decode. This is the reverter the triage
-// pipeline's brand-redirect classification and `shamfinder revert`
-// share.
-func (f *Framework) RevertDomain(fqdn string) (string, bool) {
-	label, tld := domain.Registrable(fqdn)
-	uni, err := punycode.ToUnicodeLabel(label)
-	if err != nil {
-		return "", false
-	}
-	reverted := f.Revert(uni)
-	if tld != "" {
-		reverted += "." + tld
-	}
-	return reverted, true
-}
+// registrable label does not decode. The survey pipeline's
+// brand-redirect classification reverts the same way.
+func (f *Framework) RevertDomain(fqdn string) (string, bool) { return triage.RevertDomain(f.db, fqdn) }
 
 // Warn builds the Figure 12 warning context for a detected match.
 func (f *Framework) Warn(m Match) Warning { return core.BuildWarning(m) }

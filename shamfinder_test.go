@@ -303,15 +303,15 @@ func TestNormalizeZoneLine(t *testing.T) {
 }
 
 // naiveNormalizeZoneLine is the allocation-heavy reference
-// implementation of the zone-line contract under backend be: ASCII
-// whitespace trimmed, the first space- or tab-separated field kept (a
+// implementation of the zone-line contract under backend be: one
+// leading byte-order mark dropped, ASCII whitespace trimmed, the first space- or tab-separated field kept (a
 // master-file record's owner name) and trimmed, one root dot dropped,
 // the scannable-candidate gate unless be includes the skeleton index,
 // ASCII lowercase. The in-place NormalizeZoneLine is differentially
 // fuzzed against it.
 func naiveNormalizeZoneLine(line string, be Backend) (string, bool) {
 	const space = " \t\r\n\f\v"
-	s := strings.Trim(line, space)
+	s := strings.Trim(strings.TrimPrefix(line, "\ufeff"), space)
 	if i := strings.IndexAny(s, " \t"); i >= 0 {
 		s = strings.Trim(s[:i], space)
 	}
@@ -397,8 +397,8 @@ func TestNormalizeZoneLineWordBoundaries(t *testing.T) {
 // FuzzNormalizeZoneLine: the in-place fast paths, gated under the
 // posting backend and ungated under the skeleton backend and both, must
 // agree with the naive reference on arbitrary bytes — including
-// non-UTF-8 garbage, interior dots, whitespace runs and master-file
-// records. `go test` runs the seed corpus;
+// non-UTF-8 garbage, interior dots, whitespace runs, master-file
+// records and byte-order marks. `go test` runs the seed corpus;
 // `go test -fuzz=FuzzNormalizeZoneLine` explores further.
 func FuzzNormalizeZoneLine(f *testing.F) {
 	for _, s := range []string{
@@ -453,6 +453,14 @@ func FuzzNormalizeZoneLine(f *testing.F) {
 		"xn--ggle-55da.com 3600 IN NS ns1.example.", "XN--GGLE-55DA.COM.\t3600\tIN\tA\t1.2.3.4\r\n",
 		"plain.com. 3600 IN NS ns1.xn--p1ai.", "plain.com IN TXT xn--a", "xn--a IN TXT b",
 		"rnicrosoft.com 300 IN A 10.0.0.1", " . IN NS xn--a.com.", "xn--a.com.\f\vb",
+	} {
+		f.Add(s)
+	}
+	// Byte-order marks: one leading mark is dropped before the gate; a
+	// second, or one after whitespace, stays part of the name.
+	for _, s := range []string{
+		"\ufeffxn--a.com", "\ufeffplain.com", "\ufeff", "\ufeff\ufeffxn--a.com", " \ufeffxn--a.com",
+		"\ufeff\ufeffplain.com 3600 IN NS a.", "\ufeffXN--A.COM.\t3600\tIN\tA\t1.2.3.4\r\n", "\xef\xbbxn--a.com",
 	} {
 		f.Add(s)
 	}

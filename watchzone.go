@@ -200,7 +200,7 @@ func WatchZone(ctx context.Context, opt WatchZoneOptions) error {
 			// Batched jobs re-probe through the same resolver the watcher
 			// uses; without one the DNS stage is skipped rather than left
 			// to dial a default it was never given.
-			spec := jobstore.Spec{
+			spec := triage.Spec{
 				Resolver:  opt.Resolver,
 				Transport: string(transport),
 				SkipDNS:   opt.Resolver == "",
