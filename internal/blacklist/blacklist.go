@@ -138,10 +138,12 @@ func (s *Set) Feeds() []*Feed {
 	return []*Feed{s.HpHosts, s.GSB, s.Symantec}
 }
 
-// AnyContains reports whether any feed lists domain.
+// AnyContains reports whether any feed lists domain. A nil feed lists
+// nothing, as in the triage blacklist stage, so a set that fills in
+// only some feeds can back a web classifier's IsMalicious.
 func (s *Set) AnyContains(domain string) bool {
 	for _, f := range s.Feeds() {
-		if f.Contains(domain) {
+		if f != nil && f.Contains(domain) {
 			return true
 		}
 	}

@@ -79,6 +79,23 @@ func TestSetAnyContains(t *testing.T) {
 	}
 }
 
+// TestSetAnyContainsSkipsNilFeeds: a set with only some feeds filled
+// in answers from those, as the triage blacklist stage does, where it
+// used to dereference the nil ones.
+func TestSetAnyContainsSkipsNilFeeds(t *testing.T) {
+	hp := NewFeed("hpHosts")
+	hp.Add("bad.com")
+	for _, s := range []*Set{{HpHosts: hp}, {GSB: hp}, {Symantec: hp}, {}} {
+		want := s.HpHosts != nil || s.GSB != nil || s.Symantec != nil
+		if got := s.AnyContains("bad.com"); got != want {
+			t.Errorf("%+v: AnyContains(bad.com) = %v, want %v", s, got, want)
+		}
+		if s.AnyContains("ok.com") {
+			t.Errorf("%+v: AnyContains(ok.com) = true", s)
+		}
+	}
+}
+
 func TestTableFourteenCounts(t *testing.T) {
 	s := &Set{HpHosts: NewFeed("hpHosts"), GSB: NewFeed("GSB"), Symantec: NewFeed("Symantec")}
 	// 3 homographs; hp lists all, gsb lists one.

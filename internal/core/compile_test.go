@@ -22,13 +22,23 @@ func zonegenRefs() []string {
 	return ranking.Generate(10000, 7, ranking.PaperAnchors()).SLDs(10000)
 }
 
-// mapDetector is the reference construction NewDetector must agree
-// with: a seen-set dedupe, a union-find over a rune-keyed map, an
-// expansion that allocates per rune, and one key string and id list
-// per reference.
-func mapDetector(db *homoglyph.DB, references []string) *Detector {
-	d := &Detector{db: db}
-	d.scratch.New = func() any { return &scratch{} }
+// mapBuild is the reference construction NewDetector must agree with:
+// a seen-set dedupe, a union-find over a rune-keyed map, an expansion
+// that allocates per rune, and one key string and id list per
+// reference in a map. Its fold table is compiled from its own rows.
+type mapBuild struct {
+	refs  []string
+	arena []rune
+	offs  []int32
+	rep   map[rune]rune
+	seq   map[rune][]rune
+	keys  map[string][]int32
+	fold  foldTable
+}
+
+// mapDetector builds references over db the map way.
+func mapDetector(db *homoglyph.DB, references []string) *mapBuild {
+	w := &mapBuild{offs: []int32{0}}
 	seen := make(map[string]bool)
 	for _, ref := range references {
 		ref = punycode.FoldString(strings.TrimSpace(ref))
@@ -41,21 +51,27 @@ func mapDetector(db *homoglyph.DB, references []string) *Detector {
 			continue
 		}
 		seen[ref] = true
-		d.refs = append(d.refs, ref)
+		w.refs = append(w.refs, ref)
+		w.arena = append(w.arena, []rune(ref)...)
+		w.offs = append(w.offs, int32(len(w.arena)))
 	}
-	d.arena = nil
-	d.offs = []int32{0}
-	for _, ref := range d.refs {
-		d.arena = append(d.arena, []rune(ref)...)
-		d.offs = append(d.offs, int32(len(d.arena)))
+	w.rep, w.seq = mapRows(db)
+
+	x := &skelIndex{fold: newFoldTable(rowsOf(w.rep, w.seq))}
+	w.keys = make(map[string][]int32)
+	var keyRunes runeSet
+	for id := range w.refs {
+		k := string(x.appendLabel(nil, w.arena[w.offs[id]:w.offs[id+1]]))
+		keyRunes.add([]byte(k))
+		w.keys[k] = append(w.keys[k], int32(id))
 	}
-	d.skel = mapSkelIndex(d)
-	return d
+	x.compileGate(keyRunes)
+	w.fold = x.fold
+	return w
 }
 
-// mapSkelIndex is the reference skeleton index build for mapDetector.
-func mapSkelIndex(d *Detector) *skelIndex {
-	db := d.db
+// mapRows is the reference union-find and expansion of db's view.
+func mapRows(db *homoglyph.DB) (map[rune]rune, map[rune][]rune) {
 	chars := db.Chars().Runes()
 
 	parent := make(map[rune]rune)
@@ -115,47 +131,60 @@ func mapSkelIndex(d *Detector) *skelIndex {
 			seq[r] = s
 		}
 	}
-
-	x := &skelIndex{rows: rowsOf(rep, seq), refs: make(map[string][]int32)}
-	x.fold = newFoldTable(&x.rows)
-	var keyRunes runeSet
-	for id := range d.refs {
-		k := string(x.appendLabel(nil, d.refRunes(int32(id))))
-		keyRunes.addString(k)
-		x.refs[k] = append(x.refs[k], int32(id))
-	}
-	x.compileGate(keyRunes)
-	return x
+	return rep, seq
 }
 
 // rowsOf flattens rep and seq maps into rows, keys ascending.
-func rowsOf(rep map[rune]rune, seq map[rune][]rune) skelRows {
-	var x skelRows
+func rowsOf(rep map[rune]rune, seq map[rune][]rune) *homoglyph.FoldRows {
+	x := &homoglyph.FoldRows{}
 	for _, r := range slices.Sorted(maps.Keys(rep)) {
-		x.repRunes, x.reps = append(x.repRunes, r), append(x.reps, rep[r])
+		x.RepRunes, x.Reps = append(x.RepRunes, r), append(x.Reps, rep[r])
 	}
 	for _, r := range slices.Sorted(maps.Keys(seq)) {
-		x.seqRunes = append(x.seqRunes, r)
-		x.seqLens = append(x.seqLens, int32(len(seq[r])))
-		x.seqs = append(x.seqs, seq[r]...)
+		x.SeqRunes = append(x.SeqRunes, r)
+		x.SeqLens = append(x.SeqLens, int32(len(seq[r])))
+		x.Seqs = append(x.Seqs, seq[r]...)
 	}
 	return x
 }
 
-// maps returns the rep and seq maps the rows flatten.
-func (x *skelRows) maps() (map[rune]rune, map[rune][]rune) {
+// rowMaps returns the rep and seq maps the rows flatten.
+func rowMaps(x *homoglyph.FoldRows) (map[rune]rune, map[rune][]rune) {
 	rep := make(map[rune]rune)
-	for i, r := range x.repRunes {
-		rep[r] = x.reps[i]
+	for i, r := range x.RepRunes {
+		rep[r] = x.Reps[i]
 	}
 	seq := make(map[rune][]rune)
 	off := 0
-	for i, r := range x.seqRunes {
-		l := int(x.seqLens[i])
-		seq[r] = x.seqs[off : off+l]
+	for i, r := range x.SeqRunes {
+		l := int(x.SeqLens[i])
+		seq[r] = x.Seqs[off : off+l]
 		off += l
 	}
 	return rep, seq
+}
+
+// tableKeys returns the reference table as the map it stands for,
+// walking every slot, and fails if a slot's key does not look itself
+// up.
+func tableKeys(t *testing.T, name string, x *refTable) map[string][]int32 {
+	t.Helper()
+	keys := make(map[string][]int32)
+	for _, e := range x.slots {
+		if e == 0 {
+			continue
+		}
+		lo, hi := x.bounds[uint32(e)-1], x.bounds[uint32(e)]
+		k := string(x.keys[lo.key:hi.key])
+		if _, ok := keys[k]; ok {
+			t.Fatalf("%s: key %q has two slots", name, k)
+		}
+		keys[k] = x.ids[lo.id:hi.id]
+		if got := x.lookup([]byte(k)); !slices.Equal(got, keys[k]) {
+			t.Fatalf("%s: lookup(%q) = %v, its slot says %v", name, k, got, keys[k])
+		}
+	}
+	return keys
 }
 
 // oracleRefs are the references whose normalization and collisions
@@ -173,15 +202,15 @@ var oracleRefs = []string{
 }
 
 // assertSameCompile checks that NewDetector, and NewDetectorFromSnapshot
-// over its snapshot, agree with the reference build on everything a
-// detector holds: the kept references and their arena, rep, seq, the
-// key → ids map, every fold-table entry with its dead bit, and the
-// snapshot.
+// over its snapshot and a snapshot-loaded view, agree with the
+// reference build on everything a detector holds: the kept references
+// and their arena, rep, seq, the key → ids map, every fold-table entry
+// with its dead bit, and the snapshot.
 func assertSameCompile(t *testing.T, name string, db *homoglyph.DB, refs []string) {
 	t.Helper()
 	want := mapDetector(db, refs)
 	got := NewDetector(db, refs)
-	loaded, err := NewDetectorFromSnapshot(db, got.Snapshot())
+	loaded, err := NewDetectorFromSnapshot(loadedView(t, db), got.Snapshot())
 	if err != nil {
 		t.Fatalf("%s: loading the snapshot: %v", name, err)
 	}
@@ -193,8 +222,11 @@ func assertSameCompile(t *testing.T, name string, db *homoglyph.DB, refs []strin
 	}
 }
 
-// assertSameDetector checks that got holds what want holds.
-func assertSameDetector(t *testing.T, name string, got, want *Detector) {
+// assertSameDetector checks that got holds what want holds. The
+// reference table is read slot by slot and must stand for exactly the
+// oracle's map, and every oracle key, and a miss, must look up as the
+// map says.
+func assertSameDetector(t *testing.T, name string, got *Detector, want *mapBuild) {
 	t.Helper()
 	if !slices.Equal(got.refs, want.refs) {
 		t.Fatalf("%s: refs differ: %d vs %d", name, len(got.refs), len(want.refs))
@@ -202,27 +234,34 @@ func assertSameDetector(t *testing.T, name string, got, want *Detector) {
 	if !slices.Equal(got.arena, want.arena) || !slices.Equal(got.offs, want.offs) {
 		t.Fatalf("%s: rune arena differs", name)
 	}
-	g, w := got.skel, want.skel
-	gRep, gSeq := g.rows.maps()
-	wRep, wSeq := w.rows.maps()
-	if !reflect.DeepEqual(gRep, wRep) {
-		t.Fatalf("%s: rep differs: %d vs %d entries", name, len(gRep), len(wRep))
+	gRep, gSeq := rowMaps(got.db.FoldRows())
+	if !reflect.DeepEqual(gRep, want.rep) {
+		t.Fatalf("%s: rep differs: %d vs %d entries", name, len(gRep), len(want.rep))
 	}
-	if !reflect.DeepEqual(gSeq, wSeq) {
-		t.Fatalf("%s: seq differs: %d vs %d entries", name, len(gSeq), len(wSeq))
+	if !reflect.DeepEqual(gSeq, want.seq) {
+		t.Fatalf("%s: seq differs: %d vs %d entries", name, len(gSeq), len(want.seq))
 	}
-	if !reflect.DeepEqual(g.refs, w.refs) {
-		t.Fatalf("%s: key map differs: %d vs %d keys", name, len(g.refs), len(w.refs))
+	g := got.skel
+	if keys := tableKeys(t, name, &g.refs); !reflect.DeepEqual(keys, want.keys) {
+		t.Fatalf("%s: key table differs: %d vs %d keys", name, len(keys), len(want.keys))
+	}
+	for k, ids := range want.keys {
+		if got := g.refs.lookup([]byte(k)); !slices.Equal(got, ids) || cap(got) != len(got) {
+			t.Fatalf("%s: lookup(%q) = %v (cap %d), want %v", name, k, got, cap(got), ids)
+		}
+	}
+	if ids := g.refs.lookup([]byte("no such key\x00")); ids != nil {
+		t.Fatalf("%s: a missing key looks up %v", name, ids)
 	}
 	for r := rune(0); r <= utf8.MaxRune+1; r++ {
-		if ge, we := g.fold.entry(r), w.fold.entry(r); ge != we {
+		if ge, we := g.fold.entry(r), want.fold.entry(r); ge != we {
 			t.Fatalf("%s: fold entry of %U: %#x, want %#x", name, r, ge, we)
 		}
 	}
-	if !reflect.DeepEqual(g.fold, w.fold) {
+	if !reflect.DeepEqual(g.fold, want.fold) {
 		t.Fatalf("%s: fold tables differ", name)
 	}
-	if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+	if !reflect.DeepEqual(got.Snapshot(), &Snapshot{Refs: want.refs}) {
 		t.Fatalf("%s: snapshots differ", name)
 	}
 }
@@ -300,10 +339,10 @@ func TestCompilePartnerOutsideChars(t *testing.T) {
 		refs := []string{"ae", "ea", "ае", "bee"}
 		assertSameCompile(t, fmt.Sprintf("outside %U", link), db, refs)
 		d := NewDetector(db, refs)
-		if len(d.skel.refs) != 2 || len(d.skel.refs["aa"]) != 3 {
-			t.Fatalf("%U: want ae, ea and ае under key aa, got %v", link, d.skel.refs)
+		if keys := tableKeys(t, "outside", &d.skel.refs); len(keys) != 2 || len(keys["aa"]) != 3 {
+			t.Fatalf("%U: want ae, ea and ае under key aa, got %v", link, keys)
 		}
-		rep, _ := d.skel.rows.maps()
+		rep, _ := rowMaps(db.FoldRows())
 		if _, ok := rep[link]; ok {
 			t.Errorf("%U got a representative", link)
 		}
@@ -326,7 +365,7 @@ func TestCompileNestedExpansion(t *testing.T) {
 	db := homoglyph.New(uc, sim, 0)
 	refs := []string{"mom", "vvnovvn", "ram"}
 	assertSameCompile(t, "nested", db, refs)
-	if got, _ := NewDetector(db, refs).skel.rows.seqOf('m'); string(got) != "vvn" {
+	if got, _ := seqOf(NewDetector(db, refs).db.FoldRows(), 'm'); string(got) != "vvn" {
 		t.Fatalf("skeleton of m = %q, want vvn", got)
 	}
 }

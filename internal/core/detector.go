@@ -196,16 +196,14 @@ type Detector struct {
 // ASCII form). Duplicate references are collapsed. Construction compiles
 // the skeleton index; reuse the detector across scans.
 func NewDetector(db *homoglyph.DB, references []string) *Detector {
-	return compile(db, newSkelRows(db), references)
+	return compile(db, references)
 }
 
-// compile builds a detector over references from the per-rune rows of
-// db's view, which NewDetector computes and NewDetectorFromSnapshot
-// loads: the fold table, then the reference index, then the dead-rune
-// gate.
-func compile(db *homoglyph.DB, rows skelRows, references []string) *Detector {
-	x := &skelIndex{rows: rows}
-	x.fold = newFoldTable(&x.rows)
+// compile builds a detector over references from the fold rows of db's
+// view, which the view computes once or a snapshot loads: the fold
+// table, then the reference index, then the dead-rune gate.
+func compile(db *homoglyph.DB, references []string) *Detector {
+	x := &skelIndex{fold: newFoldTable(db.FoldRows())}
 	d := &Detector{db: db, skel: x}
 	d.scratch.New = func() any { return &scratch{} }
 	x.compileGate(x.indexRefs(d, references))
@@ -229,25 +227,6 @@ func normalizeRef(ref string) string {
 		}
 	}
 	return ref
-}
-
-// buildArena decodes every reference into one rune arena, sized up
-// front by the references' byte length, which bounds their rune count,
-// so the whole reference list costs two allocations.
-func (d *Detector) buildArena() {
-	n := 0
-	for _, ref := range d.refs {
-		n += len(ref)
-	}
-	arena := make([]rune, 0, n)
-	offs := make([]int32, 1, len(d.refs)+1)
-	for _, ref := range d.refs {
-		for _, r := range ref {
-			arena = append(arena, r)
-		}
-		offs = append(offs, int32(len(arena)))
-	}
-	d.arena, d.offs = arena, offs
 }
 
 // refRunes returns reference id's runes, a read-only view of the arena.
@@ -464,11 +443,9 @@ const (
 // The probe runs on stack buffers, and *sc, the pooled scratch, is
 // taken from the pool only once the label has candidates, so the miss
 // path — decode and skeletonize behind the dead-rune gate (see probe),
-// at most one map probe, empty list — allocates nothing and touches no
-// pool: the map index uses the string(skel) conversion the compiler
-// performs without copying. A label longer than the stack buffers can
-// provably hold takes the scratch first and probes in its buffers
-// (detectLongLabel).
+// at most one table probe, empty list — allocates nothing and touches
+// no pool. A label longer than the stack buffers can provably hold
+// takes the scratch first and probes in its buffers (detectLongLabel).
 //
 // An ACE label longer than the DNS label limit is no candidate: no zone
 // can hold it, and its decode time grows with the square of its length
@@ -560,7 +537,7 @@ func verifyLabel[S punycode.ByteSeq](d *Detector, sc *scratch, out []Match, fq *
 // and returns its candidate reference ids, in ascending order, or nil
 // on a miss, with the extended buffers. The dead-rune gate ends a miss
 // early: the decoder stops at the first dead code point it inserts, and
-// the fold at the first dead rune of the rest, before any map probe.
+// the fold at the first dead rune of the rest, before any table probe.
 func probe[S punycode.ByteSeq](x *skelIndex, runes []rune, skel []byte, label S) ([]int32, []rune, []byte) {
 	runes, err := punycode.ToUnicodeLabelAppend(runes, label, x.keep)
 	if err != nil || len(runes) == 0 {
@@ -570,7 +547,7 @@ func probe[S punycode.ByteSeq](x *skelIndex, runes []rune, skel []byte, label S)
 	if !live {
 		return nil, runes, skel
 	}
-	return x.refs[string(skel)], runes, skel
+	return x.refs.lookup(skel), runes, skel
 }
 
 // labelMatch appends a match of the label name[lo:hi], which decodes

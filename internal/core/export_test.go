@@ -4,7 +4,7 @@ import "repro/internal/punycode"
 
 // Candidates returns label's candidate reference ids twice: as the
 // detection hot path finds them, behind the dead-rune gate, and as an
-// ungated decode, fold and map probe finds them. dead reports whether
+// ungated decode, fold and table probe finds them. dead reports whether
 // the label decodes to a rune the gate calls dead.
 func (d *Detector) Candidates(label string) (gated, ungated []int32, dead bool) {
 	gated, _, _ = probe(d.skel, nil, nil, label)
@@ -15,5 +15,5 @@ func (d *Detector) Candidates(label string) (gated, ungated []int32, dead bool) 
 	for _, r := range runes {
 		dead = dead || !d.skel.live(r)
 	}
-	return gated, d.skel.refs[string(d.skel.appendLabel(nil, runes))], dead
+	return gated, d.skel.refs.lookup(d.skel.appendLabel(nil, runes)), dead
 }

@@ -19,27 +19,42 @@ import (
 // rowFold is the per-rune fold as the rep/seq rows define it — what
 // appendLabel computed before the fold table — kept as the table's
 // parity oracle.
-func rowFold(x *skelIndex, dst []byte, r rune) []byte {
-	if s, ok := x.rows.seqOf(r); ok {
+func rowFold(x *homoglyph.FoldRows, dst []byte, r rune) []byte {
+	if s, ok := seqOf(x, r); ok {
 		for _, sr := range s {
 			dst = utf8.AppendRune(dst, sr)
 		}
 		return dst
 	}
-	return utf8.AppendRune(dst, x.rows.repOf(r))
+	if i, ok := slices.BinarySearch(x.RepRunes, r); ok {
+		r = x.Reps[i]
+	}
+	return utf8.AppendRune(dst, r)
 }
 
 // seqOf returns r's sequence row, if it has one.
-func (x *skelRows) seqOf(r rune) ([]rune, bool) {
-	i, ok := slices.BinarySearch(x.seqRunes, r)
+func seqOf(x *homoglyph.FoldRows, r rune) ([]rune, bool) {
+	i, ok := slices.BinarySearch(x.SeqRunes, r)
 	if !ok {
 		return nil, false
 	}
 	off := 0
-	for _, l := range x.seqLens[:i] {
+	for _, l := range x.SeqLens[:i] {
 		off += int(l)
 	}
-	return x.seqs[off : off+int(x.seqLens[i])], true
+	return x.Seqs[off : off+int(x.SeqLens[i])], true
+}
+
+// loadedView is view as a snapshot loads it: the index and the fold
+// rows taken from view's flattened form, so a detector compiled over it
+// reads loaded rows rather than computing them.
+func loadedView(t testing.TB, view *homoglyph.DB) *homoglyph.DB {
+	t.Helper()
+	db, err := homoglyph.FromSnapshot(view.Snapshot(), view.UC(), view.SimChar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 // TestFoldTableParity checks the compiled fold table against the
@@ -66,7 +81,7 @@ func TestFoldTableParity(t *testing.T) {
 	for _, use := range views {
 		view := db.WithSources(use)
 		fresh := NewDetector(view, refs)
-		loaded, err := NewDetectorFromSnapshot(view, fresh.Snapshot())
+		loaded, err := NewDetectorFromSnapshot(loadedView(t, view), fresh.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +90,7 @@ func TestFoldTableParity(t *testing.T) {
 			mapped := 0
 			for _, r := range probe {
 				got := x.appendLabel(nil, []rune{r})
-				want := rowFold(x, nil, r)
+				want := rowFold(d.db.FoldRows(), nil, r)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%v %s: fold(%U) = %q, maps say %q", use, name, r, got, want)
 				}
@@ -95,7 +110,7 @@ func TestFoldTableParity(t *testing.T) {
 				}
 				var want []byte
 				for _, r := range label {
-					want = rowFold(x, want, r)
+					want = rowFold(d.db.FoldRows(), want, r)
 				}
 				if got := x.appendLabel([]byte("prefix"), label); !bytes.Equal(got[6:], want) || string(got[:6]) != "prefix" {
 					t.Fatalf("%v %s: fold(%q) = %q, maps say %q", use, name, string(label), got, want)
@@ -142,17 +157,15 @@ func TestLiveRuneTable(t *testing.T) {
 	for _, use := range views {
 		view := db.WithSources(use)
 		fresh := NewDetector(view, refs)
-		loaded, err := NewDetectorFromSnapshot(view, fresh.Snapshot())
+		loaded, err := NewDetectorFromSnapshot(loadedView(t, view), fresh.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, d := range map[string]*Detector{"fresh": fresh, "loaded": loaded} {
 			x := d.skel
 			keyRunes := map[rune]bool{}
-			for k := range x.refs {
-				for _, r := range k {
-					keyRunes[r] = true
-				}
+			for _, r := range string(x.refs.keys) {
+				keyRunes[r] = true
 			}
 			// partial counts dead runes whose skeleton starts with a key
 			// rune, so the gate must look past the first rune. The UC
@@ -160,7 +173,7 @@ func TestLiveRuneTable(t *testing.T) {
 			live, dead, partial := 0, 0, 0
 			for _, r := range probe {
 				want := true
-				for i, sr := range []rune(string(rowFold(x, nil, punycode.Fold(r)))) {
+				for i, sr := range []rune(string(rowFold(d.db.FoldRows(), nil, punycode.Fold(r)))) {
 					if !keyRunes[sr] {
 						if want && i > 0 {
 							partial++

@@ -127,7 +127,7 @@ func widestSkeletonLabels(t *testing.T) ([2]string, *Detector) {
 	x := NewDetector(testDB(t), nil).skel
 	var widest rune
 	most := 0
-	for r := range x.rows.all() {
+	for r := range testDB(t).FoldRows().All() {
 		if punycode.Fold(r) != r {
 			continue
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"iter"
-	"slices"
 	"unicode/utf8"
 
 	"repro/internal/homoglyph"
@@ -11,24 +9,23 @@ import (
 // skelIndex is the detector's one index, the TR39 skeleton map: every
 // rune maps to a canonical prototype (a single representative rune, or a
 // multi-rune sequence for many-to-one confusables), and every reference's
-// whole-label skeleton is precomputed into a hash map — so a candidate
-// label resolves to its imitated references in one map probe, regardless
-// of length.
+// whole-label skeleton is precomputed into a hash table — so a candidate
+// label resolves to its imitated references in one probe, regardless of
+// length.
 //
-// The per-rune mapping is derived from the pairwise homoglyph graph via
-// union-find: every connected component of the Confusable relation
-// collapses to one representative (its smallest rune). That construction
-// is what lets one probe serve Algorithm 1 — Confusable(a,b) ⇒ same
-// component ⇒ same skeleton rune — so every reference a pairwise,
-// same-length comparison could match shares the label's skeleton, and
-// the postings backend only has to verify the candidates. On top of
-// that, components whose representative carries a multi-rune UC
-// prototype ('m' → "rn") expand to the mapped sequence, which is what
-// catches the length-changing homographs ("rnicrosoft") the pairwise
-// model cannot represent.
-//
-// rows are the build and snapshot form of the per-rune mapping; the
-// hot path reads fold, the same mapping compiled into tables.
+// The per-rune mapping is the database view's fold rows
+// (homoglyph.FoldRows): every connected component of the Confusable
+// relation collapses to one representative. That construction is what
+// lets one probe serve Algorithm 1 — Confusable(a,b) ⇒ same component ⇒
+// same skeleton rune — so every reference a pairwise, same-length
+// comparison could match shares the label's skeleton, and the postings
+// backend only has to verify the candidates. Components whose
+// representative carries a multi-rune UC prototype ('m' → "rn") expand
+// to the mapped sequence, which is what catches the length-changing
+// homographs ("rnicrosoft") the pairwise model cannot represent. The
+// rows depend on the view alone, so the view computes them once (or a
+// snapshot loads them) and a compile only reads them into fold, the
+// same mapping compiled into tables.
 //
 // The fold table also carries the dead-rune gate. A rune is live when
 // every rune of its skeleton occurs in some reference key, and dead
@@ -39,64 +36,15 @@ import (
 // backend's candidates come from this one probe, so the gate holds for
 // all of them.
 type skelIndex struct {
-	refs map[string][]int32 // skeleton(ref) → ascending ids into Detector.refs
+	refs refTable // skeleton(ref) → ascending ids into Detector.refs
 	fold foldTable
 	keep func(rune) bool // live, as a func value built once
-	rows skelRows        // build and snapshot only, so after the hot fields
 }
 
-// skelRows is the per-rune mapping as sorted rows, laid out as the
-// snapshot stores it. repRunes (ascending) map to reps, their
-// non-identity component representatives. seqRunes (ascending) key the
-// multi-rune skeletons, already rep-mapped: entry i is the next
-// seqLens[i] runes of seqs. A rune in both maps to its sequence.
-type skelRows struct {
-	repRunes, reps []rune
-	seqRunes       []rune
-	seqLens        []int32
-	seqs           []rune
-}
-
-// all yields every mapped rune, ascending, with its skeleton: its
-// sequence, or else its representative.
-func (x *skelRows) all() iter.Seq2[rune, []rune] {
-	return func(yield func(rune, []rune) bool) {
-		i, off := 0, 0
-		for j, r := range x.seqRunes {
-			for ; i < len(x.repRunes) && x.repRunes[i] < r; i++ {
-				if !yield(x.repRunes[i], x.reps[i:i+1]) {
-					return
-				}
-			}
-			if i < len(x.repRunes) && x.repRunes[i] == r {
-				i++
-			}
-			l := int(x.seqLens[j])
-			if !yield(r, x.seqs[off:off+l]) {
-				return
-			}
-			off += l
-		}
-		for ; i < len(x.repRunes); i++ {
-			if !yield(x.repRunes[i], x.reps[i:i+1]) {
-				return
-			}
-		}
-	}
-}
-
-// repOf returns r's representative, r itself when it has none.
-func (x *skelRows) repOf(r rune) rune {
-	if i, ok := slices.BinarySearch(x.repRunes, r); ok {
-		return x.reps[i]
-	}
-	return r
-}
-
-// foldTable is rep/seq compiled for appendLabel: a few array loads per
-// rune in place of two map probes. An entry k > 0 names the rune's
-// UTF-8 skeleton pool[ends[k-1]:ends[k]]; entry 0, like a rune past
-// the table, means the rune maps to itself. ASCII runes read one flat
+// foldTable is the fold rows compiled for appendLabel: a few array
+// loads per rune in place of two row searches. An entry k > 0 names the
+// rune's UTF-8 skeleton pool[ends[k-1]:ends[k]]; entry 0, like a rune
+// past the table, means the rune maps to itself. ASCII runes read one flat
 // row; other runes go through a directory indexed by rune>>8 to a
 // 256-entry page, and blocks with no mapped rune share "no page" (0).
 //
@@ -124,17 +72,17 @@ const deadBit = 1 << 31
 // newFoldTable compiles the rows. Runes outside the rune space are
 // dropped: neither decoded labels nor references can hold such a rune,
 // so no lookup ever reached them.
-func newFoldTable(x *skelRows) foldTable {
-	keys := make([]rune, 0, len(x.repRunes)+len(x.seqRunes))
-	for r := range x.all() {
+func newFoldTable(x *homoglyph.FoldRows) foldTable {
+	keys := make([]rune, 0, len(x.RepRunes)+len(x.SeqRunes))
+	for r := range x.All() {
 		keys = append(keys, r)
 	}
 	f := foldTable{
 		ends: make([]uint32, 1, len(keys)+1),
 		pool: make([]byte, 0, 2*len(keys)),
 	}
-	f.reserve(keys, 0x80)
-	for r, skel := range x.all() {
+	f.reserve(keys)
+	for r, skel := range x.All() {
 		if r < 0 || r > utf8.MaxRune {
 			continue
 		}
@@ -170,13 +118,13 @@ func (f *foldTable) entry(r rune) uint32 {
 	return f.outside
 }
 
-// reserve sizes the directory and pages for the blocks of the runes of
-// sorted (ascending) in [lo, utf8.MaxRune], so that giving those blocks
+// reserve sizes the directory and pages for the blocks of the
+// non-ASCII runes of sorted (ascending), so that giving those blocks
 // pages allocates nothing.
-func (f *foldTable) reserve(sorted []rune, lo rune) {
+func (f *foldTable) reserve(sorted []rune) {
 	blocks, last := 0, rune(-1)
 	for _, r := range sorted {
-		if r >= lo && r <= utf8.MaxRune && r>>8 != last {
+		if r >= 0x80 && r <= utf8.MaxRune && r>>8 != last {
 			blocks, last = blocks+1, r>>8
 		}
 	}
@@ -239,8 +187,8 @@ func (f *foldTable) markDead(keyRunes runeSet) {
 // 0 and 1 hold ASCII.
 type runeSet []uint64
 
-// addString adds the runes of str.
-func (s *runeSet) addString(str string) {
+// add adds the runes of the UTF-8 text str.
+func (s *runeSet) add(str []byte) {
 	set := *s
 	if len(set) < 2 {
 		set = append(set, make([]uint64, 2-len(set))...)
@@ -256,7 +204,7 @@ func (s *runeSet) addString(str string) {
 			i++
 			continue
 		}
-		r, n := utf8.DecodeRuneInString(str[i:])
+		r, n := utf8.DecodeRune(str[i:])
 		if w := int(r >> 6); w >= len(set) {
 			set = append(set, make([]uint64, w+1-len(set))...)
 		}
@@ -273,203 +221,71 @@ func (s runeSet) has(r rune) bool {
 	return i < uint32(len(s)) && s[i]&(1<<(uint32(r)&63)) != 0
 }
 
-// newSkelRows computes the per-rune mapping of db's view as rows:
-// the union-find, then the expansion.
-func newSkelRows(db *homoglyph.DB) skelRows {
-	chars := db.CharRunes()
-	var rows skelRows
-	rows.repRunes, rows.reps = representatives(db, chars)
-	expansions(db, chars, &rows)
-	return rows
-}
-
-// representatives maps each rune of chars (ascending) to the
-// representative of its connected component of the pairwise graph, the
-// component's smallest rune of chars, leaving out the runes that are
-// their own. It returns the rep rows, in the order of chars.
-//
-// The union-find runs over dense ids: chars[i] is id i, and a partner
-// outside chars takes the next free id when first seen. A union hangs
-// the larger root under the smaller, so every root is its component's
-// smallest id, and a partner outside chars, numbered after all of them,
-// is never a representative.
-func representatives(db *homoglyph.DB, chars []rune) (runes, reps []rune) {
-	parent := make([]int32, len(chars))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(i int32) int32 {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]] // path halving
-			i = parent[i]
-		}
-		return i
-	}
-	// id returns the slot that holds r's id+1, 0 until r has one. A
-	// rune's slot is an entry of a fold table's pages, used here as a
-	// dense rune-indexed array; a value outside the rune space, which a
-	// loaded database can hold, gets a map entry instead.
-	var ids foldTable
-	ids.reserve(chars, 0)
-	var odd map[rune]*uint32
-	id := func(r rune) *uint32 {
-		if uint32(r) <= utf8.MaxRune {
-			return &ids.page(int(r >> 8))[r&0xff]
-		}
-		if odd[r] == nil {
-			if odd == nil {
-				odd = make(map[rune]*uint32)
-			}
-			odd[r] = new(uint32)
-		}
-		return odd[r]
-	}
-	for i, r := range chars {
-		*id(r) = uint32(i) + 1
-	}
-	var partners []rune
-	for i, r := range chars {
-		partners = db.HomoglyphsAppend(partners[:0], r)
-		for _, p := range partners {
-			pid := id(p)
-			if *pid == 0 { // a partner outside chars
-				parent = append(parent, int32(len(parent)))
-				*pid = uint32(len(parent))
-			}
-			a, b := find(int32(i)), find(int32(*pid-1))
-			if a > b {
-				a, b = b, a
-			}
-			parent[b] = a
-		}
-	}
-	n := 0
-	for i := range chars {
-		if find(int32(i)) != int32(i) {
-			n++
-		}
-	}
-	runes, reps = make([]rune, 0, n), make([]rune, 0, n)
-	for i, r := range chars {
-		if root := find(int32(i)); root != int32(i) {
-			runes, reps = append(runes, r), append(reps, chars[root])
-		}
-	}
-	return runes, reps
-}
-
-// expansions fills x's seq rows with the multi-rune skeletons of chars
-// (ascending), from its rep rows.
-//
-// Sequence expansion is decided per COMPONENT, by its representative:
-// if the rep's full UC prototype is multi-rune, every member of the
-// component skeletonizes to that sequence (each sequence rune itself
-// resolved recursively). Deciding by member instead would let a
-// SimChar-only partner of 'w' keep skeleton 'w' while 'w' itself went
-// to "vv", silently dropping pairwise matches from the candidates.
-func expansions(db *homoglyph.DB, chars []rune, x *skelRows) {
-	uc := db.UC()
-	if db.Use()&homoglyph.SourceUC == 0 || uc == nil {
-		return
-	}
-	// protos[depth] holds the prototype walked at that depth, so the
-	// recursion reuses one buffer per level.
-	var protos [8][]rune
-	var expand func(r rune, depth int, dst []rune) []rune
-	expand = func(r rune, depth int, dst []rune) []rune {
-		r = x.repOf(r)
-		if depth < len(protos) {
-			protos[depth] = uc.SkeletonAppend(protos[depth][:0], r)
-			if s := protos[depth]; len(s) > 1 {
-				for _, t := range s {
-					dst = expand(t, depth+1, dst)
-				}
-				return dst
-			}
-		}
-		return append(dst, r)
-	}
-	var out []rune
-	for _, r := range chars {
-		if out = expand(r, 0, out[:0]); len(out) > 1 {
-			x.seqRunes = append(x.seqRunes, r)
-			x.seqLens = append(x.seqLens, int32(len(out)))
-			x.seqs = append(x.seqs, out...)
-		}
-	}
-}
-
 // indexRefs normalizes the references, keeps the first of each as
-// d.refs with its runes in the arena, and maps every kept reference's
-// skeleton to its ids. It returns the runes of the skeletons, for the
-// gate.
+// d.refs with its runes in the arena, and fills the reference table. It
+// returns the runes of the skeletons, for the gate.
 //
-// The skeletons are written back to back into one buffer that becomes
-// one string, so each key is a substring of it, and the id lists are
-// cap-limited subslices of one array, so a list is copied only when a
-// second reference shares its skeleton. Equal references have equal
-// skeletons, so the key map is also the dedupe set: a reference is a
-// repeat when its key's list already holds it.
+// It is one pass over the references. Each skeleton is written to the
+// end of the table's keys and looked up among the keys before it: a new
+// key stays, and a known one is cut off again (refTable.add). Equal
+// references have equal skeletons, so the table is also the dedupe set:
+// a reference is a repeat when its key's list already holds it, and a
+// repeat's runes are cut off the arena the same way. Every array is
+// sized once, by the list's length and bytes; a key's ids are chained
+// (last, prev) during the pass and laid out as ascending lists after
+// it.
 func (x *skelIndex) indexRefs(d *Detector, references []string) runeSet {
 	n := 0
 	for _, ref := range references {
 		n += len(ref)
 	}
-	// Every normalized reference, its runes and its skeleton, repeats
-	// included; offs and ends close each one's runes and skeleton. The
-	// bytes bound the runes; a skeleton can outgrow its reference
+	m := len(references)
+	// The bytes bound the runes; a skeleton can outgrow its reference
 	// ('m' → "rn"), hence the slack.
-	norm := make([]string, 0, len(references))
+	refs := make([]string, 0, m)
 	arena := make([]rune, 0, n)
-	offs := make([]int32, 1, len(references)+1)
-	buf := make([]byte, 0, n+n/2)
-	ends := make([]int, 1, len(references)+1)
+	offs := make([]int32, 1, m+1)
+	t := &x.refs
+	t.keys = make([]byte, 0, n+n/2)
+	t.slots = make([]uint64, slotsFor(m))
+	t.bounds = make([]keyBounds, 1, m+1)
+	last := make([]int32, 1, m+1) // last[k]: key k's latest id
+	prev := make([]int32, 0, m)   // prev[id]: the id before it under its key, -1 for none
 	for _, ref := range references {
 		if ref = normalizeRef(ref); ref == "" {
 			continue
 		}
-		start := len(arena)
+		start, kstart := len(arena), len(t.keys)
 		for _, r := range ref {
 			arena = append(arena, r)
 		}
-		buf = x.appendLabel(buf, arena[start:])
-		norm = append(norm, ref)
-		offs = append(offs, int32(len(arena)))
-		ends = append(ends, len(buf))
-	}
-	keys := string(buf)
-	var keyRunes runeSet
-	keyRunes.addString(keys)
-
-	x.refs = make(map[string][]int32, len(norm))
-	ids := make([]int32, len(norm))
-	d.refs = norm[:0] // the kept references, compacted in place
-	for i, ref := range norm {
-		k := keys[ends[i]:ends[i+1]]
-		list, collides := x.refs[k]
-		if collides && d.holds(list, ref) {
+		t.keys = x.appendLabel(t.keys, arena[start:])
+		k, added := t.add(kstart)
+		if added {
+			last = append(last, -1)
+		} else if holds(refs, prev, last[k], ref) {
+			arena = arena[:start]
 			continue
 		}
-		id := int32(len(d.refs))
-		d.refs = append(d.refs, ref)
-		ids[id] = id
-		if collides {
-			x.refs[k] = append(list, id)
-		} else {
-			x.refs[k] = ids[id : id+1 : id+1]
-		}
+		id := int32(len(refs))
+		refs = append(refs, ref)
+		offs = append(offs, int32(len(arena)))
+		prev = append(prev, last[k])
+		last[k] = id
+		t.bounds[k].id++ // a count until the lists are laid out
 	}
-	d.arena, d.offs = arena, offs
-	if len(d.refs) < len(norm) {
-		d.buildArena() // a repeat was dropped: lay out the kept ones alone
-	}
+	t.layOut(last, prev)
+	d.refs, d.arena, d.offs = refs, arena, offs
+	var keyRunes runeSet
+	keyRunes.add(t.keys)
 	return keyRunes
 }
 
-// holds reports whether ref is the reference of one of ids.
-func (d *Detector) holds(ids []int32, ref string) bool {
-	for _, id := range ids {
-		if d.refs[id] == ref {
+// holds reports whether ref is one of refs on the chain that starts at
+// id and follows prev.
+func holds(refs []string, prev []int32, id int32, ref string) bool {
+	for ; id >= 0; id = prev[id] {
+		if refs[id] == ref {
 			return true
 		}
 	}

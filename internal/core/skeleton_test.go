@@ -185,7 +185,7 @@ func TestDifferentialParity(t *testing.T) {
 		labels++
 		label := string(runes)
 		key := string(d.skel.appendLabel(nil, runes))
-		candidates := d.skel.refs[key]
+		candidates := d.skel.refs.lookup([]byte(key))
 		for _, lm := range d.DetectLabelLinear(label) {
 			matched++
 			found := false
@@ -213,14 +213,14 @@ func TestSkeletonSnapshotRoundTrip(t *testing.T) {
 	db := testDB(t)
 	d := NewDetector(db, []string{"google", "microsoft", "wikipedia", "close"})
 	s1 := d.Snapshot()
-	d2, err := NewDetectorFromSnapshot(db, s1)
+	d2, err := NewDetectorFromSnapshot(loadedView(t, db), s1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := d2.Snapshot()
 
-	if len(s1.Refs) == 0 || len(s1.SkelSeqRunes) == 0 {
-		t.Fatalf("skeleton sections empty: %d refs, %d seqs", len(s1.Refs), len(s1.SkelSeqRunes))
+	if seqs := d2.db.FoldRows().SeqRunes; len(s1.Refs) == 0 || len(seqs) == 0 {
+		t.Fatalf("skeleton sections empty: %d refs, %d seqs", len(s1.Refs), len(seqs))
 	}
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatal("skeleton snapshot not byte-for-byte across load/re-flatten")
@@ -235,34 +235,19 @@ func TestSkeletonSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Corrupt skeleton rows and references the compile would not keep must
-// be rejected, not silently loaded.
+// References the compile would not keep must be rejected, not silently
+// loaded. The fold rows are the database's, and the database section's
+// loader checks them (homoglyph's TestFoldRowsSnapshotValidation).
 func TestSkeletonSnapshotValidation(t *testing.T) {
 	db := testDB(t)
 	pair := NewDetector(db, []string{"google", "paypal"})
 	if _, err := NewDetectorFromSnapshot(db, pair.Snapshot()); err != nil {
 		t.Fatalf("unedited snapshot rejected: %v", err)
 	}
-	if s := pair.Snapshot(); len(s.SkelRepRunes) < 2 || len(s.SkelSeqRunes) < 2 {
-		t.Fatalf("want two rows of each table, got %d reps, %d seqs", len(s.SkelRepRunes), len(s.SkelSeqRunes))
-	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(s *Snapshot)
 	}{
-		// The rows must be framed as the writer frames them.
-		{"truncated rep table", func(s *Snapshot) { s.SkelReps = s.SkelReps[:len(s.SkelReps)-1] }},
-		{"truncated seq lengths", func(s *Snapshot) { s.SkelSeqLens = s.SkelSeqLens[:len(s.SkelSeqLens)-1] }},
-		{"single-rune skeleton sequence", func(s *Snapshot) { // framing kept
-			s.SkelSeqLens[0], s.SkelSeqLens[1] = 1, s.SkelSeqLens[1]+s.SkelSeqLens[0]-1
-		}},
-		{"seq past the sequences", func(s *Snapshot) { s.SkelSeqs = s.SkelSeqs[:len(s.SkelSeqs)-1] }},
-		{"trailing seq rune", func(s *Snapshot) { s.SkelSeqs = append(s.SkelSeqs, 'x') }},
-		{"descending rep runes", func(s *Snapshot) {
-			s.SkelRepRunes[0], s.SkelRepRunes[1] = s.SkelRepRunes[1], s.SkelRepRunes[0]
-			s.SkelReps[0], s.SkelReps[1] = s.SkelReps[1], s.SkelReps[0]
-		}},
-		{"repeated seq rune", func(s *Snapshot) { s.SkelSeqRunes[1] = s.SkelSeqRunes[0] }},
 		// Detection walks a label's candidates without deduplicating,
 		// and a reference is indexed under its normalized form, so Refs
 		// must be exactly the list the compile keeps.

@@ -10,11 +10,12 @@
 // search, and Homoglyphs returns a filtered copy of the precompiled
 // partner list instead of re-scanning every UC source. Source-restricted
 // views (WithSources) share the same index and filter by mask at query
-// time.
+// time. Each view also has its fold rows (FoldRows), the per-rune
+// skeleton mapping a detector indexes under, computed once per view or
+// loaded from a snapshot.
 package homoglyph
 
 import (
-	"math/bits"
 	"slices"
 	"sort"
 	"unicode/utf8"
@@ -125,10 +126,11 @@ func (x *index) rowPastDir(r rune) int {
 
 // DB is the unified homoglyph database.
 type DB struct {
-	uc  *confusables.DB
-	sim *simchar.DB
-	use Source
-	idx *index
+	uc   *confusables.DB
+	sim  *simchar.DB
+	use  Source
+	idx  *index
+	fold *foldState // the view's fold rows, computed on first use
 }
 
 // New builds a database from the available components; either may be nil.
@@ -140,12 +142,17 @@ func New(uc *confusables.DB, sim *simchar.DB, use Source) *DB {
 	if use == SourceNone {
 		use = SourceUC | SourceSimChar
 	}
-	return &DB{uc: uc, sim: sim, use: use, idx: compile(uc, sim)}
+	return &DB{uc: uc, sim: sim, use: use, idx: compile(uc, sim), fold: &foldState{}}
 }
 
-// WithSources returns a view of the same database restricted to the mask.
+// WithSources returns a view of the same database restricted to the
+// mask. A view with the database's own mask shares its fold rows.
 func (db *DB) WithSources(use Source) *DB {
-	return &DB{uc: db.uc, sim: db.sim, use: use, idx: db.idx}
+	fold := db.fold
+	if use != db.use {
+		fold = &foldState{}
+	}
+	return &DB{uc: db.uc, sim: db.sim, use: use, idx: db.idx, fold: fold}
 }
 
 // compile flattens the UC ∪ SimChar union. UC confusability is skeleton
@@ -364,48 +371,6 @@ func (db *DB) Chars() *ucd.RuneSet {
 		s = s.Union(db.uc.Chars())
 	}
 	return s
-}
-
-// CharRunes returns the characters of Chars, ascending. It gathers
-// them in a bitset over the rune space rather than in RuneSets, as
-// every detector compile reads it. On the fast-font database (4,711
-// appended runes, 3,099 distinct) this takes 0.09 ms, and sorting and
-// compacting the appended runes 0.43 ms (2-vCPU Xeon). Values outside
-// the rune space, which a loaded database can hold, are sorted apart
-// and placed at the ends.
-func (db *DB) CharRunes() []rune {
-	var all []rune
-	if db.use&SourceSimChar != 0 && db.sim != nil {
-		all = db.sim.AppendChars(all)
-	}
-	if db.use&SourceUC != 0 && db.uc != nil {
-		all = db.uc.AppendChars(all)
-	}
-	top := rune(-1)
-	for _, r := range all {
-		if r <= utf8.MaxRune {
-			top = max(top, r)
-		}
-	}
-	set := make([]uint64, top/64+1)
-	var odd []rune
-	for _, r := range all {
-		if r < 0 || r > utf8.MaxRune {
-			odd = append(odd, r)
-			continue
-		}
-		set[r>>6] |= 1 << (r & 63)
-	}
-	slices.Sort(odd)
-	odd = slices.Compact(odd)
-	split, _ := slices.BinarySearch(odd, 0)
-	out := append(all[:0], odd[:split]...)
-	for w, word := range set {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, rune(w<<6|bits.TrailingZeros64(word)))
-		}
-	}
-	return append(out, odd[split:]...)
 }
 
 // Use returns the view's active source mask.

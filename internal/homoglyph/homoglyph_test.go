@@ -267,7 +267,7 @@ func TestChars(t *testing.T) {
 	}
 }
 
-// TestCharRunes: the compile path's bitset gives the characters of
+// TestCharRunes: the fold rows' bitset gives the characters of
 // Chars in order, on every view, with and without components, and
 // with values outside the rune space that a loaded database can hold.
 func TestCharRunes(t *testing.T) {
@@ -286,8 +286,8 @@ func TestCharRunes(t *testing.T) {
 	for name, db := range dbs {
 		for _, use := range []Source{SourceUC, SourceSimChar, SourceUC | SourceSimChar} {
 			view := db.WithSources(use)
-			if got, want := view.CharRunes(), view.Chars().Runes(); !slices.Equal(got, want) {
-				t.Errorf("%s %v: CharRunes = %U, Chars = %U", name, use, got, want)
+			if got, want := view.charRunes(), view.Chars().Runes(); !slices.Equal(got, want) {
+				t.Errorf("%s %v: charRunes = %U, Chars = %U", name, use, got, want)
 			}
 		}
 	}

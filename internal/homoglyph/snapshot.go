@@ -9,11 +9,12 @@ import (
 
 // Snapshot is the flattened, serializable form of the compiled index: one
 // row per indexed character (sorted by rune) plus the concatenated
-// partner and source-mask arrays, laid out contiguously in rune order.
-// It exists so the internal/snapshot codec can persist a fully compiled
-// database and FromSnapshot can rebuild one without touching the font,
-// the SimChar Δ scan, or the UC skeleton walk — the whole Section 3
-// build cost collapses into bulk array reads.
+// partner and source-mask arrays, laid out contiguously in rune order,
+// and the view's fold rows. It exists so the internal/snapshot codec
+// can persist a fully compiled database and FromSnapshot can rebuild
+// one without touching the font, the SimChar Δ scan, the UC skeleton
+// walk or the fold's union-find — the whole Section 3 build cost
+// collapses into bulk array reads.
 type Snapshot struct {
 	Use      Source
 	Runes    []rune   // indexed characters, ascending
@@ -23,12 +24,16 @@ type Snapshot struct {
 	SimLow   []rune   // smallest SimChar partner overall (0 = none)
 	Partners []rune   // concatenated sorted partner lists, rune order
 	Masks    []Source // parallel to Partners
+	// Rows are the view's fold rows (see FoldRows). Nil leaves them to
+	// be computed on first use.
+	Rows *FoldRows
 }
 
-// Snapshot flattens the compiled index. The layout is canonical (runes
-// ascending, partner spans laid out in that order) and is the index's
-// own, so equal databases produce identical snapshots and this is a
-// copy of the rows.
+// Snapshot flattens the compiled index and the view's fold rows,
+// computing the rows first if the view has not. The layout is
+// canonical (runes ascending, partner spans laid out in that order) and
+// is the index's own, so equal databases produce identical snapshots
+// and this is a copy of the rows.
 func (db *DB) Snapshot() *Snapshot {
 	x := db.idx
 	n := len(x.runes)
@@ -41,6 +46,7 @@ func (db *DB) Snapshot() *Snapshot {
 		SimLow:   make([]rune, n),
 		Partners: make([]rune, len(x.partners)),
 		Masks:    make([]Source, len(x.masks)),
+		Rows:     db.FoldRows().clone(),
 	}
 	copy(s.Runes, x.runes)
 	copy(s.Partners, x.partners)
@@ -57,9 +63,13 @@ func (db *DB) Snapshot() *Snapshot {
 // FromSnapshot rebuilds a database from its flattened form plus the
 // component databases (either may be nil, matching New). The compiled
 // index is taken from the snapshot verbatim — nothing is recompiled:
-// the rune, partner and mask arrays become the index's own, so the
-// snapshot must not be mutated afterwards, and load cost is one pass
-// over the rows plus the directory build.
+// the rune, partner and mask arrays become the index's own, and so do
+// the fold rows, so the snapshot must not be mutated afterwards, and
+// load cost is one pass over the rows plus the directory build. The
+// fold rows must be framed as the view computes them (runes strictly
+// ascending, every sequence two runes or more, the sequences filling
+// Seqs exactly); that they are the rows this database's graph gives is
+// the writer's word, as for the rest of the index.
 func FromSnapshot(s *Snapshot, uc *confusables.DB, sim *simchar.DB) (*DB, error) {
 	n := len(s.Runes)
 	if len(s.Counts) != n || len(s.UCSkel) != n || len(s.SimASCII) != n || len(s.SimLow) != n {
@@ -103,5 +113,10 @@ func FromSnapshot(s *Snapshot, uc *confusables.DB, sim *simchar.DB) (*DB, error)
 	if int(off) != len(s.Partners) {
 		return nil, fmt.Errorf("homoglyph: %d partners unclaimed by snapshot rows", len(s.Partners)-int(off))
 	}
-	return &DB{uc: uc, sim: sim, use: use, idx: newIndex(s.Runes, rows, s.Partners, s.Masks)}, nil
+	if s.Rows != nil {
+		if err := s.Rows.check(); err != nil {
+			return nil, err
+		}
+	}
+	return &DB{uc: uc, sim: sim, use: use, idx: newIndex(s.Runes, rows, s.Partners, s.Masks), fold: &foldState{rows: s.Rows}}, nil
 }

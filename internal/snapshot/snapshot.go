@@ -1,8 +1,8 @@
 // Package snapshot persists the framework's fully compiled artifacts —
 // the flattened homoglyph index (UC ∪ SimChar union, canonical targets,
-// source masks), the component databases needed to answer accounting
-// queries, and optionally a detector's reference list and per-rune
-// skeleton rows — as one versioned, checksummed binary blob.
+// source masks) with the view's fold rows, the component databases
+// needed to answer accounting queries, and optionally a detector's
+// reference list — as one versioned, checksummed binary blob.
 //
 // The paper's build pipeline (font rasterization, the Section 3.3
 // pairwise Δ scan, UC parsing, index compilation) costs seconds per
@@ -27,16 +27,18 @@
 //	flags u32 | sections...
 //
 // where sections appear in fixed order, gated by flag bits: UC entries,
-// SimChar pairs, the homoglyph index, and the optional detector.
+// SimChar pairs, the database (the homoglyph index, then the view's
+// fold rows), and the optional detector.
 //
-// The detector section stores what depends on the database alone and
-// is costly to recompute, the fold rows (union-find representatives
-// and many-to-one expansions), plus the reference list. The reference
-// index is not stored: a load compiles it from the list over the
-// loaded rows, the same compile NewDetector runs. For 10k references
-// on the fast font the section takes 149 KB of a 384 KB file, and an
-// embedded detector loads in about 2.4–2.8 ms, against 3.1–3.8 ms for
-// a database-only load plus a fresh compile (in-process, 2-vCPU Xeon).
+// The database section ends with what depends on the database alone and
+// is costly to recompute, the fold rows (union-find representatives and
+// many-to-one expansions), so no load runs the union-find: a detector
+// compiled over a loaded database, from a list or from the file's own
+// detector section, only reads them. The detector section is the
+// reference list; its index is compiled from the list over the loaded
+// rows, the same compile NewDetector runs. On the fast font the fold
+// rows take 17,952 bytes, so a database-only file is 253,629 bytes
+// (235,677 without them), and 10k references add 130,786 bytes.
 package snapshot
 
 import (
@@ -66,9 +68,12 @@ const Magic = "SHAMSNAP"
 // per-(length, position) posting lists, since the detector now derives
 // every backend from the skeleton index; v4 drops the skeleton→refs
 // key lists, since a load compiles them from the reference list, and
-// keeps the detector section to the references and the per-rune rows.
+// keeps the detector section to the references and the per-rune rows;
+// v5 moves the per-rune fold rows to the end of the database section,
+// since they are the database view's, so a database-only file carries
+// them too and the detector section is the reference list alone.
 // Older files must be recompiled.
-const Version = 4
+const Version = 5
 
 // Section flag bits.
 const (
@@ -288,6 +293,8 @@ func writeSimChar(e *enc, sim *simchar.DB) {
 	}
 }
 
+// writeIndex writes the database section: the index rows, then the
+// view's fold rows.
 func writeIndex(e *enc, s *homoglyph.Snapshot) {
 	e.u8(byte(s.Use))
 	e.runes(s.Runes)
@@ -301,15 +308,19 @@ func writeIndex(e *enc, s *homoglyph.Snapshot) {
 		masks[i] = byte(m)
 	}
 	e.bytes(masks)
+	writeRows(e, s.Rows)
+}
+
+func writeRows(e *enc, x *homoglyph.FoldRows) {
+	e.runes(x.RepRunes)
+	e.runes(x.Reps)
+	e.runes(x.SeqRunes)
+	e.i32s(x.SeqLens)
+	e.runes(x.Seqs)
 }
 
 func writeDetector(e *enc, s *core.Snapshot) {
 	e.strings(s.Refs)
-	e.runes(s.SkelRepRunes)
-	e.runes(s.SkelReps)
-	e.runes(s.SkelSeqRunes)
-	e.i32s(s.SkelSeqLens)
-	e.runes(s.SkelSeqs)
 }
 
 // --- section readers ---
@@ -369,6 +380,7 @@ func readIndex(d *dec) *homoglyph.Snapshot {
 	s.SimLow = d.runes(d.count(4))
 	s.Partners = d.runes(d.count(4))
 	masks := d.bytes(d.count(1))
+	s.Rows = readRows(d)
 	if d.err != nil {
 		return s
 	}
@@ -379,15 +391,18 @@ func readIndex(d *dec) *homoglyph.Snapshot {
 	return s
 }
 
+func readRows(d *dec) *homoglyph.FoldRows {
+	x := &homoglyph.FoldRows{}
+	x.RepRunes = d.runes(d.count(4))
+	x.Reps = d.runes(d.count(4))
+	x.SeqRunes = d.runes(d.count(4))
+	x.SeqLens = d.i32s(d.count(4))
+	x.Seqs = d.runes(d.count(4))
+	return x
+}
+
 func readDetector(d *dec) *core.Snapshot {
-	s := &core.Snapshot{}
-	s.Refs = d.strings()
-	s.SkelRepRunes = d.runes(d.count(4))
-	s.SkelReps = d.runes(d.count(4))
-	s.SkelSeqRunes = d.runes(d.count(4))
-	s.SkelSeqLens = d.i32s(d.count(4))
-	s.SkelSeqs = d.runes(d.count(4))
-	return s
+	return &core.Snapshot{Refs: d.strings()}
 }
 
 // --- primitive codec ---

@@ -217,29 +217,36 @@ func TestRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-// TestRejectsPreviousVersion: a v3 file carries the skeleton key lists
-// after the per-rune rows, so it must fail loudly rather than be misread
-// as v4; read under a v4 header, its key lists are trailing bytes. Every
-// older version fails the same way.
+// TestRejectsPreviousVersion: a v4 file ends its database section at
+// the masks and carries the fold rows in its detector section, after
+// the reference list, and a v3 file adds the skeleton key lists after
+// them. Each must fail loudly rather than be misread as v5: read under
+// a v5 header, neither loads. Every older version fails the same way.
 func TestRejectsPreviousVersion(t *testing.T) {
 	db := tinyDB()
 	det := core.NewDetector(db, []string{"google", "g\u043e\u043egle", "paypal"}) // Cyrillic о
+	rows := &enc{}
+	writeRows(rows, db.FoldRows())
 	e := &enc{}
 	e.u32(flagUC | flagDetector)
 	writeUC(e, db.UC())
 	writeIndex(e, db.Snapshot())
+	e.buf = e.buf[:len(e.buf)-len(rows.buf)] // v4's database section
 	writeDetector(e, det.Snapshot())
+	e.raw(rows.buf)
+	v4 := slices.Clone(e.buf)
 	// v3's key lists: the skeletons ascending, their id list lengths,
 	// and the ids.
 	e.strings([]string{"google", "paypal"})
 	e.i32s([]int32{2, 1})
 	e.i32s([]int32{0, 1, 2})
-	v3 := SealEnvelope(Magic, 3, e.buf)
-	if _, _, err := Unmarshal(v3); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v3 file: err = %v, want ErrVersion", err)
-	}
-	if _, _, err := Unmarshal(SealEnvelope(Magic, Version, e.buf)); err == nil {
-		t.Fatal("v3 payload loaded under a v4 header")
+	for v, payload := range map[uint32][]byte{3: e.buf, 4: v4} {
+		if _, _, err := Unmarshal(SealEnvelope(Magic, v, payload)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("v%d file: err = %v, want ErrVersion", v, err)
+		}
+		if _, _, err := Unmarshal(SealEnvelope(Magic, Version, payload)); err == nil {
+			t.Fatalf("v%d payload loaded under a v%d header", v, Version)
+		}
 	}
 	data := Marshal(db, det)
 	for v := uint32(0); v < Version; v++ {
@@ -389,6 +396,50 @@ func TestRejectsCraftedTables(t *testing.T) {
 	for name, data := range crafted {
 		if _, _, err := Unmarshal(data); err == nil {
 			t.Errorf("%s: crafted file loaded", name)
+		}
+	}
+}
+
+// TestRejectsBadFoldRows: the fold rows end the database section, so a
+// file whose rows the writer never frames that way fails to load,
+// database-only or with a detector, and whether or not the detector is
+// wanted.
+func TestRejectsBadFoldRows(t *testing.T) {
+	db := tinyDB()
+	det := core.NewDetector(db, []string{"google", "paypal"})
+	if rows := db.FoldRows(); len(rows.RepRunes) < 2 {
+		t.Fatalf("want two rep rows, got %d", len(rows.RepRunes))
+	}
+	dbOnly := func(edit func(*homoglyph.Snapshot)) []byte {
+		e := &enc{}
+		e.u32(flagUC)
+		writeUC(e, db.UC())
+		idx := db.Snapshot()
+		edit(idx)
+		writeIndex(e, idx)
+		return SealEnvelope(Magic, Version, e.buf)
+	}
+	if !bytes.Equal(dbOnly(func(*homoglyph.Snapshot) {}), Marshal(db, nil)) {
+		t.Fatal("the database-only writer differs from Marshal")
+	}
+	for name, edit := range map[string]func(*homoglyph.FoldRows){
+		"truncated rep table":  func(x *homoglyph.FoldRows) { x.Reps = x.Reps[:len(x.Reps)-1] },
+		"descending rep runes": func(x *homoglyph.FoldRows) { x.RepRunes[0], x.RepRunes[1] = x.RepRunes[1], x.RepRunes[0] },
+		"single-rune sequence": func(x *homoglyph.FoldRows) {
+			x.SeqRunes, x.SeqLens, x.Seqs = []rune{0x2161}, []int32{1}, []rune{'I'}
+		},
+		"trailing seq rune": func(x *homoglyph.FoldRows) { x.Seqs = []rune{'x'} },
+	} {
+		editIndex := func(s *homoglyph.Snapshot) { edit(s.Rows) }
+		for how, data := range map[string][]byte{
+			"database only": dbOnly(editIndex),
+			"with detector": marshalEdited(db, det, editIndex, nil),
+		} {
+			for _, withDetector := range []bool{true, false} {
+				if _, _, err := unmarshal(data, withDetector); err == nil {
+					t.Errorf("%s, %s (detector wanted: %v): loaded", name, how, withDetector)
+				}
+			}
 		}
 	}
 }

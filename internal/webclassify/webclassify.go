@@ -124,7 +124,8 @@ func (c *Classifier) timeout() time.Duration {
 }
 
 // client builds an HTTP client that dials through the resolver and
-// does not follow redirects (the Location header is the signal).
+// does not follow redirects (the Location header is the signal). The
+// fetch's context, not the client, bounds the whole exchange.
 func (c *Classifier) client(port int) *http.Client {
 	dialer := &net.Dialer{Timeout: c.timeout()}
 	transport := &http.Transport{
@@ -139,7 +140,6 @@ func (c *Classifier) client(port int) *http.Client {
 		DisableKeepAlives: true,
 	}
 	return &http.Client{
-		Timeout:   c.timeout(),
 		Transport: transport,
 		CheckRedirect: func(req *http.Request, via []*http.Request) error {
 			return http.ErrUseLastResponse
@@ -148,10 +148,18 @@ func (c *Classifier) client(port int) *http.Client {
 }
 
 // fetch retrieves scheme://domain/ and returns status, body prefix and
-// the Location header.
+// the Location header. The exchange, body included, must end within
+// the timeout, or it is an error: a host that stalls mid-body, or
+// whose answer lands only once the timeout has fired, is a host too
+// slow to load, the paper's Error class, not an empty page. (A TLS
+// client that gives up sends close_notify before it closes the
+// connection, and a server that answers that with an empty response
+// races the close: the transport can hand back the late response.)
 func (c *Classifier) fetch(scheme, domain string, port int) (status int, body, location string, err error) {
 	client := c.client(port)
-	req, err := http.NewRequest("GET", scheme+"://"+domain+"/", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", scheme+"://"+domain+"/", nil)
 	if err != nil {
 		return 0, "", "", fmt.Errorf("webclassify: building request: %w", err)
 	}
@@ -163,7 +171,13 @@ func (c *Classifier) fetch(scheme, domain string, port int) (status int, body, l
 		return 0, "", "", err
 	}
 	defer resp.Body.Close()
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return 0, "", "", fmt.Errorf("webclassify: reading %s://%s/: %w", scheme, domain, err)
+	}
 	return resp.StatusCode, string(b), resp.Header.Get("Location"), nil
 }
 

@@ -3,6 +3,8 @@ package webclassify
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"runtime"
 	"testing"
@@ -186,6 +188,51 @@ func TestSlowHostClassifiedAsError(t *testing.T) {
 	// roughly two timeouts, not hang.
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("classification took %v", elapsed)
+	}
+}
+
+// TestStalledBodyClassifiedAsError: a host that sends its headers and
+// then hangs mid-body is as hung as one that never answers. The fetch
+// used to drop the body's read error and classify the empty body read
+// so far as an Empty page.
+func TestStalledBodyClassifiedAsError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		close(done)
+		ln.Close()
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				buf := make([]byte, 4096)
+				if _, err := conn.Read(buf); err != nil {
+					return
+				}
+				io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 4096\r\n\r\n")
+				select { // the body never comes
+				case <-done:
+				case <-time.After(10 * time.Second):
+				}
+			}()
+		}
+	}()
+	_, m, c := env(t)
+	c.Timeout = 200 * time.Millisecond
+	for _, port := range []int{80, 443} {
+		m.Open("stalled.com", port, ln.Addr().String())
+	}
+	res := c.Classify("stalled.com")
+	if res.Category != CatError || res.StatusHTTP != 0 || res.StatusHTTPS != 0 {
+		t.Errorf("stalled body classified as %+v, want Error with no status", res)
 	}
 }
 
